@@ -11,8 +11,10 @@
 // --smoke (used from ctest) shrinks the run and fails the process when the
 // high-churn pass does not measurably defragment: fragmentation must drop
 // by at least 0.10 absolute, and at least one emptied chunk must return to
-// the span map.  These floors are structural (they depend on the allocator,
-// not on timing), so the smoke needs no starved-runner relaxation.
+// the span map.  It also fails when the heap's O(1) occupancy counters
+// disagree with the walked census after any churn or compaction step.
+// These checks are structural (they depend on the allocator, not on
+// timing), so the smoke needs no starved-runner relaxation.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -47,6 +49,24 @@ double now_s() {
       .count();
 }
 
+/// True when pool.occupancy() equals the walked stats(); reports the drift
+/// on stderr otherwise.
+bool occupancy_matches(const pk::ObjectPool& pool, const char* step) {
+  const pk::HeapStats walked = pool.stats().heap;
+  const pk::HeapOccupancy occ = pool.occupancy();
+  if (occ.live_bytes == walked.live_bytes &&
+      occ.reserved_bytes == walked.reserved_bytes)
+    return true;
+  std::fprintf(stderr,
+               "FAIL: occupancy drift after %s: counters live=%llu "
+               "reserved=%llu, walk live=%llu reserved=%llu\n",
+               step, static_cast<unsigned long long>(occ.live_bytes),
+               static_cast<unsigned long long>(occ.reserved_bytes),
+               static_cast<unsigned long long>(walked.live_bytes),
+               static_cast<unsigned long long>(walked.reserved_bytes));
+  return false;
+}
+
 /// Fills a fresh pool with `n` objects, then frees all but every
 /// `1/keep_every`-th — the churn pattern that strands sparse run chunks.
 /// Returns the surviving oids (the compaction reference slots).
@@ -77,6 +97,7 @@ struct PassResult {
   std::uint64_t survivors = 0;
   pk::CompactReport report;
   double seconds = 0;
+  bool occupancy_ok = true;  ///< counters matched the walk at every step
 };
 
 PassResult run_pass(const fs::path& path, std::uint64_t objects,
@@ -89,16 +110,18 @@ PassResult run_pass(const fs::path& path, std::uint64_t objects,
       ((need + pk::kChunkSize - 1) / pk::kChunkSize + 8) * pk::kChunkSize;
   auto pool = pk::ObjectPool::create(path, "micro-compact", size);
 
+  PassResult r;
   std::vector<pk::ObjId> survivors = churn(*pool, objects, keep_every);
+  r.occupancy_ok = occupancy_matches(*pool, "churn");
   std::vector<pk::ObjId*> refs;
   refs.reserve(survivors.size());
   for (pk::ObjId& s : survivors) refs.push_back(&s);
 
-  PassResult r;
   r.survivors = survivors.size();
   const double t0 = now_s();
   r.report = pk::compact_pool(*pool, refs);
   r.seconds = now_s() - t0;
+  r.occupancy_ok = occupancy_matches(*pool, "compaction") && r.occupancy_ok;
   return r;
 }
 
@@ -139,8 +162,10 @@ int main(int argc, char** argv) {
                      ",\n  \"passes\": [\n";
   double high_churn_drop = 0;
   std::uint64_t high_churn_reclaimed = 0;
+  bool occupancy_ok = true;
   for (std::size_t c = 0; c < std::size(kChurns); ++c) {
     const PassResult r = run_pass(path, cfg.objects, kChurns[c]);
+    occupancy_ok = occupancy_ok && r.occupancy_ok;
     const double rate =
         r.report.moved_objects / std::max(r.seconds, 1e-9);
     std::printf("%-12llu %-10llu %-8.3f %-8.3f %-10llu %-10llu %-10.3f\n",
@@ -188,6 +213,7 @@ int main(int argc, char** argv) {
                    "FAIL: high-churn compaction reclaimed no chunks\n");
       fail = true;
     }
+    if (!occupancy_ok) fail = true;  // drift already reported per step
     if (fail) return 1;
     std::printf("smoke OK: fragmentation -%.3f, %llu chunks reclaimed\n",
                 high_churn_drop,

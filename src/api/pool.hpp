@@ -56,8 +56,15 @@ class Pool {
   /// skips/waits) — the signal a multi-threaded producer watches to decide
   /// whether the pool, not the workload, is the bottleneck — and, since
   /// the evolution work, fragmentation (heap.live_bytes / reserved_bytes /
-  /// fragmentation), layout_version and the resize count.
+  /// fragmentation), layout_version and the resize count.  Walks the whole
+  /// heap; poll occupancy() instead.
   [[nodiscard]] pmemkit::PoolStats stats() const { return impl_->stats(); }
+
+  /// live/reserved bytes and fragmentation in O(1), from the heap's running
+  /// counters (the same values stats().heap walks for).
+  [[nodiscard]] pmemkit::HeapOccupancy occupancy() const noexcept {
+    return impl_->occupancy();
+  }
 
   // --- online evolution ------------------------------------------------------
   /// Grows or shrinks the pool in place (pmemkit::ObjectPool::resize

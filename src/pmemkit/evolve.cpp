@@ -158,8 +158,7 @@ void migrate_v1_pool(ObjectPool& pool, std::string_view layout) {
   // recovery, so this retires any transaction the v1 writer left mid-air;
   // afterwards no lane state needs translating.
   pool.heap_ = std::make_unique<Heap>(region, h.heap_off, h.heap_size);
-  pool.heap_->rebuild();
-  for (std::uint32_t l = 0; l < kLaneCount; ++l) recover_lane(pool, l);
+  pool.recover_lanes();
   crash_point("evolve:quiesced");
 
   // 3. Copy-and-verify the span-table entries.  count stays 0 on media —
@@ -343,7 +342,7 @@ CompactReport compact_pool(ObjectPool& pool, std::span<ObjId* const> refs,
                            CompactOptions options) {
   Heap& heap = pool.heap();
   CompactReport report;
-  report.fragmentation_before = heap.stats().fragmentation;
+  report.fragmentation_before = heap.occupancy().fragmentation;
 
   // Admit movable slots and key them by source-chunk fill so the sparsest
   // chunks drain first — each drained chunk goes back to the span map
@@ -436,7 +435,7 @@ CompactReport compact_pool(ObjectPool& pool, std::span<ObjId* const> refs,
   // is what lowers reserved_bytes and with it the fragmentation ratio.
   report.reclaimed_chunks = heap.reclaim_empty_runs();
 
-  report.fragmentation_after = heap.stats().fragmentation;
+  report.fragmentation_after = heap.occupancy().fragmentation;
   return report;
 }
 

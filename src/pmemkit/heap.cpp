@@ -26,6 +26,12 @@ std::uint64_t alloc_word(std::uint32_t type_num,
          (static_cast<std::uint64_t>(flags) << 32);
 }
 
+/// 1 - live/reserved, clamped to [0, 1]; 0 for an empty heap.
+double fragmentation_of(std::uint64_t live, std::uint64_t reserved) noexcept {
+  if (reserved == 0 || live >= reserved) return 0.0;
+  return 1.0 - static_cast<double>(live) / static_cast<double>(reserved);
+}
+
 }  // namespace
 
 Heap::Span Heap::solve_span(std::uint64_t off, std::uint64_t size) const {
@@ -203,6 +209,7 @@ std::uint32_t Heap::reclaim_empty_runs() {
       const std::lock_guard<std::mutex> sl(span_mu_);
       chunk_free_[c] = true;
     }
+    reserved_bytes_.fetch_sub(kChunkSize, std::memory_order_relaxed);
     ++reclaimed;
   }
   return reclaimed;
@@ -262,6 +269,8 @@ void Heap::format() {
   region_->note_store_infra(table, s.chunk_count * sizeof(ChunkDesc));
   region_->persist(table, s.chunk_count * sizeof(ChunkDesc));
   partial_runs_.assign(kSizeClasses.size(), {});
+  live_bytes_.store(0, std::memory_order_relaxed);
+  reserved_bytes_.store(0, std::memory_order_relaxed);
   const std::lock_guard<std::mutex> lock(span_mu_);
   chunk_free_.assign(chunk_count_.load(std::memory_order_relaxed), true);
 }
@@ -272,6 +281,7 @@ void Heap::rebuild() {
     const std::lock_guard<std::mutex> lock(span_mu_);
     chunk_free_.assign(chunk_count_.load(std::memory_order_relaxed), false);
   }
+  std::uint64_t live = 0, reserved = 0;
   const std::uint32_t spans = span_count_.load(std::memory_order_acquire);
   for (std::uint32_t i = 0; i < spans; ++i) {
     const Span& s = spans_[i];
@@ -295,12 +305,17 @@ void Heap::rebuild() {
             used += static_cast<std::uint32_t>(std::popcount(w));
           if (used > rh->block_count) throw PoolError(ErrKind::CorruptImage, "corrupt run bitmap");
           if (used < rh->block_count) partial_runs_[d.class_idx].push_back(c);
+          live += run_live_bytes(c);
+          reserved += kChunkSize;
           ++c;
           break;
         }
         case ChunkState::HugeHead: {
           if (d.span == 0 || c + d.span > end)
             throw PoolError(ErrKind::CorruptImage, "corrupt huge span");
+          live += reinterpret_cast<const AllocHeader*>(chunk_data(c))->size +
+                  sizeof(AllocHeader);
+          reserved += std::uint64_t{d.span} * kChunkSize;
           c += d.span;  // covered chunks keep stale descriptors; skip them
           break;
         }
@@ -309,6 +324,8 @@ void Heap::rebuild() {
       }
     }
   }
+  live_bytes_.store(live, std::memory_order_relaxed);
+  reserved_bytes_.store(reserved, std::memory_order_relaxed);
 }
 
 std::uint32_t Heap::find_free_span(std::uint32_t span) const {
@@ -515,7 +532,14 @@ void Heap::finish_alloc(PreparedAlloc& a) {
   if (static_cast<ChunkState>(d.state) == ChunkState::Run)
     hint_partial(d.class_idx, c);
   // Huge spans (and fresh-run chunks) were claimed in chunk_free_ at stage
-  // time; nothing further to publish.
+  // time; the committed descriptor now reserves them.
+  const auto* hdr = reinterpret_cast<const AllocHeader*>(
+      region_->base() + a.data_off - sizeof(AllocHeader));
+  live_bytes_.fetch_add(hdr->size + sizeof(AllocHeader),
+                        std::memory_order_relaxed);
+  if (a.claimed_span > 0)
+    reserved_bytes_.fetch_add(std::uint64_t{a.claimed_span} * kChunkSize,
+                              std::memory_order_relaxed);
   if (a.owner.owns_lock()) a.owner.unlock();
 }
 
@@ -572,17 +596,20 @@ PreparedFree Heap::stage_free(RedoSession& redo, std::uint64_t data_off,
 void Heap::finish_free(PreparedFree& f) {
   const std::uint32_t c = f.chunk;
   const ChunkDesc& d = *chunk_desc(c);
+  // The free cleared only the live flag: the header still holds the size.
+  const auto* hdr = reinterpret_cast<const AllocHeader*>(
+      region_->base() + f.data_off - sizeof(AllocHeader));
+  const std::uint64_t total = hdr->size + sizeof(AllocHeader);
+  live_bytes_.fetch_sub(total, std::memory_order_relaxed);
   if (static_cast<ChunkState>(d.state) == ChunkState::Run) {
     hint_partial(d.class_idx, c);
   } else {
     // The span's head descriptor became Free; covered chunks follow suit
     // transiently.  Recompute the span from the allocation header.
-    const std::uint64_t block_off = f.data_off - sizeof(AllocHeader);
-    const auto* hdr =
-        reinterpret_cast<const AllocHeader*>(region_->base() + block_off);
-    const std::uint64_t total = hdr->size + sizeof(AllocHeader);
     const auto span =
         static_cast<std::uint32_t>((total + kChunkSize - 1) / kChunkSize);
+    reserved_bytes_.fetch_sub(std::uint64_t{span} * kChunkSize,
+                              std::memory_order_relaxed);
     unclaim_span(c, span);
   }
   if (f.owner.owns_lock()) f.owner.unlock();
@@ -714,16 +741,10 @@ HeapStats Heap::stats() const {
         ++c;
         break;
       case ChunkState::Run: {
-        const RunHeader* rh = run_header(c);
-        const std::uint32_t block = kSizeClasses[d.class_idx];
-        for (std::uint32_t i = 0; i < rh->block_count; ++i) {
-          if ((rh->bitmap[i / 64] & (1ull << (i % 64))) == 0) continue;
-          ++s.object_count;
-          s.allocated_bytes += block;
-          const auto* hdr = reinterpret_cast<const AllocHeader*>(
-              chunk_data(c) + kRunHeaderSize + std::uint64_t{i} * block);
-          s.live_bytes += hdr->size + sizeof(AllocHeader);
-        }
+        std::uint32_t blocks = 0;
+        s.live_bytes += run_live_bytes(c, &blocks);
+        s.object_count += blocks;
+        s.allocated_bytes += std::uint64_t{blocks} * kSizeClasses[d.class_idx];
         ++c;
         break;
       }
@@ -742,16 +763,35 @@ HeapStats Heap::stats() const {
     }
   }
   s.reserved_bytes = (s.chunk_count - s.free_chunks) * kChunkSize;
-  s.fragmentation =
-      s.reserved_bytes == 0
-          ? 0.0
-          : 1.0 - static_cast<double>(s.live_bytes) /
-                      static_cast<double>(s.reserved_bytes);
+  s.fragmentation = fragmentation_of(s.live_bytes, s.reserved_bytes);
   s.alloc_ops = alloc_ops_.load(std::memory_order_relaxed);
   s.free_ops = free_ops_.load(std::memory_order_relaxed);
   s.run_lock_skips = run_lock_skips_.load(std::memory_order_relaxed);
   s.run_lock_waits = run_lock_waits_.load(std::memory_order_relaxed);
   return s;
+}
+
+HeapOccupancy Heap::occupancy() const noexcept {
+  HeapOccupancy o;
+  o.live_bytes = live_bytes_.load(std::memory_order_relaxed);
+  o.reserved_bytes = reserved_bytes_.load(std::memory_order_relaxed);
+  o.fragmentation = fragmentation_of(o.live_bytes, o.reserved_bytes);
+  return o;
+}
+
+std::uint64_t Heap::run_live_bytes(std::uint32_t chunk,
+                                   std::uint32_t* blocks) const {
+  const RunHeader* rh = run_header(chunk);
+  const std::uint32_t block = kSizeClasses[chunk_desc(chunk)->class_idx];
+  std::uint64_t live = 0;
+  for (std::uint32_t i = 0; i < rh->block_count; ++i) {
+    if ((rh->bitmap[i / 64] & (1ull << (i % 64))) == 0) continue;
+    if (blocks != nullptr) ++*blocks;
+    const auto* hdr = reinterpret_cast<const AllocHeader*>(
+        chunk_data(chunk) + kRunHeaderSize + std::uint64_t{i} * block);
+    live += hdr->size + sizeof(AllocHeader);
+  }
+  return live;
 }
 
 std::uint32_t Heap::chunk_index_of(std::uint64_t data_off) const noexcept {

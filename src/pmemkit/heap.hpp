@@ -14,7 +14,8 @@
 //   * every persistent-metadata mutation (bitmap bits, chunk states, the
 //     caller's destination ObjId) is staged on a caller-supplied RedoSession
 //     and becomes durable atomically at session commit;
-//   * transient state (free-block hints) is rebuilt on open by scanning.
+//   * transient state (free-block hints, occupancy counters) is rebuilt on
+//     open by scanning.
 //
 // The split into stage_*/finish_* lets the pool compose an allocation with
 // other writes (e.g. publishing the root oid) in one atomic step.
@@ -93,6 +94,16 @@ struct HeapStats {
   std::uint64_t run_lock_waits = 0;  ///< blocking waits on a busy run
 };
 
+/// The fragmentation inputs of HeapStats, kept as running counters so a
+/// poller reads them in O(1) instead of walking the heap.  Same definitions
+/// as the walked fields; fragmentation is clamped to [0, 1] because the two
+/// counters are read one after the other while lanes may be mid-update.
+struct HeapOccupancy {
+  std::uint64_t live_bytes = 0;
+  std::uint64_t reserved_bytes = 0;
+  double fragmentation = 0.0;
+};
+
 class Heap {
  public:
   /// Binds to the base heap span [heap_off, heap_off+heap_size) of
@@ -105,7 +116,9 @@ class Heap {
 
   /// Rebuilds transient state from persistent chunk metadata (open path),
   /// across every registered span.  Validates invariants; throws PoolError
-  /// on corruption.
+  /// on corruption.  Call it only after every published redo log has been
+  /// replayed (ObjectPool::recover_lanes): a rebuild from the pre-replay
+  /// image would hand a replayed allocation's chunk out again.
   void rebuild();
 
   /// Registers an already-formatted span (open path, from the pool's span
@@ -205,7 +218,15 @@ class Heap {
   [[nodiscard]] std::uint64_t next_object(std::uint64_t data_off,
                                           std::uint32_t type_num) const;
 
+  /// Full census: walks every chunk (per-chunk locked).  The reference
+  /// inspect() checks occupancy() against; too slow for a hot path.
   [[nodiscard]] HeapStats stats() const;
+
+  /// live/reserved bytes and fragmentation from the running counters, O(1).
+  /// Moved by finish_alloc/finish_free/reclaim_empty_runs, zeroed by
+  /// format() and seeded by rebuild(); agrees with stats() whenever no
+  /// operation is between stage and finish.
+  [[nodiscard]] HeapOccupancy occupancy() const noexcept;
 
   /// Largest single allocation this heap can ever satisfy.
   [[nodiscard]] std::uint64_t max_alloc_bytes() const noexcept;
@@ -278,6 +299,12 @@ class Heap {
   /// Returns [chunk, chunk+span) to the transient free map.
   void unclaim_span(std::uint32_t chunk, std::uint32_t span);
 
+  /// Sums header + usable bytes over the allocated blocks of run `chunk`
+  /// (caller holds the chunk lock or runs single-threaded); `blocks`, when
+  /// given, is incremented once per allocated block.
+  [[nodiscard]] std::uint64_t run_live_bytes(
+      std::uint32_t chunk, std::uint32_t* blocks = nullptr) const;
+
   PersistentRegion* region_;
   std::uint64_t heap_off_;
   std::uint64_t heap_size_;
@@ -300,6 +327,11 @@ class Heap {
 
   std::atomic<std::uint64_t> alloc_ops_{0};
   std::atomic<std::uint64_t> free_ops_{0};
+  // occupancy() counters.  Each add happens under the chunk lock of the
+  // allocation it counts, and so does the matching subtract, so neither
+  // counter can wrap below zero.
+  std::atomic<std::uint64_t> live_bytes_{0};
+  std::atomic<std::uint64_t> reserved_bytes_{0};
   std::atomic<std::uint64_t> run_lock_skips_{0};
   std::atomic<std::uint64_t> run_lock_waits_{0};
 };

@@ -50,6 +50,7 @@ PoolReport inspect(const ObjectPool& pool) {
   }
 
   r.heap = pool.stats().heap;
+  r.occupancy = pool.occupancy();
 
   // Census + structural checks through the public iteration API.
   std::map<std::uint32_t, TypeCensusRow> census;
@@ -81,6 +82,17 @@ PoolReport inspect(const ObjectPool& pool) {
   if (r.heap.allocated_bytes >
       r.heap.total_bytes)
     r.problems.push_back("heap accounting exceeds capacity");
+  // With no lane in flight no operation sits between stage and finish, so
+  // the counters must equal the walk exactly.
+  if (r.lanes_in_flight == 0 &&
+      (r.occupancy.live_bytes != r.heap.live_bytes ||
+       r.occupancy.reserved_bytes != r.heap.reserved_bytes))
+    r.problems.push_back(
+        "occupancy drift: counters live=" +
+        std::to_string(r.occupancy.live_bytes) +
+        " reserved=" + std::to_string(r.occupancy.reserved_bytes) +
+        ", walk live=" + std::to_string(r.heap.live_bytes) +
+        " reserved=" + std::to_string(r.heap.reserved_bytes));
 
   r.consistent = r.problems.empty();
   return r;
@@ -103,6 +115,9 @@ std::string to_text(const PoolReport& r) {
      << r.heap.allocated_bytes << " / " << r.heap.total_bytes
      << " bytes allocated, " << r.heap.free_chunks << "/"
      << r.heap.chunk_count << " chunks free\n";
+  os << "occupancy     : " << r.occupancy.live_bytes << " live / "
+     << r.occupancy.reserved_bytes << " reserved bytes, fragmentation "
+     << r.occupancy.fragmentation << "\n";
   if (r.busy_lanes.empty() && r.lanes_in_flight == 0) {
     os << "lanes         : all idle\n";
   } else {

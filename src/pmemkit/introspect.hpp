@@ -5,7 +5,8 @@
 // lane states (was a transaction in flight?), heap occupancy and per-type
 // object census — plus a structural consistency check that walks the heap
 // with the same invariants rebuild() enforces and cross-checks the object
-// census against the allocation bitmaps.
+// census against the allocation bitmaps and the heap's O(1) occupancy
+// counters against the walk.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +56,9 @@ struct PoolReport {
   /// `pmempool check` style use this report is built for.
   std::uint64_t lanes_in_flight = 0;
   HeapStats heap;
+  /// The heap's running counters, read right after the `heap` walk; they
+  /// must match its live/reserved bytes when lanes_in_flight == 0.
+  HeapOccupancy occupancy;
   std::vector<TypeCensusRow> census;    ///< by ascending type_num
 
   // Consistency.

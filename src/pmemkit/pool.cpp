@@ -340,7 +340,6 @@ std::unique_ptr<ObjectPool> ObjectPool::open(PmemResource& resource,
     for (std::uint64_t i = 1; i < table.count; ++i)
       pool->heap_->adopt_span(table.spans[i].off, table.spans[i].size);
   }
-  pool->heap_->rebuild();
   pool->run_recovery();
   pool->recovered_ = pool->recovered_ || evolved;
   register_pool(pool.get());
@@ -370,14 +369,30 @@ ObjectPool::~ObjectPool() {
 
 void ObjectPool::run_recovery() {
   PoolHeader& h = header();
-  bool any = (h.flags & kFlagCleanShutdown) == 0;
-  for (std::uint32_t l = 0; l < h.lane_count; ++l)
-    any = recover_lane(*this, l) || any;
-  recovered_ = any;
+  const bool dirty = (h.flags & kFlagCleanShutdown) == 0;
+  recovered_ = recover_lanes() || dirty;
   // Mark open (dirty) for the lifetime of this handle.
   h.flags &= ~kFlagCleanShutdown;
   region_.note_store_infra(&h.flags, sizeof(h.flags));
   persist(&h.flags, sizeof(h.flags));
+}
+
+bool ObjectPool::recover_lanes() {
+  // Redo first.  A log published but never applied (power cut inside an
+  // atomic alloc/free) still has chunk descriptors and bitmaps to write;
+  // the heap's transient state — free-chunk map, partial-run hints,
+  // occupancy counters — must be built from the image after that replay,
+  // or a replayed allocation's chunk stays marked free and is handed out
+  // again.  Undo-level rollback and deferred frees then go through the
+  // heap's finish_* bookkeeping like any other free.
+  const std::uint32_t lanes = header().lane_count;
+  bool any = false;
+  for (std::uint32_t l = 0; l < lanes; ++l)
+    any = redo_recover(region_, lane_header(l).redo) || any;
+  heap_->rebuild();
+  for (std::uint32_t l = 0; l < lanes; ++l)
+    any = recover_lane(*this, l) || any;
+  return any;
 }
 
 std::uint64_t ObjectPool::pool_id() const noexcept {
@@ -639,8 +654,8 @@ PoolStats ObjectPool::stats() const {
   s.pool_size = size();
   s.lane_count = header().lane_count;
   s.lane_waits = lane_waits_.load(std::memory_order_relaxed);
-  s.layout_version = header().version;
-  s.resizes = resizes_.load(std::memory_order_relaxed);
+  s.layout_version = layout_version();
+  s.resizes = resizes();
   s.recovered = recovered_;
   return s;
 }

@@ -224,7 +224,22 @@ class ObjectPool {
   void tx_free(ObjId oid);
 
   // --- stats / introspection -------------------------------------------------
+  /// Full statistics, including the walked heap census (HeapStats): cost
+  /// grows with the object count.
   [[nodiscard]] PoolStats stats() const;
+  /// Heap live/reserved bytes and fragmentation in O(1), from the heap's
+  /// running counters — the read for anything polling per operation.
+  [[nodiscard]] HeapOccupancy occupancy() const noexcept {
+    return heap_->occupancy();
+  }
+  /// On-media format version.
+  [[nodiscard]] std::uint32_t layout_version() const noexcept {
+    return header().version;
+  }
+  /// Completed resize() operations on this handle (transient, since open).
+  [[nodiscard]] std::uint64_t resizes() const noexcept {
+    return resizes_.load(std::memory_order_relaxed);
+  }
   [[nodiscard]] PersistentRegion& region() noexcept { return region_; }
   [[nodiscard]] ShadowTracker* shadow() noexcept { return region_.shadow(); }
   /// The attached persistency sanitizer, or nullptr when pmemcheck is off.
@@ -294,7 +309,13 @@ class ObjectPool {
   [[nodiscard]] std::byte* lane_undo(std::uint32_t lane) noexcept;
   [[nodiscard]] std::uint64_t lane_off(std::uint32_t lane) const noexcept;
 
+  /// Open-time recovery: recover_lanes(), then marks the pool open
+  /// (dirty) and records whether there was anything to recover.
   void run_recovery();
+  /// Replays every lane's published redo log, rebuilds the heap's transient
+  /// state from the replayed image, then resolves every lane's undo log.
+  /// Returns true when any lane had work.
+  bool recover_lanes();
   /// Session-aware checkout: the calling thread's pinned LaneSession lane
   /// when it has one, else a lane from the free pool (raw path).
   std::uint32_t acquire_tx_lane();

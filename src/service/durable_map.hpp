@@ -82,18 +82,25 @@ class BasicDurableMap {
     root_->count += 1;
   }
 
+  // Chain walks resolve each node once (registry lookup, chunk lock, type
+  // and liveness check) and follow `next` through the resolved pointer.
+
   [[nodiscard]] std::optional<std::string> get(std::string_view key) const {
-    for (api::ptr<Entry> e = root_->buckets[bucket_of(key)]; e; e = e->next) {
+    for (api::ptr<Entry> e = root_->buckets[bucket_of(key)]; e;) {
       const Entry* d = e.get();
       if (key_of(d) == key)
         return std::string(payload(d) + d->key_len, d->value_len);
+      e = d->next;
     }
     return std::nullopt;
   }
 
   [[nodiscard]] bool exists(std::string_view key) const {
-    for (api::ptr<Entry> e = root_->buckets[bucket_of(key)]; e; e = e->next)
-      if (key_of(e.get()) == key) return true;
+    for (api::ptr<Entry> e = root_->buckets[bucket_of(key)]; e;) {
+      const Entry* d = e.get();
+      if (key_of(d) == key) return true;
+      e = d->next;
+    }
     return false;
   }
 
@@ -159,14 +166,15 @@ class BasicDurableMap {
   bool erase_in_tx(std::string_view key, std::uint32_t b) {
     api::p<api::ptr<Entry>>* link = &root_->buckets[b];
     while (!link->get().is_null()) {
-      api::ptr<Entry> e = *link;
-      if (key_of(e.get()) == key) {
-        *link = e->next;             // snapshot-on-write unlink
+      const api::ptr<Entry> e = *link;
+      Entry* d = e.get();
+      if (key_of(d) == key) {
+        *link = d->next;             // snapshot-on-write unlink
         pool_->tx_free(e.oid());     // freed at commit; survives an abort
         root_->count -= 1;
         return true;
       }
-      link = &e->next;
+      link = &d->next;
     }
     return false;
   }

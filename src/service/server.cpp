@@ -235,13 +235,14 @@ struct Server::Impl {
       s.shed = shards[i]->shed.load(std::memory_order_relaxed);
       // pool_mu: the recovery loop tears pool/tier down and rebuilds them
       // while this (event-thread) read runs.  A quarantined shard simply
-      // reports no pool stats.
+      // reports no pool stats.  O(1) reads only: no heap walk under the
+      // lock the worker's recovery path takes.
       const std::lock_guard<std::mutex> pool_lock(shards[i]->pool_mu);
       if (shards[i]->pool) {
-        const pmemkit::PoolStats ps = shards[i]->pool->stats();
-        s.layout_version = ps.layout_version;
-        s.fragmentation = ps.heap.fragmentation;
-        s.resizes = ps.resizes;
+        const pmemkit::ObjectPool& pool = shards[i]->pool->pmem();
+        s.layout_version = pool.layout_version();
+        s.fragmentation = pool.occupancy().fragmentation;
+        s.resizes = pool.resizes();
       }
       out.shards.push_back(s);
       if (shards[i]->tier) {
@@ -665,12 +666,13 @@ struct Server::Impl {
   /// pass over the map.  Entirely on the worker thread (the shard's pool is
   /// single-writer), between batches (no request waits on it), and each
   /// relocation is its own crash-atomic transaction — kill -9 mid-pass
-  /// loses only not-yet-moved garbage, never data.
+  /// loses only not-yet-moved garbage, never data.  The check runs after
+  /// every batch, so it reads the heap's O(1) occupancy counters.
   void maybe_compact(Shard& s) {
     if (opts.compact_above <= 0) return;
-    const pmemkit::PoolStats st = s.pool->stats();
-    if (st.heap.fragmentation < opts.compact_above ||
-        st.heap.live_bytes < opts.compact_min_live_bytes)
+    const pmemkit::HeapOccupancy occ = s.pool->occupancy();
+    if (occ.fragmentation < opts.compact_above ||
+        occ.live_bytes < opts.compact_min_live_bytes)
       return;
     // Advisory work: a failed pass (say OutOfSpace scratch allocation)
     // leaves the map intact, so swallow the error and retry after a later

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "pmemkit/evolve.hpp"
+#include "pmemkit/introspect.hpp"
 #include "pmemkit/pmemkit.hpp"
 #include "pmemkit/resource.hpp"
 
@@ -101,9 +102,11 @@ inline void populate(pk::ObjectPool& pool) {
   }
 }
 
-/// Verifies every fixture record (seq / length / payload checksum) and the
-/// erased slots.  Throws std::runtime_error with a precise message on the
-/// first mismatch; returns the number of live records checked.
+/// Verifies every fixture record (seq / length / payload checksum), the
+/// erased slots and the heap's structural consistency (inspect(), which
+/// includes the occupancy counters against the walk).  Throws
+/// std::runtime_error with a precise message on the first mismatch;
+/// returns the number of live records checked.
 inline std::uint64_t verify(pk::ObjectPool& pool) {
   const pk::ObjId root_oid = pool.root_raw(sizeof(FixtureRoot), kRootType);
   auto* root = static_cast<FixtureRoot*>(pool.direct(root_oid));
@@ -130,6 +133,9 @@ inline std::uint64_t verify(pk::ObjectPool& pool) {
   }
   if (root->live != live)
     throw std::runtime_error("live-record count mismatch");
+  const pk::PoolReport report = pk::inspect(pool);
+  if (!report.consistent)
+    throw std::runtime_error("inconsistent pool: " + pk::to_text(report));
   return live;
 }
 

@@ -11,6 +11,7 @@
 
 #include "pmemkit/crash_sim.hpp"
 #include "pmemkit/evolve.hpp"
+#include "pmemkit/introspect.hpp"
 #include "pmemkit/pmemkit.hpp"
 #include "pmemkit/resource.hpp"
 
@@ -211,9 +212,13 @@ TEST(CompactTest, CompactionCrashSweep) {
   };
   const auto verify = [](pk::ObjectPool& p) {
     verify_payloads(p, kSweepSlots);
+    const pk::PoolReport recovered = pk::inspect(p);
+    ASSERT_TRUE(recovered.consistent) << pk::to_text(recovered);
     // Converge: the interrupted compaction can always be rerun.
     pk::compact_pool(p, root_refs(p, kSweepSlots));
     verify_payloads(p, kSweepSlots);
+    const pk::PoolReport rerun = pk::inspect(p);
+    ASSERT_TRUE(rerun.consistent) << pk::to_text(rerun);
   };
   const std::size_t points =
       pk::CrashSimulator(cfg).run(setup, scenario, verify);

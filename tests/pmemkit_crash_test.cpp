@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -151,6 +153,69 @@ TEST_P(CrashPolicyTest, AtomicFreeUnpublishesAllOrNothing) {
     } else {
       ASSERT_EQ(p.type_of(r->obj), 9u) << "dangling oid after crash";
     }
+  };
+  pk::CrashSimulator(cfg).run(setup, scenario, verify);
+}
+
+// A crash after an alloc_atomic's redo log published but before it applied
+// leaves the chunk Free on media until recovery replays the log.  The heap's
+// free-chunk map must be built from the replayed image: otherwise the
+// recovered object's chunk is handed out again.  Verify allocates blocks
+// that each need fresh chunks and checks the published object survives.
+void expect_published_object_survives(pk::ObjectPool& p,
+                                      std::uint64_t probe_size) {
+  auto* r = p.direct(p.root<Root>());
+  std::vector<pk::ObjId> fresh;
+  try {
+    for (int i = 0; i < 8; ++i) fresh.push_back(p.alloc_atomic(probe_size, 8));
+  } catch (const pk::AllocError&) {
+    // Heap full: every free chunk has been probed.
+  }
+  ASSERT_FALSE(fresh.empty());
+  if (r->obj.is_null()) {
+    ASSERT_TRUE(p.first(7).is_null()) << "leaked allocation";
+    return;
+  }
+  ASSERT_EQ(p.type_of(r->obj), 7u) << "published object was reallocated";
+  const std::uint64_t begin = r->obj.off;
+  const std::uint64_t end = begin + p.usable_size(r->obj);
+  for (const pk::ObjId& o : fresh) {
+    const std::uint64_t ob = o.off;
+    const std::uint64_t oe = ob + p.usable_size(o);
+    ASSERT_TRUE(oe <= begin || ob >= end)
+        << "fresh block [" << ob << ", " << oe
+        << ") overlaps the published object [" << begin << ", " << end
+        << ")";
+  }
+  const pk::PoolReport report = pk::inspect(p);
+  ASSERT_TRUE(report.consistent) << pk::to_text(report);
+}
+
+TEST_P(CrashPolicyTest, AtomicAllocFreshRunSurvivesRedoReplay) {
+  auto cfg = config_for("redo-run", GetParam(), 29);
+  // 100 KiB is the one-block-per-run class: every allocation of it, the
+  // scenario's and the probes', materializes a fresh run chunk.
+  constexpr std::uint64_t kSize = 100 * 1024;
+  const auto setup = [](pk::ObjectPool& p) { (void)p.root<Root>(); };
+  const auto scenario = [](pk::ObjectPool& p) {
+    auto* r = p.direct(p.root<Root>());
+    (void)p.alloc_atomic(kSize, 7, &r->obj);
+  };
+  const auto verify = [](pk::ObjectPool& p) {
+    expect_published_object_survives(p, kSize);
+  };
+  pk::CrashSimulator(cfg).run(setup, scenario, verify);
+}
+
+TEST_P(CrashPolicyTest, AtomicAllocHugeSpanSurvivesRedoReplay) {
+  auto cfg = config_for("redo-huge", GetParam(), 31);
+  const auto setup = [](pk::ObjectPool& p) { (void)p.root<Root>(); };
+  const auto scenario = [](pk::ObjectPool& p) {
+    auto* r = p.direct(p.root<Root>());
+    (void)p.alloc_atomic(300 * 1024, 7, &r->obj);  // a two-chunk span
+  };
+  const auto verify = [](pk::ObjectPool& p) {
+    expect_published_object_survives(p, 200 * 1024);  // one-chunk spans
   };
   pk::CrashSimulator(cfg).run(setup, scenario, verify);
 }
@@ -391,6 +456,87 @@ TEST(CrashSimMT, MixedWorkloadAcrossLanesRecoversConsistently) {
     re.reset();
     fs::remove(path);
   }
+}
+
+// The interleaving behind the MT test's old census/bitmap mismatch, made
+// deterministic.  Lane j holds an uncommitted tx_alloc'd object J when lane
+// i > j publishes, and never applies, an alloc_atomic's redo log in the same
+// run.  Redo cells are absolute words, so i's bitmap cell still carries J's
+// bit.  Recovery must replay that cell before j's rollback clears the bit:
+// the other order resurrects J's bit under a dead header.
+TEST(CrashSimMT, RedoReplayPrecedesOtherLanesRollback) {
+  const fs::path path = fs::temp_directory_path() /
+                        ("crash-redo-lanes-" + std::to_string(::getpid()));
+  fs::remove(path);
+  pk::PoolOptions opts;
+  opts.track_shadow = true;
+  auto pool = pk::ObjectPool::create(path, "mt", pk::ObjectPool::min_pool_size(),
+                                     opts);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int stage = 0;
+  const auto advance = [&](int to) {
+    const std::lock_guard<std::mutex> lock(mu);
+    stage = to;
+    cv.notify_all();
+  };
+  const auto await = [&](int at) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return stage >= at; });
+  };
+
+  std::vector<std::byte> image;
+  std::uint32_t atomic_lane = 0;
+  std::thread atomic_side([&] {
+    // Pinned before the transaction's lane, so it is handed the higher one.
+    const pk::ObjectPool::LaneSession session(*pool);
+    atomic_lane = session.lane();
+    advance(1);
+    await(2);  // J is allocated, its transaction still open
+    pk::set_crash_hook([](std::string_view pt) {
+      if (pt == "redo:published") throw pk::CrashInjected{std::string(pt)};
+    });
+    try {
+      (void)pool->alloc_atomic(64, 11);  // same class, same run as J
+    } catch (const pk::CrashInjected&) {
+    }
+    pk::set_crash_hook({});
+    image = pool->shadow()->crash_image(pk::CrashPolicy::DropUnflushed, 1);
+    advance(3);
+  });
+  await(1);
+  {
+    const pk::ObjectPool::LaneSession session(*pool);
+    EXPECT_LT(session.lane(), atomic_lane) << "the scenario needs j < i";
+    try {
+      pool->run_tx([&] {
+        (void)pool->tx_alloc(64, 10);
+        advance(2);
+        await(3);
+        throw pk::CrashInjected{"power cut with the transaction open"};
+      });
+    } catch (const pk::CrashInjected&) {
+    }
+  }
+  atomic_side.join();
+  pool->mark_crashed();
+  pool.reset();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out);
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+    ASSERT_TRUE(out);
+  }
+
+  auto re = pk::ObjectPool::open(path, "mt");
+  EXPECT_TRUE(re->first(10).is_null()) << "uncommitted tx_alloc survived";
+  EXPECT_FALSE(re->first(11).is_null()) << "published alloc_atomic lost";
+  const pk::PoolReport report = pk::inspect(*re);
+  EXPECT_TRUE(report.consistent) << pk::to_text(report);
+  re.reset();
+  fs::remove(path);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, CrashPolicyTest,

@@ -1,17 +1,33 @@
 // Tests for the persistent heap: size classes, runs, huge spans, iteration,
-// and a randomized alloc/free property sweep with reopen-rebuild checks.
+// the O(1) occupancy counters against the walked census, and a randomized
+// alloc/free property sweep with reopen-rebuild checks.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <map>
 #include <random>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
+#include "pmemkit/evolve.hpp"
 #include "pmemkit/pmemkit.hpp"
 
 namespace pk = cxlpmem::pmemkit;
 namespace fs = std::filesystem;
 
 namespace {
+
+/// The running counters must equal the walked census whenever no operation
+/// is between stage and finish.
+void expect_occupancy_matches_walk(const pk::ObjectPool& pool,
+                                   const std::string& when) {
+  const pk::HeapStats walked = pool.stats().heap;
+  const pk::HeapOccupancy occ = pool.occupancy();
+  EXPECT_EQ(occ.live_bytes, walked.live_bytes) << when;
+  EXPECT_EQ(occ.reserved_bytes, walked.reserved_bytes) << when;
+  EXPECT_DOUBLE_EQ(occ.fragmentation, walked.fragmentation) << when;
+}
 
 class HeapTest : public ::testing::Test {
  protected:
@@ -134,6 +150,169 @@ TEST_F(HeapTest, IterationSkipsFreedObjects) {
 }
 
 // ---------------------------------------------------------------------------
+// Occupancy counters: equal to the walked census after every kind of heap
+// mutation, and seeded from the image on reopen.
+// ---------------------------------------------------------------------------
+
+TEST_F(HeapTest, OccupancyTracksRootSmallAndHugeAllocations) {
+  constexpr std::uint64_t kHdr = sizeof(pk::AllocHeader);
+  expect_occupancy_matches_walk(*pool_, "fresh pool");
+  EXPECT_EQ(pool_->occupancy().reserved_bytes, 0u);
+  EXPECT_EQ(pool_->occupancy().fragmentation, 0.0);
+
+  struct R { pk::ObjId slot; };
+  (void)pool_->root<R>();
+  expect_occupancy_matches_walk(*pool_, "root");
+  const pk::ObjId small = pool_->alloc_atomic(100, 1);
+  expect_occupancy_matches_walk(*pool_, "small");
+  const pk::ObjId huge = pool_->alloc_atomic(3ull << 20, 2);
+  expect_occupancy_matches_walk(*pool_, "huge");
+
+  // Exact values: the root and the small block share no run (different
+  // classes), and 3 MiB plus its header spills into a 13th chunk.
+  const pk::HeapOccupancy occ = pool_->occupancy();
+  EXPECT_EQ(occ.live_bytes, (sizeof(R) + kHdr) + (100 + kHdr) +
+                                ((3ull << 20) + kHdr));
+  EXPECT_EQ(occ.reserved_bytes, (2 + 13) * pk::kChunkSize);
+
+  pool_->free_atomic(small);
+  expect_occupancy_matches_walk(*pool_, "small freed");
+  pool_->free_atomic(huge);
+  expect_occupancy_matches_walk(*pool_, "huge freed");
+  EXPECT_EQ(pool_->occupancy().live_bytes, sizeof(R) + kHdr);
+  // The emptied small run stays reserved for its class.
+  EXPECT_EQ(pool_->occupancy().reserved_bytes, 2 * pk::kChunkSize);
+}
+
+TEST_F(HeapTest, OccupancyTracksTxFreeAndAbort) {
+  struct R { pk::ObjId slot; };
+  auto* r = pool_->direct(pool_->root<R>());
+  pool_->run_tx([&] {
+    pool_->tx_add_range(&r->slot, sizeof(r->slot));
+    r->slot = pool_->tx_alloc(5000, 3);
+  });
+  expect_occupancy_matches_walk(*pool_, "tx_alloc");
+
+  // An aborted transaction rolls its allocations back through the same
+  // bookkeeping, huge span included.
+  const std::uint64_t live_before = pool_->occupancy().live_bytes;
+  EXPECT_THROW(pool_->run_tx([&] {
+    (void)pool_->tx_alloc(300000, 3);
+    (void)pool_->tx_alloc(64, 3);
+    throw std::runtime_error("abort");
+  }),
+               std::runtime_error);
+  expect_occupancy_matches_walk(*pool_, "aborted tx_alloc");
+  EXPECT_EQ(pool_->occupancy().live_bytes, live_before);
+
+  pool_->run_tx([&] {
+    pool_->tx_free(r->slot);
+    pool_->tx_add_range(&r->slot, sizeof(r->slot));
+    r->slot = pk::kNullOid;
+  });
+  expect_occupancy_matches_walk(*pool_, "tx_free");
+}
+
+TEST_F(HeapTest, OccupancyTracksCompactionAndReclaim) {
+  // Swiss cheese: 8000 B blocks (31 per run), three of every four freed.
+  std::vector<pk::ObjId> slots;
+  for (int i = 0; i < 128; ++i) slots.push_back(pool_->alloc_atomic(8000, 4));
+  std::vector<pk::ObjId*> refs;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (i % 4 == 3) {
+      refs.push_back(&slots[i]);
+      continue;
+    }
+    pool_->free_atomic(slots[i]);
+  }
+  expect_occupancy_matches_walk(*pool_, "fragmented");
+  const std::uint64_t reserved_before = pool_->occupancy().reserved_bytes;
+
+  const pk::CompactReport report = pk::compact_pool(*pool_, refs);
+  EXPECT_GT(report.reclaimed_chunks, 0u);
+  expect_occupancy_matches_walk(*pool_, "compacted");
+  EXPECT_LT(pool_->occupancy().reserved_bytes, reserved_before);
+  EXPECT_DOUBLE_EQ(report.fragmentation_after,
+                   pool_->stats().heap.fragmentation);
+
+  // Emptied runs outside any compaction pass return the same way.
+  for (pk::ObjId* slot : refs) pool_->free_atomic(slot);
+  EXPECT_GT(pool_->heap().reclaim_empty_runs(), 0u);
+  expect_occupancy_matches_walk(*pool_, "reclaimed");
+}
+
+TEST_F(HeapTest, OccupancyTracksResizeGrowAndShrink) {
+  const std::uint64_t base = pool_->size();
+  pool_->resize(base + 16 * pk::kChunkSize);
+  expect_occupancy_matches_walk(*pool_, "grown");
+
+  // Fill the base span so allocations land in the grown one, then drain.
+  std::vector<pk::ObjId> held;
+  for (;;) {
+    try {
+      held.push_back(pool_->alloc_atomic(4ull << 20, 5));
+    } catch (const pk::AllocError&) {
+      break;
+    }
+  }
+  const pk::ObjId small = pool_->alloc_atomic(64, 5);
+  expect_occupancy_matches_walk(*pool_, "grown span in use");
+  for (const pk::ObjId& o : held) pool_->free_atomic(o);
+  pool_->free_atomic(small);
+  expect_occupancy_matches_walk(*pool_, "drained");
+
+  // Shrink reclaims the emptied run before retracting the span.
+  pool_->resize(base);
+  EXPECT_EQ(pool_->size(), base);
+  expect_occupancy_matches_walk(*pool_, "shrunk");
+  EXPECT_EQ(pool_->occupancy().reserved_bytes, 0u);
+}
+
+TEST_F(HeapTest, OccupancySeededOnReopen) {
+  for (int i = 0; i < 50; ++i)
+    (void)pool_->alloc_atomic(static_cast<std::uint64_t>(40 + 997 * i), 6);
+  (void)pool_->alloc_atomic(700000, 6);
+  const pk::HeapOccupancy before = pool_->occupancy();
+  expect_occupancy_matches_walk(*pool_, "before close");
+
+  pool_.reset();
+  pool_ = pk::ObjectPool::open(path_, "heap");
+  expect_occupancy_matches_walk(*pool_, "reopened");
+  EXPECT_EQ(pool_->occupancy().live_bytes, before.live_bytes);
+  EXPECT_EQ(pool_->occupancy().reserved_bytes, before.reserved_bytes);
+}
+
+TEST_F(HeapTest, OccupancyExactAfterConcurrentChurn) {
+  constexpr int kThreads = 4;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([this, t] {
+      std::mt19937 rng(static_cast<std::uint32_t>(t + 1));
+      std::vector<pk::ObjId> mine;
+      for (int i = 0; i < 400; ++i) {
+        if (mine.empty() || rng() % 3 != 0) {
+          // Mostly run classes, now and then a huge span.
+          const std::uint64_t size =
+              rng() % 16 == 0 ? 300000 : 1 + rng() % 9000;
+          if (rng() % 2 == 0) {
+            mine.push_back(pool_->alloc_atomic(size, 7));
+          } else {
+            pool_->run_tx(
+                [&] { mine.push_back(pool_->tx_alloc(size, 7)); });
+          }
+        } else {
+          const std::size_t idx = rng() % mine.size();
+          pool_->free_atomic(mine[idx]);
+          mine.erase(mine.begin() + static_cast<std::ptrdiff_t>(idx));
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  expect_occupancy_matches_walk(*pool_, "after churn");
+}
+
+// ---------------------------------------------------------------------------
 // Property: randomized alloc/free with a shadow map; objects never overlap,
 // contents survive, rebuild after reopen agrees.
 // ---------------------------------------------------------------------------
@@ -205,6 +384,7 @@ TEST_P(HeapProperty, RandomAllocFreeNoOverlapAndSurvivesReopen) {
   for (pk::ObjId o = pool->first(1); !o.is_null(); o = pool->next(o, 1))
     ++found;
   EXPECT_EQ(found, expected);
+  expect_occupancy_matches_walk(*pool, "reopened");
   pool.reset();
   fs::remove(path);
 }

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "pmemkit/crash_sim.hpp"
+#include "pmemkit/errors.hpp"
 #include "pmemkit/introspect.hpp"
 #include "pmemkit/pool.hpp"
 #include "service/durable_map.hpp"
@@ -102,6 +103,38 @@ TEST_F(ServiceDurableMapTest, BatchComposesUnderOneTransaction) {
   EXPECT_EQ(map.size(), 2u);
   EXPECT_EQ(map.get("a").value(), "1'");
   EXPECT_FALSE(map.exists("stale"));
+}
+
+// Chain walks resolve each node once; that single resolution must still be
+// the checked one.  A `next` link aimed at an object of another type stops
+// every walk that reaches it with TypeMismatch instead of reading the
+// foreign bytes as an Entry.
+TEST_F(ServiceDurableMapTest, ChainWalkTypeChecksEveryNode) {
+  using OneBucketMap = service::BasicDurableMap<1>;  // one chain
+  auto pool = make_pool();
+  OneBucketMap map(*pool);
+  map.put("first", "1");
+  map.put("second", "2");  // chain: second -> first
+
+  // collect_refs() lists the bucket head, then second's `next` link.
+  const std::vector<pmemkit::ObjId*> refs = map.collect_refs();
+  ASSERT_EQ(refs.size(), 2u);
+  const pmemkit::ObjId foreign = pool->alloc_atomic(64, 0x5eed, nullptr,
+                                                    /*zero=*/true);
+  pool->memcpy_persist(refs[1], &foreign, sizeof(foreign));
+
+  EXPECT_EQ(map.get("second").value(), "2");  // the head is still an Entry
+  const auto expect_type_mismatch = [](const auto& walk, const char* what) {
+    try {
+      walk();
+      ADD_FAILURE() << what << " walked past a foreign-typed link";
+    } catch (const pmemkit::PoolError& e) {
+      EXPECT_EQ(e.kind(), pmemkit::ErrKind::TypeMismatch) << what;
+    }
+  };
+  expect_type_mismatch([&] { (void)map.get("first"); }, "get");
+  expect_type_mismatch([&] { (void)map.exists("first"); }, "exists");
+  expect_type_mismatch([&] { (void)map.erase("first"); }, "erase");
 }
 
 // ---------------------------------------------------------------------------
