@@ -4,21 +4,26 @@
 // The §1.2 scenario: a solver checkpoints a large state every epoch, but
 // only a small fraction of it changed.  The old engine memcpy'd the whole
 // payload single-threaded every time; the chunked engine fingerprints the
-// payload (256 KiB chunks by default) and rewrites only dirty chunks, with
-// the copy fanned out over a thread pool.  This bench measures all three
-// shapes — full/1T (the old behaviour), incremental, and parallel full —
-// on DRAM-emulated PMem, the CXL expander namespace, and an Optane-class
-// DCPMM namespace, and emits BENCH_checkpoint.json.
+// payload (4 KiB pages by default) and rewrites only dirty chunks, with
+// the scan and copy fanned out over a thread pool.  This bench measures
+// all three shapes — full/1T (the old behaviour), incremental, and
+// parallel full — on DRAM-emulated PMem, the CXL expander namespace, and
+// an Optane-class DCPMM namespace, and emits BENCH_checkpoint.json.  Each
+// save first dirties --dirty-pct % of the payload's 4 KiB pages, whatever
+// the store's chunk size.  `inc_write_amp` is the bytes a parallel
+// incremental save wrote over the bytes dirtied since its target slot's
+// last seal (the two mutations since then; 1.0 = only dirty pages moved).
 //
 //   micro_checkpoint [--smoke] [--payload-mib N] [--dirty-pct P]
 //                    [--json PATH]
 //
 // --smoke (used from ctest) fails the process when the engine loses its
-// reason to exist: on >= 4-core hosts an incremental ~1%-dirty save of the
-// 64 MiB payload must be >= 5x faster than a full single-threaded save,
-// and a 4-thread full save must beat 1-thread by > 1.15x (mirroring
-// micro_mt_alloc's scaling floor; single-core hosts only get the
-// no-collapse check).
+// reason to exist: an incremental save must write at most twice the bytes
+// dirtied since its target's last seal (a count, independent of timing);
+// on >= 4-core hosts an incremental ~1%-dirty save of the 64 MiB payload
+// must be >= 5x faster than a full single-threaded save, and a 4-thread
+// full save must beat 1-thread by > 1.15x (mirroring micro_mt_alloc's
+// scaling floor; single-core hosts only get the no-collapse check).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -58,24 +63,42 @@ double now_ms() {
       .count();
 }
 
-/// Touches ~dirty_pct% of the payload's chunks (first word of each),
+constexpr std::uint64_t kPage = 4096;
+
+/// Touches ~dirty_pct% of the payload's 4 KiB pages (first word of each),
 /// varying with `round` so consecutive saves are never accidental no-ops.
-void mutate(std::vector<std::byte>& payload, std::uint64_t chunk,
-            double dirty_pct, std::uint64_t round) {
-  const std::uint64_t nchunks = (payload.size() + chunk - 1) / chunk;
+/// Returns the pages touched.
+std::vector<std::uint64_t> mutate(std::vector<std::byte>& payload,
+                                  double dirty_pct, std::uint64_t round) {
+  const std::uint64_t npages = (payload.size() + kPage - 1) / kPage;
   const auto dirty = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(nchunks * dirty_pct / 100.0));
-  const std::uint64_t stride = std::max<std::uint64_t>(1, nchunks / dirty);
+      1, static_cast<std::uint64_t>(npages * dirty_pct / 100.0));
+  const std::uint64_t stride = std::max<std::uint64_t>(1, npages / dirty);
+  std::vector<std::uint64_t> pages;
   for (std::uint64_t i = 0; i < dirty; ++i) {
-    const std::uint64_t c = (i * stride + round) % nchunks;
-    std::uint64_t word = (round << 16) ^ c ^ 0x9e3779b97f4a7c15ull;
-    std::memcpy(payload.data() + c * chunk, &word, sizeof(word));
+    const std::uint64_t pg = (i * stride + round) % npages;
+    std::uint64_t word = (round << 16) ^ pg ^ 0x9e3779b97f4a7c15ull;
+    std::memcpy(payload.data() + pg * kPage, &word, sizeof(word));
+    pages.push_back(pg);
   }
+  return pages;
+}
+
+/// Bytes of the pages in `a` or `b`.
+std::uint64_t union_bytes(std::vector<std::uint64_t> a,
+                          const std::vector<std::uint64_t>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  std::sort(a.begin(), a.end());
+  return static_cast<std::uint64_t>(std::unique(a.begin(), a.end()) -
+                                    a.begin()) *
+         kPage;
 }
 
 struct Measure {
   double ms = 0;            ///< best save latency
   std::uint64_t chunks_written = 0;
+  std::uint64_t bytes_written = 0;
+  std::uint64_t bytes_dirtied = 0;  ///< since the target's last seal
   int threads_used = 1;
 };
 
@@ -91,22 +114,27 @@ Measure run_saves(Profile& p, const Config& cfg, const std::string& file,
   // Prime both slots so incremental timing measures steady state, not the
   // first-epoch full rewrite.
   (void)store.save(payload, core::SaveMode::Full);
-  mutate(payload, store.chunk_size(), cfg.dirty_pct, 1);
+  std::vector<std::uint64_t> prev = mutate(payload, cfg.dirty_pct, 1);
   (void)store.save(payload, core::SaveMode::Full);
 
   Measure best;
   best.ms = 1e300;
   for (int it = 0; it < iters; ++it) {
-    mutate(payload, store.chunk_size(), cfg.dirty_pct,
-           static_cast<std::uint64_t>(it) + 2);
+    std::vector<std::uint64_t> cur =
+        mutate(payload, cfg.dirty_pct, static_cast<std::uint64_t>(it) + 2);
     const double t0 = now_ms();
     const core::SaveStats st = store.save(payload, mode);
     const double t1 = now_ms();
     if (t1 - t0 < best.ms) {
       best.ms = t1 - t0;
       best.chunks_written = st.chunks_written;
+      best.bytes_written = st.bytes_written;
+      // Saves alternate slots, so the target was last sealed two saves
+      // ago: the two latest mutations are what it has to catch up on.
+      best.bytes_dirtied = union_bytes(prev, cur);
       best.threads_used = st.threads_used;
     }
+    prev = std::move(cur);
   }
   // Correctness insurance: the store must hold exactly what we last saved.
   if (store.load() != payload) {
@@ -174,10 +202,11 @@ int main(int argc, char** argv) {
               "mt=%d threads (hw=%u)\n",
               static_cast<unsigned long long>(cfg.payload_bytes >> 20),
               cfg.dirty_pct, mt, hw);
-  std::printf("%-8s %-12s %-12s %-12s %-12s %-10s\n", "media", "full1t_ms",
-              "inc1t_ms", "incMT_ms", "fullMT_ms", "speedup");
+  std::printf("%-8s %-12s %-12s %-12s %-12s %-10s %-10s\n", "media",
+              "full1t_ms", "inc1t_ms", "incMT_ms", "fullMT_ms", "speedup",
+              "write_amp");
 
-  double smoke_inc_speedup = 0, smoke_full_scaling = 0;
+  double smoke_inc_speedup = 0, smoke_full_scaling = 0, smoke_write_amp = 0;
   std::string json = "{\n";
   json += "  \"payload_bytes\": " + std::to_string(cfg.payload_bytes) +
           ",\n  \"dirty_pct\": " + std::to_string(cfg.dirty_pct) +
@@ -198,12 +227,15 @@ int main(int argc, char** argv) {
 
     const double speedup = full1.ms / incN.ms;
     const double scaling = full1.ms / fullN.ms;
-    std::printf("%-8s %-12.3f %-12.3f %-12.3f %-12.3f %-10.2f\n",
+    const double write_amp = static_cast<double>(incN.bytes_written) /
+                             static_cast<double>(incN.bytes_dirtied);
+    std::printf("%-8s %-12.3f %-12.3f %-12.3f %-12.3f %-10.2f %-10.2f\n",
                 p.label.c_str(), full1.ms, inc1.ms, incN.ms, fullN.ms,
-                speedup);
+                speedup, write_amp);
 
     smoke_inc_speedup = std::max(smoke_inc_speedup, speedup);
     smoke_full_scaling = std::max(smoke_full_scaling, scaling);
+    smoke_write_amp = std::max(smoke_write_amp, write_amp);
 
     json += "    {\"media\": \"" + p.label + "\", \"domain\": \"" +
             core::to_string(p.ns->domain()) + "\"";
@@ -212,6 +244,8 @@ int main(int argc, char** argv) {
     json += ", \"inc_mt_ms\": " + std::to_string(incN.ms);
     json += ", \"full_mt_ms\": " + std::to_string(fullN.ms);
     json += ", \"inc_chunks_written\": " + std::to_string(incN.chunks_written);
+    json += ", \"inc_bytes_written\": " + std::to_string(incN.bytes_written);
+    json += ", \"inc_write_amp\": " + std::to_string(write_amp);
     json += ", \"inc_speedup\": " + std::to_string(speedup);
     json += ", \"full_mt_scaling\": " + std::to_string(scaling);
     json += std::string("}") + (m + 1 < media.size() ? "," : "") + "\n";
@@ -226,6 +260,13 @@ int main(int argc, char** argv) {
     // starved single-core runners.
     const double inc_floor = hw >= 4 ? 5.0 : 1.5;
     const double scale_floor = hw >= 4 ? 1.15 : 0.50;
+    if (smoke_write_amp > 2.0) {
+      std::fprintf(stderr,
+                   "FAIL: incremental write amplification %.2fx > 2x "
+                   "(bytes written / bytes dirtied since the slot's seal)\n",
+                   smoke_write_amp);
+      return 1;
+    }
     if (smoke_inc_speedup < inc_floor) {
       std::fprintf(stderr,
                    "FAIL: incremental speedup %.2fx < %.2fx floor (hw=%u)\n",
@@ -239,8 +280,9 @@ int main(int argc, char** argv) {
                    mt, smoke_full_scaling, scale_floor, hw);
       return 1;
     }
-    std::printf("smoke OK: incremental %.2fx, full %dT scaling %.2fx\n",
-                smoke_inc_speedup, mt, smoke_full_scaling);
+    std::printf("smoke OK: incremental %.2fx (write amp %.2fx), full %dT "
+                "scaling %.2fx\n",
+                smoke_inc_speedup, smoke_write_amp, mt, smoke_full_scaling);
   }
   return 0;
 }

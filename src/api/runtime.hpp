@@ -66,8 +66,9 @@ struct PoolSpec {
 };
 
 /// Options for checkpoint_store: the pool spec plus the incremental
-/// engine's knobs.  `chunk_size` is the dirty-tracking granularity (rounded
-/// to 4 KiB, pinned into the pool at creation); `threads` sizes the save
+/// engine's knobs.  `chunk_size` is the dirty-tracking granularity
+/// (default one 4 KiB page; rounded to 4 KiB, pinned into the pool at
+/// creation, so an existing pool keeps its own); `threads` sizes the save
 /// worker pool (0 = NUMA-aware default, 1 = saves stay on the caller).
 struct CheckpointSpec {
   PoolSpec pool;

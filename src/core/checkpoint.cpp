@@ -1,7 +1,6 @@
 #include "core/checkpoint.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "pmemkit/checksum.hpp"
@@ -12,28 +11,29 @@ namespace cxlpmem::core {
 
 namespace {
 
-/// Largest per-slot chunk table we are willing to undo-log in the seal
-/// transaction (a full rewrite snapshots every entry): 4096 entries = 32 KiB
-/// of pre-image against the lane's ~63 KiB undo budget.
-constexpr std::uint64_t kMaxChunksPerSlot = 4096;
-
-/// Above this many discontiguous dirty-entry runs, the seal transaction
-/// snapshots the whole table as one range: per-range undo headers (32 B
-/// each) would otherwise blow the lane budget long before the entries do.
-constexpr std::uint64_t kMaxSealRanges = 256;
-
 constexpr std::uint64_t round_up(std::uint64_t v, std::uint64_t to) {
   return (v + to - 1) / to * to;
 }
 
-/// The requested chunk size, sanitised: a 4 KiB multiple, and large enough
-/// that max_payload never needs more than kMaxChunksPerSlot chunks.
-std::uint64_t effective_chunk_size(std::uint64_t requested,
-                                   std::uint64_t max_payload) {
-  std::uint64_t chunk = std::max<std::uint64_t>(round_up(requested, 4096), 4096);
-  const std::uint64_t floor =
-      round_up((max_payload + kMaxChunksPerSlot - 1) / kMaxChunksPerSlot, 4096);
-  return std::max(chunk, std::max<std::uint64_t>(floor, 4096));
+/// The requested chunk size, sanitised to a non-zero 4 KiB multiple.
+std::uint64_t effective_chunk_size(std::uint64_t requested) {
+  return std::max<std::uint64_t>(round_up(requested, 4096), 4096);
+}
+
+/// Calls fn(begin, end) for every maximal run [begin, end) of indices in
+/// [from, to) on which pred holds.
+template <typename Pred, typename Fn>
+void for_each_run(std::uint64_t from, std::uint64_t to, Pred pred, Fn fn) {
+  for (std::uint64_t i = from; i < to;) {
+    if (!pred(i)) {
+      ++i;
+      continue;
+    }
+    std::uint64_t j = i + 1;
+    while (j < to && pred(j)) ++j;
+    fn(i, j);
+    i = j;
+  }
 }
 
 /// Bytes the slot allocation must provide for `payload` bytes: exact for
@@ -77,7 +77,7 @@ CheckpointStore::CheckpointStore(DaxNamespace& ns, const std::string& file,
                                  pmemkit::PoolOptions pool_options,
                                  CheckpointOptions options)
     : max_payload_(max_payload_bytes), options_(std::move(options)) {
-  chunk_size_ = effective_chunk_size(options_.chunk_size, max_payload_bytes);
+  chunk_size_ = effective_chunk_size(options_.chunk_size);
   table_capacity_ = std::max<std::uint64_t>(
       (max_payload_bytes + chunk_size_ - 1) / chunk_size_, 1);
   if (ns.pool_exists(file)) {
@@ -155,48 +155,106 @@ SaveStats CheckpointStore::save_empty(Root* r, std::uint32_t target) {
 void CheckpointStore::copy_chunks(std::byte* dst,
                                   std::span<const std::byte> payload,
                                   const std::uint64_t* old_sums, bool trusted,
-                                  std::uint64_t nchunks,
                                   std::vector<std::uint64_t>& sums,
                                   std::vector<std::uint8_t>& dirty,
                                   SaveStats& stats) {
-  std::atomic<std::uint64_t> chunks_written{0};
-  std::atomic<std::uint64_t> bytes_written{0};
-  const auto one_chunk = [&](std::uint64_t i) {
-    const std::uint64_t off = i * chunk_size_;
-    const std::uint64_t n = std::min(chunk_size_, payload.size() - off);
-    const std::uint64_t sum =
-        pmemkit::fingerprint64(payload.data() + off, n);
-    sums[i] = sum;
-    if (trusted && old_sums[i] == sum) return;
-    dirty[i] = 1;
-    // memcpy_persist (not raw memcpy + persist): the store annotation tells
-    // the persistency sanitizer these lines were deliberately rewritten even
-    // when a line's bytes happen to match the previous epoch — a dirty chunk
-    // is rewritten whole, but only some of its lines actually change.
-    pool_->memcpy_persist(dst + off, payload.data() + off, n);
-    chunks_written.fetch_add(1, std::memory_order_relaxed);
-    bytes_written.fetch_add(n, std::memory_order_relaxed);
+  struct Tally {
+    std::uint64_t chunks = 0, bytes = 0;
+  };
+  // Each dirty chunk is copied right after its fingerprint, while the
+  // source bytes are still in cache; a range's tally is published once.
+  const auto copy_range = [&](std::uint64_t begin, std::uint64_t end,
+                              Tally& out) {
+    Tally t;
+    for (std::uint64_t i = begin; i < end; ++i) {
+      const std::uint64_t off = i * chunk_size_;
+      const std::uint64_t n = std::min(chunk_size_, payload.size() - off);
+      sums[i] = pmemkit::fingerprint64(payload.data() + off, n);
+      if (trusted && old_sums[i] == sums[i]) continue;
+      dirty[i] = 1;
+      // pmemlint: allow(announced below, flushed by persist_copy)
+      std::memcpy(dst + off, payload.data() + off, n);
+      // The announcement tells the persistency tooling these lines were
+      // deliberately rewritten even when some happen to match the previous
+      // epoch — a dirty chunk is rewritten whole.
+      pool_->note_store(dst + off, n);
+      ++t.chunks;
+      t.bytes += n;
+    }
+    out.chunks += t.chunks;
+    out.bytes += t.bytes;
   };
 
+  const std::uint64_t nchunks = sums.size();
   // Crash hooks are single-threaded by contract, so an installed hook (or a
   // serial configuration) keeps the copy on the calling thread — which is
   // also what gives the crash sweep its deterministic per-chunk points.
   numakit::ThreadPool* pool = worker_pool();
-  if (pool == nullptr || pmemkit::crash_hook_installed()) {
+  const bool serial = pool == nullptr || pmemkit::crash_hook_installed();
+  std::vector<Tally> tallies(
+      serial ? 1 : static_cast<std::size_t>(pool->size()));
+  if (serial) {
     for (std::uint64_t i = 0; i < nchunks; ++i) {
-      one_chunk(i);
+      copy_range(i, i + 1, tallies[0]);
       pmemkit::crash_point("ckpt:chunk");
     }
-    stats.threads_used = 1;
   } else {
-    pool->parallel_for(nchunks, [&](int, std::uint64_t begin,
+    pool->parallel_for(nchunks, [&](int w, std::uint64_t begin,
                                     std::uint64_t end) {
-      for (std::uint64_t i = begin; i < end; ++i) one_chunk(i);
+      copy_range(begin, end, tallies[static_cast<std::size_t>(w)]);
     });
-    stats.threads_used = pool->size();
   }
-  stats.chunks_written = chunks_written.load();
-  stats.bytes_written = bytes_written.load();
+  stats.threads_used = static_cast<int>(tallies.size());
+  for (const Tally& t : tallies) {
+    stats.chunks_written += t.chunks;
+    stats.bytes_written += t.bytes;
+  }
+}
+
+void CheckpointStore::persist_copy(std::byte* dst,
+                                   std::uint64_t payload_bytes,
+                                   std::uint64_t* table, bool trusted,
+                                   const std::vector<std::uint64_t>& sums,
+                                   const std::vector<std::uint8_t>& dirty) {
+  const std::uint64_t nchunks = sums.size();
+  // Each maximal dirty run is flushed once.  Runs are at least one clean
+  // chunk apart, so no cache line is flushed twice although chunk
+  // boundaries split lines (slot data starts 16 B into one).
+  for_each_run(
+      0, nchunks, [&](std::uint64_t i) { return dirty[i] != 0; },
+      [&](std::uint64_t b, std::uint64_t e) {
+        const std::uint64_t off = b * chunk_size_;
+        pool_->flush(dst + off,
+                     std::min(e * chunk_size_, payload_bytes) - off);
+      });
+
+  const auto publish = [&](std::uint64_t b, std::uint64_t e) {
+    pool_->note_store(table + b, (e - b) * sizeof(std::uint64_t));
+    pool_->flush(table + b, (e - b) * sizeof(std::uint64_t));
+  };
+  for_each_run(
+      0, nchunks, [&](std::uint64_t i) { return table[i] != sums[i]; },
+      [&](std::uint64_t b, std::uint64_t e) {
+        std::copy(sums.begin() + static_cast<std::ptrdiff_t>(b),
+                  sums.begin() + static_cast<std::ptrdiff_t>(e), table + b);
+        publish(b, e);
+      });
+  // An untrusted save may follow a crashed one that rewrote chunks past
+  // this payload without updating their fingerprints.  Left in place, those
+  // entries would vouch for the crashed bytes as soon as a later trusted
+  // save grows the payload back, so they are cleared (fingerprint64 never
+  // returns 0, so a zero entry never matches).  A trusted save leaves them:
+  // since the last untrusted save, every non-zero entry describes the
+  // slot's bytes.
+  if (!trusted)
+    for_each_run(
+        nchunks, table_capacity_,
+        [&](std::uint64_t i) { return table[i] != 0; },
+        [&](std::uint64_t b, std::uint64_t e) {
+          std::fill(table + b, table + e, 0);
+          publish(b, e);
+        });
+  pool_->drain();
 }
 
 SaveStats CheckpointStore::save(std::span<const std::byte> payload,
@@ -234,8 +292,9 @@ SaveStats CheckpointStore::save(std::span<const std::byte> payload,
   stats.full_rewrite = !trusted;
 
   // Phase A — prepare: durably invalidate the target slot BEFORE any of its
-  // bytes change (a crash mid-copy must never leave fingerprints that claim
-  // to describe the half-overwritten contents), reallocating if needed.
+  // bytes or fingerprints change (a crash mid-copy must never leave
+  // fingerprints that claim to describe the half-overwritten contents),
+  // reallocating if needed.
   if (realloc || r->valid[target] != 0) {
     pool_->run_tx([&] {
       pool_->tx_add_range(r, sizeof(Root));
@@ -248,45 +307,25 @@ SaveStats CheckpointStore::save(std::span<const std::byte> payload,
   }
   pmemkit::crash_point("ckpt:prepared");
 
-  // Phase B — copy: fingerprint every chunk, rewrite the dirty ones.
+  // Phase B — copy: fingerprint every chunk, copy the dirty ones.
   auto* dst = static_cast<std::byte*>(pool_->direct(r->slot[target]));
   auto* table = static_cast<std::uint64_t*>(pool_->direct(r->table[target]));
-  std::vector<std::uint64_t> sums(nchunks, 0);
+  std::vector<std::uint64_t> sums(nchunks);
   std::vector<std::uint8_t> dirty(nchunks, 0);
-  copy_chunks(dst, payload, table, trusted, nchunks, sums, dirty, stats);
+  copy_chunks(dst, payload, table, trusted, sums, dirty, stats);
   pmemkit::crash_point("ckpt:chunks-done");
 
-  // Phase C — seal: one small transaction updates the dirty fingerprints
-  // and flips {size, valid, active, epoch} atomically.  Runs of adjacent
-  // dirty entries are snapshotted as one range; every range costs a 32-byte
-  // undo header on top of its 8-byte entries, so a badly fragmented dirty
-  // pattern (e.g. every other chunk) is snapshotted as ONE whole-table
-  // range instead — kMaxChunksPerSlot entries = 32 KiB of pre-image, which
-  // the lane budget covers, where thousands of per-run headers would not.
-  std::uint64_t ranges = 0;
-  for (std::uint64_t i = 0; i < nchunks; ++i)
-    if (table[i] != sums[i] && (i == 0 || table[i - 1] == sums[i - 1]))
-      ++ranges;
+  // Phase C — persist the copy and the target's fingerprints with one
+  // drain.  The table needs no undo log: valid[target] is durably 0, so a
+  // crash before the seal leaves the slot untrusted whatever the table
+  // holds.
+  persist_copy(dst, payload.size(), table, trusted, sums, dirty);
+  pmemkit::crash_point("ckpt:table");
+
+  // Phase D — seal: one small transaction flips {size, valid, active,
+  // epoch} atomically.
   pool_->run_tx([&] {
     pool_->tx_add_range(r, sizeof(Root));
-    if (ranges > kMaxSealRanges) {
-      pool_->tx_add_range(table, nchunks * sizeof(std::uint64_t));
-      std::copy(sums.begin(), sums.end(), table);
-    } else {
-      std::uint64_t i = 0;
-      while (i < nchunks) {
-        if (table[i] == sums[i]) {
-          ++i;
-          continue;
-        }
-        std::uint64_t j = i + 1;
-        while (j < nchunks && table[j] != sums[j]) ++j;
-        pool_->tx_add_range(&table[i], (j - i) * sizeof(std::uint64_t));
-        std::copy(sums.begin() + static_cast<std::ptrdiff_t>(i),
-                  sums.begin() + static_cast<std::ptrdiff_t>(j), table + i);
-        i = j;
-      }
-    }
     r->size[target] = payload.size();
     r->valid[target] = 1;
     r->active = target;

@@ -3,26 +3,33 @@
 // The HPC use-case the paper leads with (§1.2): applications periodically
 // persist diagnostics / solver state so a failed job restarts from the last
 // epoch instead of from zero.  CheckpointStore implements the standard
-// double-buffer discipline on a pmemkit pool, with a chunked incremental
-// engine on top:
+// double-buffer discipline on a pmemkit pool, with a page-granular
+// incremental engine on top:
 //
 //   * two payload slots; saves go to the inactive one;
-//   * each slot carries a per-chunk checksum table (fixed chunk size,
-//     default 256 KiB); save() fingerprints the new payload chunk by chunk
-//     and rewrites only the chunks that changed since that slot was last
-//     sealed — most solver state is identical between adjacent epochs, so
-//     an incremental save moves a fraction of the bytes a full save does;
-//   * chunk copy+persist fans out over a numakit::ThreadPool when the
-//     store was configured with threads (the facade binds the pool to the
-//     namespace's NUMA placement) — Wahlgren et al. show a single stream
-//     cannot saturate CXL bandwidth;
-//   * the payload is written and persisted FIRST, then one small
-//     transaction seals the slot: checksums, {active slot, size, epoch}
-//     and the slot-valid flag flip atomically;
+//   * each slot carries a per-chunk fingerprint table (fixed chunk size,
+//     default one 4 KiB page); save() fingerprints the new payload chunk by
+//     chunk and rewrites only the chunks that changed since that slot was
+//     last sealed — most solver state is identical between adjacent
+//     epochs, so an incremental save moves about the bytes the solver
+//     dirtied, not whole multi-page chunks around them;
+//   * the fingerprint scan and the copy of each dirty chunk (while its
+//     source is still in cache) fan out over a numakit::ThreadPool when
+//     the store was configured with threads (the facade binds the pool to
+//     the namespace's NUMA placement) — Wahlgren et al. show a single
+//     stream cannot saturate CXL bandwidth;
+//   * one flusher: after the workers join, the saving thread flushes each
+//     maximal dirty run once, writes the target's changed fingerprints and
+//     issues a single drain, all while the slot is durably invalid — so
+//     the table needs no undo log;
+//   * one small transaction then seals the slot: {size, valid, active,
+//     epoch} flip atomically;
 //   * a crash at any instant leaves either epoch k or epoch k+1 — never a
 //     torn checkpoint (CrashSimulator-verified in the tests).  A slot is
-//     durably marked invalid before any of its bytes are overwritten, so a
-//     save that dies mid-copy can never poison a later incremental diff.
+//     durably marked invalid before any of its bytes or fingerprints are
+//     overwritten, so a save that dies mid-copy can never poison a later
+//     incremental diff; the next save to that slot rewrites it in full and
+//     clears the fingerprints past its payload.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +43,10 @@
 
 namespace cxlpmem::core {
 
-/// Default incremental-save chunk: one pmemkit heap chunk's worth of
-/// payload, small enough that a handful of dirty pages stays a handful of
-/// chunks, large enough that the checksum table stays tiny.
-inline constexpr std::uint64_t kDefaultCheckpointChunk = 256 * 1024;
+/// Default incremental-save chunk: one 4 KiB page, the unit a solver
+/// dirties, so a save writes about the pages that changed.  The table
+/// costs 8 bytes per page (0.2% of the payload).
+inline constexpr std::uint64_t kDefaultCheckpointChunk = 4096;
 
 /// Engine knobs, fixed per store.  `chunk_size` is rounded to a 4 KiB
 /// multiple and pinned into the pool at creation (reopens use the on-media
@@ -128,13 +135,13 @@ class CheckpointStore {
 
  private:
   // On-media root (layout "cxlpmem-checkpoint2").  `table[s]` holds one
-  // uint64 fingerprint64 fingerprint per chunk of slot s; `valid[s]` is 1
-  // only between a seal of slot s and the next save that targets it —
-  // while 0, the fingerprints are untrusted and the next save rewrites
-  // everything.
+  // uint64 fingerprint64 fingerprint per chunk of slot s (0 = none);
+  // `valid[s]` is 1 only between a seal of slot s and the next save that
+  // targets it — while 0, the fingerprints are untrusted, the next save
+  // rewrites everything, and save() may write the table without logging.
   struct Root {
     pmemkit::ObjId slot[2];   ///< chunk data (null until first non-empty save)
-    pmemkit::ObjId table[2];  ///< per-chunk checksum tables (fixed capacity)
+    pmemkit::ObjId table[2];  ///< per-chunk fingerprint tables (fixed capacity)
     std::uint64_t size[2];
     std::uint32_t valid[2];
     std::uint64_t epoch;
@@ -147,14 +154,22 @@ class CheckpointStore {
   [[nodiscard]] Root* root() const;
   void init_tables();
   SaveStats save_empty(Root* r, std::uint32_t target);
-  /// Copies dirty chunks of `payload` into the target slot, filling
-  /// `sums[i]` with every chunk's fresh fingerprint and `dirty[i]` with
-  /// whether chunk i was rewritten.  Runs on the calling thread or the
-  /// worker pool.
+  /// Fingerprints every chunk of `payload` into `sums` and copies each
+  /// chunk whose fingerprint differs from `old_sums` (every chunk unless
+  /// `trusted`) into `dst`, marking it in `dirty`.  The copies are
+  /// announced but neither flushed nor fenced.  Runs on the calling thread
+  /// or the worker pool.
   void copy_chunks(std::byte* dst, std::span<const std::byte> payload,
                    const std::uint64_t* old_sums, bool trusted,
-                   std::uint64_t nchunks, std::vector<std::uint64_t>& sums,
+                   std::vector<std::uint64_t>& sums,
                    std::vector<std::uint8_t>& dirty, SaveStats& stats);
+  /// Flushes the copied chunks, writes and flushes the target's changed
+  /// fingerprints (clearing stale ones past the payload unless `trusted`),
+  /// then drains once.  The caller guarantees the slot is durably invalid.
+  void persist_copy(std::byte* dst, std::uint64_t payload_bytes,
+                    std::uint64_t* table, bool trusted,
+                    const std::vector<std::uint64_t>& sums,
+                    const std::vector<std::uint8_t>& dirty);
   [[nodiscard]] numakit::ThreadPool* worker_pool();
 
   static constexpr const char* kLayout = "cxlpmem-checkpoint2";

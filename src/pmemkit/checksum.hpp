@@ -74,8 +74,8 @@ class Fletcher64 {
 /// Bulk-data fingerprint (xxHash64-style rounds over four independent
 /// lanes, avalanche finalizer).  fletcher64's lo->hi chain serializes on
 /// the adds — fine for 64-byte headers, a bandwidth ceiling for the
-/// checkpoint engine that fingerprints every 256 KiB payload chunk each
-/// epoch.  The four multiply-rotate lanes here pipeline (one 64-bit
+/// checkpoint engine that fingerprints its whole payload, page by page,
+/// each epoch.  The four multiply-rotate lanes here pipeline (one 64-bit
 /// multiply in flight per lane), so the scan runs at near-STREAM read
 /// rates.  Arbitrary length (tail is zero-padded), never returns 0 so 0
 /// can mean "unset" in on-media tables.  NOT interchangeable with

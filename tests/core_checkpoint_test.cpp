@@ -7,6 +7,9 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/core.hpp"
 #include "pmemkit/crash_hook.hpp"
@@ -20,6 +23,19 @@ namespace {
 
 std::vector<std::byte> payload_of(std::uint8_t fill, std::size_t n) {
   return std::vector<std::byte>(n, std::byte{fill});
+}
+
+/// Cuts power under `policy`: drops the (shadow-tracked) store without a
+/// clean shutdown and replaces its pool file with the crash image.
+void crash_store(std::unique_ptr<core::CheckpointStore>& store,
+                 pk::CrashPolicy policy, std::uint64_t seed = 0) {
+  store->pool().mark_crashed();
+  const auto image = store->pool().shadow()->crash_image(policy, seed);
+  const fs::path path = store->pool().path();
+  store.reset();
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(image.data()),
+            static_cast<std::streamsize>(image.size()));
 }
 
 class CheckpointTest : public ::testing::Test {
@@ -169,6 +185,30 @@ TEST_F(CheckpointTest, IncrementalSkipsCleanChunks) {
   EXPECT_EQ(store.load(), p);
 }
 
+// The default chunk is one 4 KiB page: a one-byte change in a 1 MiB
+// payload writes exactly that page.
+TEST_F(CheckpointTest, DefaultGranularityIsOnePage) {
+  core::CheckpointStore store(*ns_, "cp.pool", 1 << 20);
+  EXPECT_EQ(store.chunk_size(), 4096u);
+
+  auto p = payload_of(0x5a, 1 << 20);
+  (void)store.save(p);
+  (void)store.save(p);
+  p[300000] = std::byte{0x5b};
+  core::SaveStats st = store.save(p);
+  EXPECT_FALSE(st.full_rewrite);
+  EXPECT_EQ(st.chunks_total, 256u);
+  EXPECT_EQ(st.chunks_written, 1u);
+  EXPECT_EQ(st.bytes_written, 4096u);
+  EXPECT_EQ(store.load(), p);
+
+  st = store.save(p, core::SaveMode::Full);
+  EXPECT_TRUE(st.full_rewrite);
+  EXPECT_EQ(st.chunks_written, 256u);
+  EXPECT_EQ(st.bytes_written, p.size());
+  EXPECT_EQ(store.load(), p);
+}
+
 TEST_F(CheckpointTest, FingerprintsSurviveReopen) {
   const auto p = payload_of(0x42, 20000);
   core::CheckpointOptions opts;
@@ -188,6 +228,30 @@ TEST_F(CheckpointTest, FingerprintsSurviveReopen) {
   const core::SaveStats st = store.save(p);
   EXPECT_EQ(st.chunks_written, 0u);
   EXPECT_EQ(store.load(), p);
+}
+
+// The fingerprints are written outside the seal transaction, so the save
+// itself must make them durable: after a power cut that keeps only what
+// was flushed and fenced, an identical save still moves nothing.
+TEST_F(CheckpointTest, FingerprintsSurvivePowerCut) {
+  const auto p = payload_of(0x42, 20000);
+  core::CheckpointOptions opts;
+  opts.chunk_size = 4096;
+  pk::PoolOptions popts;
+  popts.track_shadow = true;
+  auto store = std::make_unique<core::CheckpointStore>(*ns_, "cp.pool",
+                                                       1 << 16, false, popts,
+                                                       opts);
+  (void)store->save(p);
+  (void)store->save(p);
+  crash_store(store, pk::CrashPolicy::DropUnflushed);
+
+  core::CheckpointStore reopened(*ns_, "cp.pool", 1 << 16, false, {}, opts);
+  ASSERT_EQ(reopened.load(), p);
+  const core::SaveStats st = reopened.save(p);
+  EXPECT_FALSE(st.full_rewrite);
+  EXPECT_EQ(st.chunks_written, 0u);
+  EXPECT_EQ(reopened.load(), p);
 }
 
 TEST_F(CheckpointTest, ParallelSaveMatchesSerial) {
@@ -212,24 +276,70 @@ TEST_F(CheckpointTest, ParallelSaveMatchesSerial) {
   EXPECT_EQ(store.payload_bytes(), p.size());
 }
 
-// Review regression: a maximally FRAGMENTED dirty pattern (every other
-// chunk, at the store's chunk-count cap) must still seal — per-range undo
-// headers once blew the lane budget around ~1650 discontiguous ranges.
+// A maximally FRAGMENTED dirty pattern (every other page) must still seal
+// at page granularity with 16384 table entries: the seal does not undo-log
+// the table, so neither its size nor its number of dirty runs is bounded
+// by a lane's undo budget.
 TEST_F(CheckpointTest, FragmentedDirtyPatternSeals) {
-  constexpr std::uint64_t kPayload = 16ull << 20;  // 4096 x 4 KiB chunks
+  constexpr std::uint64_t kPayload = 64ull << 20;  // 16384 x 4 KiB chunks
   core::CheckpointOptions opts;
   opts.chunk_size = 4096;
   core::CheckpointStore store(*ns_, "cp.pool", kPayload, false, {}, opts);
+  EXPECT_EQ(store.chunk_size(), 4096u);
 
   std::vector<std::byte> p(kPayload, std::byte{0x3c});
   (void)store.save(p);
   (void)store.save(p);
-  for (std::uint64_t c = 0; c < 4096; c += 2)  // 2048 isolated dirty runs
+  for (std::uint64_t c = 0; c < 16384; c += 2)  // 8192 isolated dirty runs
     p[c * 4096] = std::byte{0x3d};
   const core::SaveStats st = store.save(p);
-  EXPECT_EQ(st.chunks_written, 2048u);
+  EXPECT_EQ(st.chunks_total, 16384u);
+  EXPECT_EQ(st.chunks_written, 8192u);
   EXPECT_FALSE(st.full_rewrite);
   EXPECT_EQ(store.load(), p);
+}
+
+// Bugfix regression: an untrusted save must clear the fingerprints past
+// its payload.  A save crashes after copying chunks 80-99; under eADR every
+// store survives, so the slot holds the crashed save's bytes while its
+// table still describes the old ones.  300 KiB and 400 KiB slots share a
+// heap footprint, so the 300 KiB saves reuse the slot, and the first of
+// them (untrusted: the slot is invalid) rewrites entries 0-74 only.  Left
+// alone, entries 80-99 would let the final 400 KiB save skip chunks whose
+// bytes the crashed save overwrote.
+TEST_F(CheckpointTest, CrashedSaveLeavesNoStaleTailFingerprints) {
+  constexpr std::uint64_t kMax = 1 << 20;
+  core::CheckpointOptions opts;
+  opts.chunk_size = 4096;
+  pk::PoolOptions popts;
+  popts.track_shadow = true;
+  auto store = std::make_unique<core::CheckpointStore>(*ns_, "cp.pool", kMax,
+                                                       false, popts, opts);
+  std::vector<std::byte> original(400 * 1024);
+  for (std::size_t i = 0; i < original.size(); ++i)
+    original[i] = static_cast<std::byte>(i * 7 + i / 4096);
+  (void)store->save(original);
+  (void)store->save(original);
+
+  auto changed = original;
+  for (std::size_t c = 80; c < 100; ++c)
+    changed[c * 4096 + 1] ^= std::byte{0xff};
+  pk::set_crash_hook([](std::string_view point) {
+    if (point == "ckpt:chunks-done")
+      throw pk::CrashInjected{std::string(point)};
+  });
+  EXPECT_THROW((void)store->save(changed), pk::CrashInjected);
+  pk::set_crash_hook({});
+  crash_store(store, pk::CrashPolicy::EadrEverythingSurvives);
+
+  core::CheckpointStore reopened(*ns_, "cp.pool", kMax, false, {}, opts);
+  ASSERT_EQ(reopened.epoch(), 2u);
+  ASSERT_EQ(reopened.load(), original);
+  const std::span<const std::byte> prefix(original.data(), 300 * 1024);
+  EXPECT_TRUE(reopened.save(prefix).full_rewrite);  // the crashed slot
+  EXPECT_FALSE(reopened.save(prefix).full_rewrite);
+  EXPECT_FALSE(reopened.save(original).full_rewrite);  // no realloc
+  EXPECT_EQ(reopened.load(), original);
 }
 
 // Satellite regression: a reused slot must also SHRINK.  The old engine
@@ -295,16 +405,7 @@ TEST_F(CheckpointTest, SaveIsCrashAtomic) {
     pk::set_crash_hook({});
     ASSERT_TRUE(crashed) << "point " << k;
 
-    store->pool().mark_crashed();
-    const auto image =
-        store->pool().shadow()->crash_image(pk::CrashPolicy::DropUnflushed);
-    const fs::path path = store->pool().path();
-    store.reset();
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(image.data()),
-                static_cast<std::streamsize>(image.size()));
-    }
+    crash_store(store, pk::CrashPolicy::DropUnflushed);
 
     core::CheckpointStore reopened(*ns_, file, 4096);
     const auto got = reopened.load();
@@ -318,10 +419,11 @@ TEST_F(CheckpointTest, SaveIsCrashAtomic) {
 }
 
 // Exhaustive crash injection over the INCREMENTAL save path: multi-chunk
-// payload, partially dirty third save, power cut at every persistence-
-// ordering point (between chunk persists, around the prepare tx, around the
-// seal/flip tx).  After recovery the store must hold epoch 2's or epoch 3's
-// exact payload — never a torn mix — under both media-loss policies.
+// payload, third save, power cut at every persistence-ordering point
+// (between chunk copies, around the prepare tx, after the table drain,
+// around the seal/flip tx).  After recovery the store must hold epoch 2's
+// or epoch 3's exact payload — never a torn mix — under both media-loss
+// policies and under eADR, where every unflushed copy survives too.
 class CheckpointCrashSweep
     : public CheckpointTest,
       public ::testing::WithParamInterface<pk::CrashPolicy> {};
@@ -343,17 +445,21 @@ TEST_P(CheckpointCrashSweep, IncrementalSaveIsCrashAtomic) {
   };
 
   // Count pass.
-  std::size_t total_points = 0;
+  std::vector<std::string> points;
   {
     core::CheckpointStore store(*ns_, "count.pool", 1 << 16, false, {},
                                 opts);
     run_saves(store);
-    pk::set_crash_hook([&](std::string_view) { ++total_points; });
+    pk::set_crash_hook(
+        [&](std::string_view point) { points.emplace_back(point); });
     (void)store.save(epoch3);
     pk::set_crash_hook({});
   }
   ns_->remove_pool("count.pool");
-  ASSERT_GT(total_points, 10u);  // chunk points + prepare + seal tx
+  const std::size_t total_points = points.size();
+  ASSERT_GT(total_points, 10u);  // chunk points + prepare + table + seal tx
+  ASSERT_NE(std::find(points.begin(), points.end(), "ckpt:table"),
+            points.end());
 
   for (std::size_t k = 1; k <= total_points; ++k) {
     const std::string file = "crash-" + std::to_string(k) + ".pool";
@@ -376,15 +482,7 @@ TEST_P(CheckpointCrashSweep, IncrementalSaveIsCrashAtomic) {
     pk::set_crash_hook({});
     ASSERT_TRUE(crashed) << "point " << k;
 
-    store->pool().mark_crashed();
-    const auto image = store->pool().shadow()->crash_image(policy, k);
-    const fs::path path = store->pool().path();
-    store.reset();
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(image.data()),
-                static_cast<std::streamsize>(image.size()));
-    }
+    crash_store(store, policy, k);
 
     core::CheckpointStore reopened(*ns_, file, 1 << 16, false, {}, opts);
     const auto got = reopened.load();
@@ -394,7 +492,18 @@ TEST_P(CheckpointCrashSweep, IncrementalSaveIsCrashAtomic) {
       ASSERT_EQ(reopened.epoch(), 3u) << "point " << k;
       ASSERT_EQ(got, epoch3) << "point " << k;
     }
-    // The survivor must keep working: another incremental save round-trips.
+    // The survivor must keep working.  Epoch 1's payload cut to four
+    // chunks keeps the slots' heap footprint, so the first save below lands
+    // on the slot a crash left invalid without reallocating it, and the
+    // full payload then diffs against that slot: the fifth fingerprint must
+    // not vouch for bytes the crashed save wrote.
+    const auto full = payload_of(0x11, 20000);
+    const std::span<const std::byte> shorter(full.data(), 16384);
+    (void)reopened.save(shorter);
+    (void)reopened.save(shorter);
+    ASSERT_FALSE(reopened.save(full).full_rewrite) << "point " << k;
+    ASSERT_EQ(reopened.load(), full) << "point " << k;
+    // And another incremental save round-trips.
     auto next = got;
     next[100] = std::byte{0xCC};
     (void)reopened.save(next);
@@ -404,7 +513,9 @@ TEST_P(CheckpointCrashSweep, IncrementalSaveIsCrashAtomic) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, CheckpointCrashSweep,
-                         ::testing::Values(pk::CrashPolicy::DropUnflushed,
-                                           pk::CrashPolicy::RandomEvict));
+                         ::testing::Values(
+                             pk::CrashPolicy::DropUnflushed,
+                             pk::CrashPolicy::RandomEvict,
+                             pk::CrashPolicy::EadrEverythingSurvives));
 
 }  // namespace
