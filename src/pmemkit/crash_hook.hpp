@@ -3,7 +3,8 @@
 // The library calls crash_point("name") between every pair of persistence-
 // ordering-relevant operations (log append / flush / fence / state change).
 // Tests install a hook that throws CrashInjected at the N-th point, then
-// rebuild the pool image from the shadow tracker and verify recovery.  With
+// take the pool's crash image from its persistence model and verify
+// recovery.  With
 // no hook installed the call is a single relaxed load.
 #pragma once
 

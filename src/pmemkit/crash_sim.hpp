@@ -4,11 +4,11 @@
 // *every* persistence-ordering point the library crosses:
 //
 //   1. a counting pass runs the scenario and numbers its crash points;
-//   2. for each point k: a fresh pool is built (shadow-tracked), the
-//      scenario runs with a hook that throws CrashInjected at point k, the
-//      media image is reconstructed from the shadow under the configured
-//      CrashPolicy, the pool is reopened (running recovery), and the
-//      caller's verifier checks invariants.
+//   2. for each point k: a fresh pool is built with the persistence model
+//      attached (track_shadow), the scenario runs with a hook that throws
+//      CrashInjected at point k, the media image is taken from the model
+//      under the configured CrashPolicy, the pool is reopened (running
+//      recovery), and the caller's verifier checks invariants.
 //
 // This is the moral equivalent of pmemcheck + a fault-injection rig, and is
 // what backs the paper's claim that the PMem programming model gives
@@ -22,7 +22,6 @@
 #include <string>
 
 #include "pmemkit/pool.hpp"
-#include "pmemkit/shadow.hpp"
 
 namespace cxlpmem::pmemkit {
 
@@ -48,7 +47,7 @@ class CrashSimulator {
                   const PoolFn& verify);
 
  private:
-  /// Builds a fresh shadow-tracked pool, running `setup` on it.
+  /// Builds a fresh pool (model-tracked on request), running `setup` on it.
   std::unique_ptr<ObjectPool> fresh_pool(bool track_shadow,
                                          const PoolFn& setup);
 

@@ -1,20 +1,23 @@
 // pmemkit/pmem_ops.hpp — PersistentRegion: the persistence-domain interface
 // every pmemkit component writes through.
 //
-// It wraps the mapped pool image and (optionally) a ShadowTracker.  The
-// primitive vocabulary mirrors libpmem:
+// It wraps the mapped pool image and (optionally) the persistence model
+// (pmemsan.hpp).  The primitive vocabulary mirrors libpmem:
 //   flush(p, n)   ~ CLWB loop        — schedule lines for write-back
 //   drain()       ~ SFENCE           — make scheduled lines durable
 //   persist(p, n) ~ flush + drain
 //   memcpy_persist(dst, src, n)      — store + persist
-// With no shadow attached these are no-ops beyond the store itself (the
-// mapped file *is* the media); with a shadow they maintain the crash image.
+// With no model attached these are no-ops beyond the store itself (the
+// mapped file *is* the media); with one they maintain the crash image and,
+// under pmemcheck, run the PmemSan rules.
 #pragma once
 
 #include <cstddef>
 #include <cstring>
 #include <memory>
+#include <vector>
 
+#include "pmemkit/errors.hpp"
 #include "pmemkit/mapped_file.hpp"
 #include "pmemkit/pmemsan.hpp"
 #include "pmemkit/shadow.hpp"
@@ -23,19 +26,21 @@ namespace cxlpmem::pmemkit {
 
 class PersistentRegion {
  public:
-  /// Takes ownership of the mapping.  `track_shadow` enables the crash
-  /// checker (slower; meant for tests and the crash harness); `pmemcheck`
-  /// attaches the PmemSan persistency sanitizer, which diagnoses
-  /// flush/fence discipline violations as they happen (see pmemsan.hpp for
-  /// the rule catalog).  The two are independent.
+  /// Takes ownership of the mapping.  Either option attaches the
+  /// persistence model (slower; meant for tests and the crash harness):
+  /// `track_shadow` for crash images alone, `pmemcheck` to also run the
+  /// PmemSan rules, which diagnose flush/fence discipline violations as
+  /// they happen (see pmemsan.hpp for the rule catalog).  With both set
+  /// the pool still keeps one model and one durable image.
   explicit PersistentRegion(MappedFile file, bool track_shadow = false,
                             bool pmemcheck = false)
       : file_(std::move(file)) {
+    if (track_shadow || pmemcheck)
+      model_ = std::make_unique<PmemSan>(file_.data(), file_.size(),
+                                         file_.path().filename().string(),
+                                         pmemcheck);
     if (track_shadow)
       shadow_ = std::make_unique<ShadowTracker>(file_.data(), file_.size());
-    if (pmemcheck)
-      san_ = std::make_unique<PmemSan>(file_.data(), file_.size(),
-                                       file_.path().filename().string());
   }
 
   [[nodiscard]] std::byte* base() noexcept { return file_.data(); }
@@ -50,12 +55,12 @@ class PersistentRegion {
 
   void flush(const void* p, std::size_t n) {
     if (shadow_) shadow_->record_flush(offset_of(p), n);
-    if (san_) san_->on_flush(offset_of(p), n);
+    if (model_) model_->on_flush(offset_of(p), n);
   }
   void drain() {
     ++t_drain_count;
     if (shadow_) shadow_->record_fence();
-    if (san_) san_->on_fence();
+    if (model_) model_->on_fence();
   }
 
   /// Fences (drain calls) issued by the calling thread, across all regions,
@@ -67,21 +72,22 @@ class PersistentRegion {
     return t_drain_count;
   }
   void persist(const void* p, std::size_t n) {
-    if (san_) san_->on_persist(offset_of(p), n);
+    if (model_) model_->on_persist(offset_of(p), n);
     flush(p, n);
     drain();
   }
   /// Marks a range as modified-without-flush (transaction user ranges).
   void note_store(const void* p, std::size_t n) {
     if (shadow_) shadow_->record_store(offset_of(p), n);
-    if (san_) san_->on_store(offset_of(p), n, PmemSan::StoreOrigin::User);
+    if (model_) model_->on_store(offset_of(p), n, PmemSan::StoreOrigin::User);
   }
   /// The infrastructure twin of note_store: pmemkit's own metadata writes
   /// (lane headers, log entries, heap bookkeeping) announce themselves so
   /// the sanitizer can tell a deliberate store from a stray flush.  Exempt
-  /// from the R1 coverage check; no-op when pmemcheck is off.
+  /// from the R1 coverage check.
   void note_store_infra(const void* p, std::size_t n) {
-    if (san_) san_->on_store(offset_of(p), n, PmemSan::StoreOrigin::Infra);
+    if (model_)
+      model_->on_store(offset_of(p), n, PmemSan::StoreOrigin::Infra);
   }
 
   void memcpy_persist(void* dst, const void* src, std::size_t n) {
@@ -95,24 +101,39 @@ class PersistentRegion {
     persist(dst, n);
   }
 
-  [[nodiscard]] ShadowTracker* shadow() noexcept { return shadow_.get(); }
-  [[nodiscard]] PmemSan* pmemsan() noexcept { return san_.get(); }
+  /// The model when its rules run (pmemcheck), else nullptr: the hooks
+  /// that exist only for the rules (transaction coverage, discards) key
+  /// on this.
+  [[nodiscard]] PmemSan* pmemsan() noexcept {
+    return model_ && model_->rules() ? model_.get() : nullptr;
+  }
+
+  /// The media image after a power cut at this instant (see
+  /// PmemSan::crash_image).  Throws PoolError without a model.
+  [[nodiscard]] std::vector<std::byte> crash_image(
+      CrashPolicy policy, std::uint64_t seed = 0) const {
+    if (!model_)
+      throw PoolError(
+          "crash_image needs a pool opened with track_shadow or pmemcheck");
+    if (shadow_) return side_by_side(*shadow_, *model_, policy, seed);
+    return model_->crash_image(policy, seed);
+  }
 
   /// Resizes the backing file/mapping (MappedFile::resize semantics: throws
   /// PoolError(Io) and stays intact on failure; the base may move) and
-  /// keeps the shadow image in step.
+  /// keeps the durable image in step.
   void resize(std::size_t new_size) {
     file_.resize(new_size);
     if (shadow_) shadow_->remap(file_.data(), file_.size());
-    if (san_) san_->remap(file_.data(), file_.size());
+    if (model_) model_->remap(file_.data(), file_.size());
   }
 
  private:
   static inline thread_local std::uint64_t t_drain_count = 0;
 
   MappedFile file_;
+  std::unique_ptr<PmemSan> model_;
   std::unique_ptr<ShadowTracker> shadow_;
-  std::unique_ptr<PmemSan> san_;
 };
 
 }  // namespace cxlpmem::pmemkit

@@ -16,6 +16,6 @@
 #include "pmemkit/errors.hpp"       // IWYU pragma: export
 #include "pmemkit/heap.hpp"         // IWYU pragma: export
 #include "pmemkit/oid.hpp"          // IWYU pragma: export
+#include "pmemkit/pmemsan.hpp"      // IWYU pragma: export
 #include "pmemkit/pool.hpp"         // IWYU pragma: export
-#include "pmemkit/shadow.hpp"       // IWYU pragma: export
 #include "pmemkit/tx.hpp"           // IWYU pragma: export

@@ -1,6 +1,7 @@
 #include "pmemkit/pmemsan.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,7 +18,47 @@ namespace cxlpmem::pmemkit {
 
 namespace {
 
-constexpr std::uint64_t kLine = 64;  // matches ShadowTracker's granularity
+/// splitmix64 — deterministic per-line eviction coin.
+std::uint64_t mix(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// Process-wide thread slots: bit s set = slot s held by a live thread.
+static_assert(PmemSan::kThreadSlots == 64, "slots are one 64-bit mask");
+std::atomic<std::uint64_t> g_slots{0};
+
+/// The calling thread's attribution slot: claimed on first use, released
+/// at thread exit.  A thread that finds none free retries on its next
+/// event and meanwhile reports -1; it never shares a slot, because a
+/// shared slot would attribute one thread's fence to another's flush.
+class ThreadSlot {
+ public:
+  ThreadSlot() = default;
+  ThreadSlot(const ThreadSlot&) = delete;
+  ThreadSlot& operator=(const ThreadSlot&) = delete;
+  ~ThreadSlot() {
+    if (slot_ >= 0)
+      g_slots.fetch_and(~(1ull << slot_), std::memory_order_release);
+  }
+  int get() noexcept {
+    if (slot_ >= 0) return slot_;
+    std::uint64_t m = g_slots.load(std::memory_order_relaxed);
+    while (m != ~0ull) {
+      const int s = std::countr_one(m);
+      if (g_slots.compare_exchange_weak(m, m | (1ull << s),
+                                        std::memory_order_acquire))
+        return slot_ = s;
+    }
+    return -1;
+  }
+
+ private:
+  int slot_ = -1;
+};
+thread_local ThreadSlot t_slot;
 
 /// Per-thread, per-sanitizer bindings.  Keyed by PmemSan pointer because a
 /// thread may hold transactions on several pmemcheck'd pools at once
@@ -107,11 +148,13 @@ std::vector<SanViolation> CountSink::violations() const {
 }
 
 PmemSan::PmemSan(const std::byte* live, std::size_t size,
-                 std::string pool_name)
-    : live_(live),
+                 std::string pool_name, bool rules)
+    : rules_(rules),
+      live_(live),
       durable_(live, live + size),
+      lines_((size + kLine - 1) / kLine, 0),
       pool_name_(std::move(pool_name)),
-      sink_(sink_from_env()) {}
+      sink_(rules ? sink_from_env() : nullptr) {}
 
 PmemSan::~PmemSan() {
   // Best effort: drop this thread's bindings so a dangling pointer can
@@ -121,21 +164,32 @@ PmemSan::~PmemSan() {
                 [this](const auto& e) { return e.first == this; });
 }
 
-void PmemSan::set_pool_name(std::string name) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  pool_name_ = std::move(name);
-}
-
 void PmemSan::set_sink(std::shared_ptr<ViolationSink> sink) {
   const std::lock_guard<std::mutex> lock(mu_);
   sink_ = std::move(sink);
 }
 
-bool PmemSan::line_matches_durable(std::uint64_t l) const {
-  const std::uint64_t off = l * kLine;
-  if (off >= durable_.size()) return true;
-  const std::uint64_t n = std::min<std::uint64_t>(kLine, durable_.size() - off);
-  return std::memcmp(live_ + off, durable_.data() + off, n) == 0;
+std::uint64_t PmemSan::line_bytes(std::uint64_t l) const noexcept {
+  return std::min<std::uint64_t>(kLine, durable_.size() - l * kLine);
+}
+
+const std::byte* PmemSan::baseline(std::uint64_t l) const {
+  if (!accepted_.empty())
+    if (const auto it = accepted_.find(l); it != accepted_.end())
+      return it->second.data();
+  return durable_.data() + l * kLine;
+}
+
+void PmemSan::accept(std::uint64_t l, std::uint64_t off, std::uint64_t n) {
+  const auto [it, fresh] = accepted_.try_emplace(l);
+  if (fresh)
+    std::memcpy(it->second.data(), durable_.data() + l * kLine,
+                line_bytes(l));
+  std::memcpy(it->second.data() + (off - l * kLine), live_ + off, n);
+}
+
+bool PmemSan::line_matches_baseline(std::uint64_t l) const {
+  return std::memcmp(live_ + l * kLine, baseline(l), line_bytes(l)) == 0;
 }
 
 bool PmemSan::covered(const TxCtx& ctx, std::uint64_t off,
@@ -144,6 +198,13 @@ bool PmemSan::covered(const TxCtx& ctx, std::uint64_t off,
   if (it == ctx.coverage.begin()) return false;
   --it;
   return it->first <= off && it->second >= end;
+}
+
+PmemSan::Owners PmemSan::claims(std::uint64_t l, int slot) const {
+  if (slot < 0) return {};
+  const auto it = owners_.find(l);
+  if (it == owners_.end()) return {};
+  return {it->second.owes >> slot & 1, it->second.inflight >> slot & 1};
 }
 
 SanViolation PmemSan::make_violation(SanRule rule, std::uint64_t off,
@@ -178,9 +239,10 @@ void PmemSan::on_store(std::uint64_t off, std::uint64_t len,
                        StoreOrigin origin) {
   if (len == 0) return;
   std::vector<SanViolation> found;
+  const int slot = rules_ ? t_slot.get() : -1;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (origin == StoreOrigin::User && off >= meta_bound_) {
+    if (rules_ && origin == StoreOrigin::User && off >= meta_bound_) {
       // R1: a user-data store inside a transaction must be covered by an
       // add_range / add_fresh_range of that same transaction.
       if (const std::uint32_t* lane = tx_lane_of(this); lane != nullptr) {
@@ -193,13 +255,19 @@ void PmemSan::on_store(std::uint64_t off, std::uint64_t len,
               "cannot restore them"));
       }
     }
-    const std::uint64_t first = off / kLine;
-    const std::uint64_t last = (off + len - 1) / kLine;
-    for (std::uint64_t l = first; l <= last; ++l) {
-      lines_[l] = Line::Stored;
-      pending_.erase(l);  // a re-dirtied flushed line needs a new flush
+    const std::uint64_t last =
+        std::min<std::uint64_t>((off + len - 1) / kLine, lines_.size() - 1);
+    for (std::uint64_t l = off / kLine; l <= last; ++l) {
+      // A pending flush stays pending: the next fence commits the line
+      // with whatever it then holds.  The store itself still needs a new
+      // flush (Stored), which the rules hold its thread to.
+      lines_[l] = static_cast<std::uint8_t>(
+          (lines_[l] & (kFlushed | kInfra)) | kDirty | kStored |
+          (origin == StoreOrigin::Infra ? kInfra : 0));
+      if (slot >= 0) owners_[l].owes |= 1ull << slot;
     }
   }
+  if (!rules_) return;
   // R6 bookkeeping: remember the store so a narrower follow-up persist is
   // detectable.
   for (auto& [s, st] : t_last_store)
@@ -215,44 +283,61 @@ void PmemSan::on_store(std::uint64_t off, std::uint64_t len,
 void PmemSan::on_flush(std::uint64_t off, std::uint64_t len) {
   if (len == 0) return;
   std::vector<SanViolation> found;
+  const int slot = rules_ ? t_slot.get() : -1;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    const std::uint64_t first = off / kLine;
-    const std::uint64_t last = (off + len - 1) / kLine;
-    for (std::uint64_t l = first; l <= last; ++l) {
-      const auto it = lines_.find(l);
-      if (it == lines_.end()) {
-        // Never annotated.  Content decides: a line that differs from the
-        // durable image was raw-stored through a direct() pointer — accept
-        // it as an implicit store; a line that matches carries nothing for
-        // this flush to publish.
-        if (line_matches_durable(l))
-          found.push_back(make_violation(
-              SanRule::FlushNeverStored, l * kLine, kLine,
-              "flush of a line no store ever touched (over-wide flush "
-              "range?)"));
-        lines_[l] = Line::Pending;
-        pending_.insert(l);
+    const std::uint64_t last =
+        std::min<std::uint64_t>((off + len - 1) / kLine, lines_.size() - 1);
+    for (std::uint64_t l = off / kLine; l <= last; ++l) {
+      if ((lines_[l] & kFlushed) == 0) {
+        lines_[l] |= kFlushed;
+        pending_.push_back(l);
+      }
+      if (!rules_) {
+        set_state(l, kPending);
         continue;
       }
-      switch (it->second) {
-        case Line::Stored:
-          it->second = Line::Pending;
-          pending_.insert(l);
+      const Owners own = claims(l, slot);
+      const bool mine = (own.owes | own.inflight) != 0;
+      switch (state(l)) {
+        case 0:
+          // Never annotated.  Content decides: a line that differs from
+          // the baseline was raw-stored through a direct() pointer —
+          // accept it as an implicit store; a line that matches carries
+          // nothing for this flush to publish.
+          if (!mine && line_matches_baseline(l))
+            found.push_back(make_violation(
+                SanRule::FlushNeverStored, l * kLine, kLine,
+                "flush of a line no store ever touched (over-wide flush "
+                "range?)"));
+          set_state(l, kPending);
           break;
-        case Line::Pending:
+        case kStored:
+          set_state(l, kPending);
+          break;
+        case kPending:
           break;  // benign: both flushes ride the next fence
-        case Line::Durable:
-          if (line_matches_durable(l)) {
+        case kDurable:
+          if (!line_matches_baseline(l)) {
+            set_state(l, kPending);  // raw re-store since the last fence
+          } else if (slot >= 0 && !mine) {
+            // Redundant for THIS thread: it has no store on the line since
+            // its own last flush, and that flush was fenced by it.
+            // Another thread's fence making the line durable does not
+            // count — that thread's flush was not this one's.
             found.push_back(make_violation(
                 SanRule::RedundantFlush, l * kLine, kLine,
                 "flush of an already-durable line no store re-dirtied"));
-          } else {
-            // Raw re-store since the last fence: implicit store.
-            it->second = Line::Pending;
-            pending_.insert(l);
           }
           break;
+      }
+      if (slot >= 0) {
+        Owners& o = owners_[l];
+        o.owes &= ~(1ull << slot);
+        if ((o.inflight >> slot & 1) == 0) {
+          o.inflight |= 1ull << slot;
+          inflight_[static_cast<std::size_t>(slot)].push_back(l);
+        }
       }
     }
   }
@@ -260,19 +345,33 @@ void PmemSan::on_flush(std::uint64_t off, std::uint64_t len) {
 }
 
 void PmemSan::on_fence() {
+  const int slot = rules_ ? t_slot.get() : -1;
   const std::lock_guard<std::mutex> lock(mu_);
   for (const std::uint64_t l : pending_) {
-    const std::uint64_t off = l * kLine;
-    if (off >= durable_.size()) continue;
-    const std::uint64_t n =
-        std::min<std::uint64_t>(kLine, durable_.size() - off);
-    std::memcpy(durable_.data() + off, live_ + off, n);
-    lines_[l] = Line::Durable;
+    std::memcpy(durable_.data() + l * kLine, live_ + l * kLine,
+                line_bytes(l));
+    // A line re-stored after its flush keeps Stored: the fence committed
+    // its fence-time bytes, but the store still owes a flush.
+    auto f = static_cast<std::uint8_t>(lines_[l] & ~(kFlushed | kDirty | kInfra));
+    if ((f & kStateMask) == kPending)
+      f = static_cast<std::uint8_t>((f & ~kStateMask) | kDurable);
+    lines_[l] = f;
+    if (!accepted_.empty()) accepted_.erase(l);
   }
   pending_.clear();
+  if (slot < 0) return;
+  std::vector<std::uint64_t>& mine = inflight_[static_cast<std::size_t>(slot)];
+  for (const std::uint64_t l : mine) {
+    const auto it = owners_.find(l);
+    if (it == owners_.end()) continue;  // dropped by a shrink
+    it->second.inflight &= ~(1ull << slot);
+    if (it->second.owes == 0 && it->second.inflight == 0) owners_.erase(it);
+  }
+  mine.clear();
 }
 
 void PmemSan::on_persist(std::uint64_t off, std::uint64_t len) {
+  if (!rules_) return;
   for (const auto& [s, st] : t_last_store) {
     if (s != this) continue;
     if (st.off == off && len < st.len) {
@@ -300,23 +399,25 @@ void PmemSan::remap(const std::byte* live, std::size_t size) {
   const std::size_t old = durable_.size();
   live_ = live;
   durable_.resize(size);
+  lines_.resize((size + kLine - 1) / kLine, 0);
   if (size > old) {
-    // Grown bytes are durable the moment ftruncate returns (kernel zero
-    // page -> file, no cache in between) — same contract as ShadowTracker.
     std::memcpy(durable_.data() + old, live_ + old, size - old);
   } else if (size < old) {
-    const std::uint64_t lines = (size + kLine - 1) / kLine;
-    std::erase_if(lines_, [&](const auto& e) { return e.first >= lines; });
+    const std::uint64_t lines = lines_.size();
     std::erase_if(pending_, [&](std::uint64_t l) { return l >= lines; });
+    std::erase_if(accepted_, [&](const auto& e) { return e.first >= lines; });
+    std::erase_if(owners_, [&](const auto& e) { return e.first >= lines; });
   }
 }
 
 void PmemSan::discard(std::uint64_t off, std::uint64_t len) {
+  if (!rules_) return;
   const std::lock_guard<std::mutex> lock(mu_);
-  if (off >= durable_.size()) return;
-  const std::uint64_t n =
-      std::min<std::uint64_t>(len, durable_.size() - off);
-  std::memcpy(durable_.data() + off, live_ + off, n);
+  const std::uint64_t end = std::min<std::uint64_t>(off + len, durable_.size());
+  for (std::uint64_t l = off / kLine; l * kLine < end; ++l) {
+    const std::uint64_t a = std::max(off, l * kLine);
+    accept(l, a, std::min(end, (l + 1) * kLine) - a);
+  }
 }
 
 void PmemSan::tx_begin(std::uint32_t lane) {
@@ -346,30 +447,36 @@ void PmemSan::tx_cover(std::uint32_t lane, std::uint64_t off,
 
 void PmemSan::tx_commit_publish(std::uint32_t lane) {
   std::vector<SanViolation> found;
+  const int slot = t_slot.get();
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const TxCtx& ctx = tx_[lane];
     if (!ctx.active) return;
     for (const auto& [off, end] : ctx.coverage) {
       // Byte-precise, not line-state: a neighbour transaction's store
-      // annotation re-marks a shared line Stored even after this lane
-      // flushed and fenced its own bytes (e.g. adjacent 8-byte slots on
-      // one line).  What R2 actually requires is that the bytes THIS
-      // transaction covers are durable when its commit record publishes.
+      // re-marks a shared line Stored even after this lane flushed and
+      // fenced its own bytes (e.g. adjacent 8-byte slots on one line).
+      // What R2 actually requires is that the bytes THIS transaction
+      // covers are durable when its commit record publishes — and that
+      // this thread stored nothing to a covered line after flushing it
+      // (the fence carried such a store along, but only by luck).
       const std::uint64_t hi = std::min<std::uint64_t>(end, durable_.size());
-      if (hi <= off ||
-          std::memcmp(live_ + off, durable_.data() + off, hi - off) == 0)
-        continue;
-      std::uint64_t b = off;
-      while (live_[b] == durable_[b]) ++b;
-      const std::uint64_t l = b / kLine;
-      const auto it = lines_.find(l);
-      const bool pend = it != lines_.end() && it->second == Line::Pending;
-      found.push_back(make_violation(
-          SanRule::UnflushedCommit, l * kLine, kLine,
-          std::string("commit record published while a covered line is ") +
-              (pend ? "flushed but not fenced" : "not flushed")));
-      // One report per covered range keeps the output readable.
+      for (std::uint64_t l = off / kLine; l * kLine < hi; ++l) {
+        const std::uint64_t a = std::max(off, l * kLine);
+        const std::uint64_t b = std::min(hi, (l + 1) * kLine);
+        const char* how = nullptr;
+        if (std::memcmp(live_ + a, baseline(l) + (a - l * kLine), b - a) != 0)
+          how = state(l) == kPending ? "flushed but not fenced"
+                                     : "not flushed";
+        else if (claims(l, slot).owes != 0)
+          how = "stored to again after its flush";
+        if (how == nullptr) continue;
+        found.push_back(make_violation(
+            SanRule::UnflushedCommit, l * kLine, kLine,
+            std::string("commit record published while a covered line is ") +
+                how));
+        break;  // one report per covered range keeps the output readable
+      }
     }
   }
   deliver(std::move(found));
@@ -391,26 +498,19 @@ void PmemSan::tx_abort(std::uint32_t lane) {
     const std::lock_guard<std::mutex> lock(mu_);
     TxCtx& ctx = tx_[lane];
     for (const auto& [off, end] : ctx.coverage) {
-      const std::uint64_t first = off / kLine;
-      const std::uint64_t last = (end - 1) / kLine;
-      for (std::uint64_t l = first; l <= last; ++l) {
-        const auto it = lines_.find(l);
-        const bool tracked = it != lines_.end() && it->second != Line::Durable;
-        if (!tracked && line_matches_durable(l)) continue;
+      const std::uint64_t hi = std::min<std::uint64_t>(end, durable_.size());
+      for (std::uint64_t l = off / kLine; l * kLine < hi; ++l) {
+        const std::uint8_t s = state(l);
+        if (s != kStored && s != kPending && line_matches_baseline(l))
+          continue;
         // Undo-snapshotted ranges were restored and persisted by the
         // rollback; what remains non-durable here is fresh-allocation
         // content the AllocAction rollback just freed.  Dead bytes owe
-        // nobody a flush.
-        if (it != lines_.end()) {
-          lines_.erase(it);
-          pending_.erase(l);
-        }
-        const std::uint64_t loff = l * kLine;
-        if (loff < durable_.size()) {
-          const std::uint64_t n =
-              std::min<std::uint64_t>(kLine, durable_.size() - loff);
-          std::memcpy(durable_.data() + loff, live_ + loff, n);
-        }
+        // nobody a flush.  The crash image keeps its view: the line's
+        // dirty and pending flags stay, since the bytes never became
+        // durable.
+        set_state(l, 0);
+        accept(l, l * kLine, line_bytes(l));
       }
     }
     ctx.active = false;
@@ -421,21 +521,51 @@ void PmemSan::tx_abort(std::uint32_t lane) {
   });
 }
 
+std::vector<std::byte> PmemSan::crash_image(CrashPolicy policy,
+                                            std::uint64_t seed) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (policy == CrashPolicy::EadrEverythingSurvives) {
+    // Caches are inside the persistence domain: media == everything stored.
+    return std::vector<std::byte>(live_, live_ + durable_.size());
+  }
+  std::vector<std::byte> img = durable_;
+  if (policy == CrashPolicy::RandomEvict) {
+    // Flushed-but-not-fenced lines and plain dirty lines alike may or may
+    // not have reached media; toss a deterministic coin per line.
+    for (std::uint64_t l = 0; l < lines_.size(); ++l) {
+      if ((lines_[l] & (kDirty | kFlushed)) == 0) continue;
+      if ((mix(seed ^ (0xabcdull + l)) & 1) == 0) continue;
+      std::memcpy(img.data() + l * kLine, live_ + l * kLine, line_bytes(l));
+    }
+  }
+  return img;
+}
+
+std::size_t PmemSan::dirty_lines() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<std::size_t>(std::count_if(
+      lines_.begin(), lines_.end(),
+      [](std::uint8_t f) { return (f & kDirty) != 0; }));
+}
+
+std::size_t PmemSan::pending_lines() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return pending_.size();
+}
+
 std::size_t PmemSan::scan_not_durable(std::size_t max_reports,
                                       const char* when) {
   std::vector<SanViolation> found;
   std::size_t dirty = 0;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    const std::uint64_t line_count = (durable_.size() + kLine - 1) / kLine;
-    for (std::uint64_t l = 0; l < line_count; ++l) {
-      const auto it = lines_.find(l);
+    for (std::uint64_t l = 0; l < lines_.size(); ++l) {
       const char* how = nullptr;
-      if (it != lines_.end() && it->second == Line::Stored)
+      if (state(l) == kStored)
         how = "stored but never flushed";
-      else if (it != lines_.end() && it->second == Line::Pending)
+      else if (state(l) == kPending)
         how = "flushed but never fenced";
-      else if (!line_matches_durable(l))
+      else if (!line_matches_baseline(l))
         how = "raw-stored (no annotation) and never flushed";
       if (how == nullptr) continue;
       ++dirty;

@@ -1,15 +1,33 @@
-// pmemkit/pmemsan.hpp — PmemSan: the runtime persistency sanitizer.
+// pmemkit/pmemsan.hpp — the persistence model and PmemSan, the runtime
+// persistency sanitizer that reads it.
 //
-// Grown out of ShadowTracker's flush/fence model: every pool cache line
-// runs the state machine
+// Model (x86 + ADR semantics), kept per 64-byte cache line:
+//   * a store lands in the cache — NOT yet persistent;
+//   * CLWB/CLFLUSHOPT marks lines for write-back — persistence is only
+//     guaranteed after the next SFENCE;
+//   * at SFENCE, every line flushed since the previous fence is durably in
+//     the persistence domain, with the bytes it holds at the fence (a store
+//     between the flush and the fence rides along);
+//   * a line that was stored to but never flushed MAY still persist at any
+//     moment (cache eviction) — software must never rely on it, and a sound
+//     checker must be able to make either choice.
+//
+// One object holds the line states, the durable image and the pending
+// (flushed, not yet fenced) set.  PersistentRegion creates it when a pool
+// is opened with track_shadow or pmemcheck, and it has two readers:
+//
+//   crash_image()  the media after a power cut now, under a CrashPolicy —
+//                  what CrashSimulator and the crash tests reopen;
+//   the six rules  run only with pmemcheck on.  Every line runs
 //
 //     Clean ──store──▶ Stored ──flush──▶ Pending ──fence──▶ Durable
 //
-// and transitions that violate the x86+ADR persistence discipline are
-// reported — with offset, size, rule id and capture-time provenance (pool
-// name + a small backtrace) — through a pluggable ViolationSink.  Enabled
-// per pool via PoolOptions::pmemcheck or process-wide via
-// CXLPMEM_PMEMCHECK=1.
+//                  and transitions that violate the discipline are
+//                  reported — with offset, size, rule id and capture-time
+//                  provenance (pool name + a small backtrace) — through a
+//                  pluggable ViolationSink.  Enabled per pool via
+//                  PoolOptions::pmemcheck or process-wide via
+//                  CXLPMEM_PMEMCHECK=1.
 //
 // Rules:
 //   R1 UnloggedStore    — store inside a transaction to pool bytes neither
@@ -18,9 +36,13 @@
 //                         classic missing-snapshot bug
 //   R2 UnflushedCommit  — a commit record published while lines the
 //                         transaction covers are not yet durable (the
-//                         flush or the fence before the marker was shaved)
-//   R3 RedundantFlush   — flush of an already-durable line no store has
-//                         re-dirtied (wasted write-back bandwidth)
+//                         flush or the fence before the marker was shaved),
+//                         or while the committing thread has stored to a
+//                         covered line since its last flush of it
+//   R3 RedundantFlush   — flush of an already-durable, unchanged line that
+//                         the flushing thread itself flushed and fenced
+//                         since its own last store to it (wasted
+//                         write-back bandwidth)
 //   R4 FlushNeverStored — flush of a line no store ever touched (the flush
 //                         publishes nothing; usually an over-wide persist)
 //   R5 DirtyAtClose     — stored-but-not-durable lines still outstanding
@@ -29,13 +51,18 @@
 //                         started but covering fewer bytes (a torn
 //                         publish waiting to happen)
 //
+// Stores and flushes are attributed per thread: lanes on different threads
+// share heap lines, so one thread's flush+fence must not make another
+// thread's own (needed) flush of the same line read as redundant.  Fences
+// stay global — any thread's fence commits every pending line.
+//
 // Library-level visibility: pmemkit's own metadata stores announce
 // themselves (PersistentRegion::note_store_infra), transactional user
 // ranges arrive via note_store, and *unannounced* stores (raw writes
 // through direct() pointers) are inferred at flush time by comparing the
-// live line against the sanitizer's durable image — a line that differs
-// was stored to; a line that matches was not, so flushing it publishes
-// nothing (R3/R4).
+// live line against the rules' baseline — a line that differs was stored
+// to; a line that matches was not, so flushing it publishes nothing
+// (R3/R4).
 #pragma once
 
 #include <array>
@@ -47,12 +74,28 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "pmemkit/layout.hpp"
 
 namespace cxlpmem::pmemkit {
+
+/// Which unfenced stores a simulated power cut keeps.
+enum class CrashPolicy {
+  /// Strict loss of everything not explicitly persisted (catches missing
+  /// flush/fence bugs).
+  DropUnflushed,
+  /// Additionally lets each stored or flushed-but-unfenced line persist
+  /// with p=1/2, seeded (catches ordering bugs that only appear when a
+  /// line leaks early).
+  RandomEvict,
+  /// eADR / Global Persistent Flush: the persistence domain includes the
+  /// CPU caches (a battery drains them on power loss), so EVERY store
+  /// survives — flushes become performance hints.  This is the stronger
+  /// domain a battery-backed CXL device enables (CXL GPF) and the paper's
+  /// battery argument taken to its conclusion.
+  EadrEverythingSurvives,
+};
 
 enum class SanRule : std::uint32_t {
   UnloggedStore = 1,
@@ -138,21 +181,31 @@ class PmemSan {
   /// transactional user data (note_store), subject to R1 coverage checks.
   enum class StoreOrigin { Infra, User };
 
-  /// Tracks a live region of `size` bytes; `live` must outlive the
-  /// sanitizer.  The durable image starts as a copy of the live one (a
-  /// fresh pool's zeroes are durable; an opened pool's file content is).
-  /// The initial sink honors CXLPMEM_PMEMCHECK_SINK=throw|log|count
-  /// (default throw).
-  PmemSan(const std::byte* live, std::size_t size, std::string pool_name);
+  /// Tracks a live region of `size` bytes; `live` must outlive the model.
+  /// The durable image starts as a copy of the live one (a fresh pool's
+  /// zeroes are durable; an opened pool's file content is).  With `rules`
+  /// off the object only maintains the crash image: no rule runs and no
+  /// sink is consulted.  The initial sink honors
+  /// CXLPMEM_PMEMCHECK_SINK=throw|log|count (default throw).
+  ///
+  /// Internally synchronized: concurrent lanes store/flush/fence in
+  /// parallel.  A fence copies the live line, which is racy only for lines
+  /// other threads are still mutating — exactly the lines a real power cut
+  /// would tear.
+  PmemSan(const std::byte* live, std::size_t size, std::string pool_name,
+          bool rules = true);
   ~PmemSan();
   PmemSan(const PmemSan&) = delete;
   PmemSan& operator=(const PmemSan&) = delete;
+
+  /// True when the six rules run (pmemcheck), false for a crash-image-only
+  /// model (track_shadow).
+  [[nodiscard]] bool rules() const noexcept { return rules_; }
 
   /// Pool bytes below this offset are metadata (header page + lane
   /// region): infrastructure the transaction protocol itself mutates, so
   /// user-origin stores there are never R1 candidates.
   void set_meta_bound(std::uint64_t bound) noexcept { meta_bound_ = bound; }
-  void set_pool_name(std::string name);
   /// Replaces the sink.  shared_ptr so a test can keep its CountSink
   /// readable after the pool (and the sanitizer) is gone.
   void set_sink(std::shared_ptr<ViolationSink> sink);
@@ -164,14 +217,20 @@ class PmemSan {
   /// persist() entry point, before its flush: checks R6 against the
   /// calling thread's preceding store.
   void on_persist(std::uint64_t off, std::uint64_t len);
-  /// Follows a region resize (grow/shrink); mirrors ShadowTracker::remap.
+  /// Follows a live-region resize (pool grow/shrink): re-points at the
+  /// possibly-moved mapping and resizes the durable image to match.  Grown
+  /// bytes enter it as the live image holds them (file extension zeroes
+  /// are durable the moment ftruncate returns — there is no cache between
+  /// the kernel's zero page and the file); dropped bytes take their line
+  /// bookkeeping with them.
   void remap(const std::byte* live, std::size_t size);
-  /// Accepts the live bytes of [off, off+len) as the durable baseline
+  /// Accepts the live bytes of [off, off+len) as the rules' baseline
   /// without requiring a flush.  For staged-then-abandoned scratch — an
   /// uncommitted redo session's cells — that is *designed* never to become
   /// durable; without this, the leftover raw stores would read as R5 dirt
   /// at close.  Byte-precise: neighbouring bytes on shared cache lines keep
-  /// their tracking.
+  /// their tracking.  The crash image is untouched: the bytes never became
+  /// durable.
   void discard(std::uint64_t off, std::uint64_t len);
 
   // --- transaction hooks ---------------------------------------------------
@@ -184,14 +243,27 @@ class PmemSan {
   void tx_end(std::uint32_t lane);
   /// The abort-path twin of tx_end: the rollback has just undone the
   /// transaction, so covered lines that never reached durability (fresh
-  /// allocations, mid-tx stores) describe dead bytes — accept them as-is
-  /// instead of letting them read as lost updates at close.
+  /// allocations, mid-tx stores) describe dead bytes — the rules accept
+  /// them as-is instead of letting them read as lost updates at close.
   void tx_abort(std::uint32_t lane);
 
-  // --- checks --------------------------------------------------------------
+  // --- readers -------------------------------------------------------------
+  /// The media image after a power cut at this instant.
+  [[nodiscard]] std::vector<std::byte> crash_image(
+      CrashPolicy policy, std::uint64_t seed = 0) const;
+  /// Lines stored to since the fence that last made them durable.
+  [[nodiscard]] std::size_t dirty_lines() const;
+  /// Lines flushed since the last fence.
+  [[nodiscard]] std::size_t pending_lines() const;
+  /// Side-by-side only: line `l` was infra-stored since its last commit.
+  [[nodiscard]] bool infra_dirty(std::uint64_t l) const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return l < lines_.size() && (lines_[l] & kInfra) != 0;
+  }
+
   /// Asserts everything stored so far is durable: any line still Stored or
-  /// Pending — or whose live bytes differ from the durable image without
-  /// any store on record (a raw store nobody flushed) — is R5.  Reports at
+  /// Pending — or whose live bytes differ from the baseline without any
+  /// store on record (a raw store nobody flushed) — is R5.  Reports at
   /// most `max_reports` violations; returns how many lines were dirty.
   std::size_t verify(std::size_t max_reports = 16);
   /// The destructor-time variant of verify(); same checks, close-specific
@@ -207,8 +279,31 @@ class PmemSan {
         std::memory_order_relaxed);
   }
 
+  /// Threads the per-thread attribution can tell apart at once.  A thread
+  /// that finds every slot taken skips the per-thread checks (R2's
+  /// re-store check, R3) rather than share a slot.
+  static constexpr unsigned kThreadSlots = 64;
+
  private:
-  enum class Line : std::uint8_t { Stored, Pending, Durable };
+  static constexpr std::uint64_t kLine = 64;
+
+  /// Per-line flags, one byte per cache line.  The low two bits are the
+  /// rules' state (Clean = 0: never stored, or forgotten by tx_abort).
+  enum : std::uint8_t {
+    kStored = 1,
+    kPending = 2,
+    kDurable = 3,
+    kStateMask = 3,
+    kDirty = 4,    ///< stored since the fence that last made it durable
+    kFlushed = 8,  ///< in pending_: flushed since the last fence
+    kInfra = 16,   ///< side-by-side only: infra-stored since last commit
+  };
+
+  /// Which threads (slot bits) have a claim on a line.
+  struct Owners {
+    std::uint64_t owes = 0;      ///< stored to it since their last flush
+    std::uint64_t inflight = 0;  ///< flushed it since their last fence
+  };
 
   struct TxCtx {
     bool active = false;
@@ -216,26 +311,48 @@ class PmemSan {
     std::map<std::uint64_t, std::uint64_t> coverage;
   };
 
-  /// True when the live line `l` matches the durable image byte-for-byte.
-  [[nodiscard]] bool line_matches_durable(std::uint64_t l) const;
+  [[nodiscard]] std::uint8_t state(std::uint64_t l) const noexcept {
+    return lines_[l] & kStateMask;
+  }
+  void set_state(std::uint64_t l, std::uint8_t s) noexcept {
+    lines_[l] = static_cast<std::uint8_t>((lines_[l] & ~kStateMask) | s);
+  }
+  [[nodiscard]] std::uint64_t line_bytes(std::uint64_t l) const noexcept;
+  /// What the rules compare a live line against: the durable image, or the
+  /// bytes discard()/tx_abort() accepted since the line's last fence.
+  [[nodiscard]] const std::byte* baseline(std::uint64_t l) const;
+  /// Accepts the live bytes [off, off+n) of line `l` into its baseline.
+  void accept(std::uint64_t l, std::uint64_t off, std::uint64_t n);
+  /// True when the live line `l` matches its baseline byte-for-byte.
+  [[nodiscard]] bool line_matches_baseline(std::uint64_t l) const;
   [[nodiscard]] bool covered(const TxCtx& ctx, std::uint64_t off,
                              std::uint64_t end) const;
+  /// Thread `slot`'s claims on line `l`, each field 0 or 1 (none when
+  /// slotless).
+  [[nodiscard]] Owners claims(std::uint64_t l, int slot) const;
   SanViolation make_violation(SanRule rule, std::uint64_t off,
                               std::uint64_t len, std::string message) const;
   void deliver(std::vector<SanViolation> found);
   std::size_t scan_not_durable(std::size_t max_reports, const char* when);
 
   mutable std::mutex mu_;
+  const bool rules_;
   const std::byte* live_;
   std::vector<std::byte> durable_;  ///< what the media durably holds
+  std::vector<std::uint8_t> lines_;  ///< per-line flags (see enum above)
+  std::vector<std::uint64_t> pending_;  ///< lines flushed since last fence
+
+  // --- rules only ------------------------------------------------------------
   std::string pool_name_;
   std::uint64_t meta_bound_ = 0;
   std::shared_ptr<ViolationSink> sink_;
-
-  /// Line index -> state; absent = Clean (never stored, matches durable_).
-  std::unordered_map<std::uint64_t, Line> lines_;
-  /// Lines flushed since the last fence (subset of lines_ in Pending).
-  std::unordered_set<std::uint64_t> pending_;
+  /// Per-line baselines accepted by discard()/tx_abort(); dropped when a
+  /// fence makes the line durable.
+  std::unordered_map<std::uint64_t, std::array<std::byte, kLine>> accepted_;
+  /// Lines some thread owes a flush or has in flight; absent = no claims.
+  std::unordered_map<std::uint64_t, Owners> owners_;
+  /// Per thread slot: lines whose inflight bit it set since its last fence.
+  std::array<std::vector<std::uint64_t>, kThreadSlots> inflight_;
   std::array<TxCtx, kLaneCount> tx_;  ///< per-lane open-transaction context
 
   std::atomic<std::uint64_t> total_{0};

@@ -4,8 +4,8 @@
 // libpmemobj programming model: a named layout, a root object, atomic
 // (failure-atomic, non-transactional) allocation into a destination ObjId,
 // typed object ids, undo-log transactions, and open-time recovery.  An
-// optional ShadowTracker (Options::track_shadow) maintains the
-// crash-consistency image used by the test harness.
+// optional persistence model (Options::track_shadow / pmemcheck, see
+// pmemsan.hpp) maintains the crash image used by the test harness.
 #pragma once
 
 #include <atomic>
@@ -49,7 +49,8 @@ struct PoolStats {
 struct PoolReport;  // introspect.hpp
 
 struct PoolOptions {
-  /// Maintain a ShadowTracker for crash simulation (slower).
+  /// Maintain the persistence model's crash image for crash simulation
+  /// (slower), without running the PmemSan rules.
   bool track_shadow = false;
   /// Undo-entry publish protocol.  TwoPersistReference is the version-1
   /// baseline (tail bump per entry, O(n) snapshot scan), compiled in so
@@ -241,7 +242,13 @@ class ObjectPool {
     return resizes_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] PersistentRegion& region() noexcept { return region_; }
-  [[nodiscard]] ShadowTracker* shadow() noexcept { return region_.shadow(); }
+  /// The media image after a power cut at this instant, under `policy`
+  /// (`seed` drives RandomEvict's coins).  Needs Options::track_shadow or
+  /// pmemcheck; throws PoolError otherwise.
+  [[nodiscard]] std::vector<std::byte> crash_image(
+      CrashPolicy policy, std::uint64_t seed = 0) const {
+    return region_.crash_image(policy, seed);
+  }
   /// The attached persistency sanitizer, or nullptr when pmemcheck is off.
   [[nodiscard]] PmemSan* pmemsan() noexcept { return region_.pmemsan(); }
   [[nodiscard]] Heap& heap() noexcept { return *heap_; }

@@ -1,7 +1,10 @@
 #include "pmemkit/shadow.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <errno.h>
 
 namespace cxlpmem::pmemkit {
 
@@ -82,6 +85,55 @@ std::vector<std::byte> ShadowTracker::crash_image(CrashPolicy policy,
     for (const std::size_t l : pending_) maybe_evict(l);
   }
   return img;
+}
+
+std::vector<std::byte> side_by_side(const ShadowTracker& old,
+                                    const PmemSan& model, CrashPolicy policy,
+                                    std::uint64_t seed) {
+  const auto od = old.crash_image(CrashPolicy::DropUnflushed, seed);
+  const auto nd = model.crash_image(CrashPolicy::DropUnflushed, seed);
+  const auto oe = old.crash_image(CrashPolicy::EadrEverythingSurvives, seed);
+  const auto ne = model.crash_image(CrashPolicy::EadrEverythingSurvives, seed);
+  const auto orr = old.crash_image(CrashPolicy::RandomEvict, seed);
+  const auto nr = model.crash_image(CrashPolicy::RandomEvict, seed);
+  std::size_t diff = 0, noninfra = 0;
+  if (orr.size() != nr.size()) {
+    diff = noninfra = ~std::size_t{0};
+  } else {
+    for (std::size_t off = 0; off < orr.size(); off += kLine) {
+      const std::size_t n = std::min(kLine, orr.size() - off);
+      if (std::memcmp(orr.data() + off, nr.data() + off, n) == 0) continue;
+      ++diff;
+      if (!model.infra_dirty(off / kLine)) ++noninfra;
+    }
+  }
+  std::size_t leaked = 0;  // lines RandomEvict let through vs DropUnflushed
+  for (std::size_t off = 0; off < nr.size() && off < nd.size(); off += kLine)
+    if (std::memcmp(nr.data() + off, nd.data() + off,
+                    std::min(kLine, nr.size() - off)) != 0)
+      ++leaked;
+  const bool drop_same = od == nd;
+  const bool eadr_same = oe == ne;
+  if (const char* path = std::getenv("CXLPMEM_SXS_LOG")) {
+    if (FILE* f = std::fopen(path, "a")) {
+      std::fprintf(f, "%s drop_same=%d eadr_same=%d re_diff_lines=%zu "
+                      "re_noninfra_lines=%zu re_leaked_lines=%zu\n",
+                   program_invocation_short_name, drop_same ? 1 : 0,
+                   eadr_same ? 1 : 0, diff, noninfra, leaked);
+      std::fclose(f);
+    }
+  }
+  if (!drop_same || !eadr_same || noninfra != 0)
+    std::fprintf(stderr, "side-by-side MISMATCH in %s\n",
+                 program_invocation_short_name);
+  const char* pick = std::getenv("CXLPMEM_SXS_IMAGE");
+  const bool use_old = pick != nullptr && std::strcmp(pick, "old") == 0;
+  switch (policy) {
+    case CrashPolicy::DropUnflushed: return use_old ? od : nd;
+    case CrashPolicy::RandomEvict: return use_old ? orr : nr;
+    case CrashPolicy::EadrEverythingSurvives: return use_old ? oe : ne;
+  }
+  return nd;
 }
 
 }  // namespace cxlpmem::pmemkit

@@ -27,18 +27,9 @@
 #include <unordered_set>
 #include <vector>
 
-namespace cxlpmem::pmemkit {
+#include "pmemkit/pmemsan.hpp"
 
-enum class CrashPolicy {
-  DropUnflushed,
-  RandomEvict,
-  /// eADR / Global Persistent Flush: the persistence domain includes the
-  /// CPU caches (a battery drains them on power loss), so EVERY store
-  /// survives — flushes become performance hints.  This is the stronger
-  /// domain a battery-backed CXL device enables (CXL GPF) and the paper's
-  /// battery argument taken to its conclusion.
-  EadrEverythingSurvives,
-};
+namespace cxlpmem::pmemkit {
 
 class ShadowTracker {
  public:
@@ -95,5 +86,13 @@ class ShadowTracker {
   /// Line indices flushed but awaiting a fence.
   std::unordered_set<std::size_t> pending_;
 };
+
+/// Side-by-side check of the two models at one crash point: compares
+/// their DropUnflushed, RandomEvict and EADR images, appends one line to
+/// the file named by CXLPMEM_SXS_LOG, and returns the `policy` image of
+/// the model CXLPMEM_SXS_IMAGE selects (old | new, default new).
+std::vector<std::byte> side_by_side(const ShadowTracker& old,
+                                    const PmemSan& model, CrashPolicy policy,
+                                    std::uint64_t seed);
 
 }  // namespace cxlpmem::pmemkit

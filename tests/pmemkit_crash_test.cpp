@@ -405,7 +405,7 @@ TEST(CrashSimMT, MixedWorkloadAcrossLanesRecoversConsistently) {
 
     pool->mark_crashed();
     const std::vector<std::byte> image =
-        pool->shadow()->crash_image(pk::CrashPolicy::DropUnflushed, trip);
+        pool->crash_image(pk::CrashPolicy::DropUnflushed, trip);
     pool.reset();
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -502,7 +502,7 @@ TEST(CrashSimMT, RedoReplayPrecedesOtherLanesRollback) {
     } catch (const pk::CrashInjected&) {
     }
     pk::set_crash_hook({});
-    image = pool->shadow()->crash_image(pk::CrashPolicy::DropUnflushed, 1);
+    image = pool->crash_image(pk::CrashPolicy::DropUnflushed, 1);
     advance(3);
   });
   await(1);
