@@ -72,7 +72,7 @@ std::size_t CrashSimulator::run(const PoolFn& setup, const PoolFn& scenario,
 
     pool->mark_crashed();
     const std::vector<std::byte> image =
-        pool->crash_image(config_.policy, config_.seed + k);
+        pool->region().crash_image(config_.policy, config_.seed + k);
     pool.reset();
     write_image(config_.pool_path, image);
 

@@ -20,18 +20,15 @@
 #include "pmemkit/errors.hpp"
 #include "pmemkit/mapped_file.hpp"
 #include "pmemkit/pmemsan.hpp"
-#include "pmemkit/shadow.hpp"
 
 namespace cxlpmem::pmemkit {
 
 class PersistentRegion {
  public:
-  /// Takes ownership of the mapping.  Either option attaches the
-  /// persistence model (slower; meant for tests and the crash harness):
-  /// `track_shadow` for crash images alone, `pmemcheck` to also run the
-  /// PmemSan rules, which diagnose flush/fence discipline violations as
-  /// they happen (see pmemsan.hpp for the rule catalog).  With both set
-  /// the pool still keeps one model and one durable image.
+  /// Takes ownership of the mapping.  Either option attaches the one
+  /// persistence model (slower; for tests and the crash harness):
+  /// `track_shadow` for crash images, `pmemcheck` to also run the PmemSan
+  /// rules (see pmemsan.hpp for the rule catalog).
   explicit PersistentRegion(MappedFile file, bool track_shadow = false,
                             bool pmemcheck = false)
       : file_(std::move(file)) {
@@ -39,8 +36,6 @@ class PersistentRegion {
       model_ = std::make_unique<PmemSan>(file_.data(), file_.size(),
                                          file_.path().filename().string(),
                                          pmemcheck);
-    if (track_shadow)
-      shadow_ = std::make_unique<ShadowTracker>(file_.data(), file_.size());
   }
 
   [[nodiscard]] std::byte* base() noexcept { return file_.data(); }
@@ -54,12 +49,10 @@ class PersistentRegion {
   }
 
   void flush(const void* p, std::size_t n) {
-    if (shadow_) shadow_->record_flush(offset_of(p), n);
     if (model_) model_->on_flush(offset_of(p), n);
   }
   void drain() {
     ++t_drain_count;
-    if (shadow_) shadow_->record_fence();
     if (model_) model_->on_fence();
   }
 
@@ -78,7 +71,6 @@ class PersistentRegion {
   }
   /// Marks a range as modified-without-flush (transaction user ranges).
   void note_store(const void* p, std::size_t n) {
-    if (shadow_) shadow_->record_store(offset_of(p), n);
     if (model_) model_->on_store(offset_of(p), n, PmemSan::StoreOrigin::User);
   }
   /// The infrastructure twin of note_store: pmemkit's own metadata writes
@@ -101,21 +93,16 @@ class PersistentRegion {
     persist(dst, n);
   }
 
-  /// The model when its rules run (pmemcheck), else nullptr: the hooks
-  /// that exist only for the rules (transaction coverage, discards) key
-  /// on this.
+  /// The model when its rules run (pmemcheck), else nullptr: rule-only
+  /// hooks (transaction coverage, discards) key on this.
   [[nodiscard]] PmemSan* pmemsan() noexcept {
     return model_ && model_->rules() ? model_.get() : nullptr;
   }
 
-  /// The media image after a power cut at this instant (see
-  /// PmemSan::crash_image).  Throws PoolError without a model.
+  /// The media image after a power cut now (PmemSan::crash_image).
   [[nodiscard]] std::vector<std::byte> crash_image(
       CrashPolicy policy, std::uint64_t seed = 0) const {
-    if (!model_)
-      throw PoolError(
-          "crash_image needs a pool opened with track_shadow or pmemcheck");
-    if (shadow_) return side_by_side(*shadow_, *model_, policy, seed);
+    if (!model_) throw PoolError("crash_image needs track_shadow or pmemcheck");
     return model_->crash_image(policy, seed);
   }
 
@@ -124,7 +111,6 @@ class PersistentRegion {
   /// keeps the durable image in step.
   void resize(std::size_t new_size) {
     file_.resize(new_size);
-    if (shadow_) shadow_->remap(file_.data(), file_.size());
     if (model_) model_->remap(file_.data(), file_.size());
   }
 
@@ -133,7 +119,6 @@ class PersistentRegion {
 
   MappedFile file_;
   std::unique_ptr<PmemSan> model_;
-  std::unique_ptr<ShadowTracker> shadow_;
 };
 
 }  // namespace cxlpmem::pmemkit

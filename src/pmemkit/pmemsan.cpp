@@ -26,54 +26,35 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   return x ^ (x >> 31);
 }
 
-/// Process-wide thread slots: bit s set = slot s held by a live thread.
+/// Thread slots for per-thread attribution: bit s of g_slots is held by a
+/// live thread.  A thread claims the lowest free slot on first use and
+/// frees it at exit; with none free it reports -1 and retries next time.
+/// Slots are never shared: a shared slot would credit one thread's fence
+/// to another thread's flush.  `claim` tells successive holders apart.
 static_assert(PmemSan::kThreadSlots == 64, "slots are one 64-bit mask");
 std::atomic<std::uint64_t> g_slots{0};
-
-/// The calling thread's attribution slot: claimed on first use, released
-/// at thread exit.  A thread that finds none free retries on its next
-/// event and meanwhile reports -1; it never shares a slot, because a
-/// shared slot would attribute one thread's fence to another's flush.
-class ThreadSlot {
- public:
-  ThreadSlot() = default;
-  ThreadSlot(const ThreadSlot&) = delete;
-  ThreadSlot& operator=(const ThreadSlot&) = delete;
+std::atomic<std::uint64_t> g_claims{0};
+struct ThreadSlot {
+  int slot = -1;
+  std::uint64_t claim = 0;
   ~ThreadSlot() {
-    if (slot_ >= 0)
-      g_slots.fetch_and(~(1ull << slot_), std::memory_order_release);
+    if (slot >= 0)
+      g_slots.fetch_and(~(1ull << slot), std::memory_order_release);
   }
-  int get() noexcept {
-    if (slot_ >= 0) return slot_;
-    std::uint64_t m = g_slots.load(std::memory_order_relaxed);
-    while (m != ~0ull) {
-      const int s = std::countr_one(m);
-      if (g_slots.compare_exchange_weak(m, m | (1ull << s),
-                                        std::memory_order_acquire))
-        return slot_ = s;
-    }
-    return -1;
-  }
-
- private:
-  int slot_ = -1;
 };
 thread_local ThreadSlot t_slot;
 
-/// Per-thread, per-sanitizer bindings.  Keyed by PmemSan pointer because a
-/// thread may hold transactions on several pmemcheck'd pools at once
-/// (mirrors pool.cpp's t_current_tx).
-struct LastStore {
-  std::uint64_t off = 0;
-  std::uint64_t len = 0;
-};
-thread_local std::vector<std::pair<const PmemSan*, std::uint32_t>> t_tx_lane;
-thread_local std::vector<std::pair<const PmemSan*, LastStore>> t_last_store;
-
-[[nodiscard]] const std::uint32_t* tx_lane_of(const PmemSan* san) noexcept {
-  for (const auto& [s, lane] : t_tx_lane)
-    if (s == san) return &lane;
-  return nullptr;
+const ThreadSlot& thread_slot() noexcept {
+  std::uint64_t m = g_slots.load(std::memory_order_relaxed);
+  while (t_slot.slot < 0 && m != ~0ull) {
+    const int s = std::countr_one(m);
+    if (g_slots.compare_exchange_weak(m, m | 1ull << s,
+                                      std::memory_order_acquire)) {
+      t_slot.slot = s;
+      t_slot.claim = g_claims.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+  }
+  return t_slot;
 }
 
 std::string capture_backtrace() {
@@ -109,11 +90,10 @@ std::shared_ptr<ViolationSink> sink_from_env() {
 }  // namespace
 
 std::string SanViolation::format() const {
-  std::string out = "pmemsan[" + pool + "] R" +
-                    std::to_string(static_cast<std::uint32_t>(rule)) + " " +
-                    to_string(rule) + " off=" + std::to_string(off) +
-                    " len=" + std::to_string(len) + ": " + message;
-  return out;
+  return "pmemsan[" + pool + "] R" +
+         std::to_string(static_cast<std::uint32_t>(rule)) + " " +
+         to_string(rule) + " off=" + std::to_string(off) +
+         " len=" + std::to_string(len) + ": " + message;
 }
 
 void ThrowSink::report(const SanViolation& v) {
@@ -156,14 +136,6 @@ PmemSan::PmemSan(const std::byte* live, std::size_t size,
       pool_name_(std::move(pool_name)),
       sink_(rules ? sink_from_env() : nullptr) {}
 
-PmemSan::~PmemSan() {
-  // Best effort: drop this thread's bindings so a dangling pointer can
-  // never be revived by a later sanitizer at the same address.
-  std::erase_if(t_tx_lane, [this](const auto& e) { return e.first == this; });
-  std::erase_if(t_last_store,
-                [this](const auto& e) { return e.first == this; });
-}
-
 void PmemSan::set_sink(std::shared_ptr<ViolationSink> sink) {
   const std::lock_guard<std::mutex> lock(mu_);
   sink_ = std::move(sink);
@@ -200,24 +172,43 @@ bool PmemSan::covered(const TxCtx& ctx, std::uint64_t off,
   return it->first <= off && it->second >= end;
 }
 
-PmemSan::Owners PmemSan::claims(std::uint64_t l, int slot) const {
-  if (slot < 0) return {};
+PmemSan::Thread* PmemSan::current_thread() {
+  if (!rules_) return nullptr;
+  const ThreadSlot& ts = thread_slot();
+  if (ts.slot < 0) return nullptr;
+  Thread& t = threads_[static_cast<std::size_t>(ts.slot)];
+  if (t.claim != ts.claim) {  // the slot changed hands: a fresh thread
+    t.bit = 1ull << ts.slot;
+    end_inflight(t);
+    t.tx_lane = -1;
+    t.store_len = 0;
+    t.claim = ts.claim;
+  }
+  return &t;
+}
+
+void PmemSan::end_inflight(Thread& t) {
+  for (const std::uint64_t l : t.inflight) {
+    const auto it = owners_.find(l);
+    if (it == owners_.end()) continue;  // dropped by a shrink
+    it->second.inflight &= ~t.bit;
+    if (it->second.owes == 0 && it->second.inflight == 0) owners_.erase(it);
+  }
+  t.inflight.clear();
+}
+
+PmemSan::Owners PmemSan::claims(std::uint64_t l, const Thread* t) const {
+  if (t == nullptr) return {};
   const auto it = owners_.find(l);
   if (it == owners_.end()) return {};
-  return {it->second.owes >> slot & 1, it->second.inflight >> slot & 1};
+  return {it->second.owes & t->bit, it->second.inflight & t->bit};
 }
 
 SanViolation PmemSan::make_violation(SanRule rule, std::uint64_t off,
                                      std::uint64_t len,
                                      std::string message) const {
-  SanViolation v;
-  v.rule = rule;
-  v.off = off;
-  v.len = len;
-  v.pool = pool_name_;
-  v.message = std::move(message);
-  v.backtrace = capture_backtrace();
-  return v;
+  return SanViolation{rule,       off, len, pool_name_, std::move(message),
+                      capture_backtrace()};
 }
 
 void PmemSan::deliver(std::vector<SanViolation> found) {
@@ -239,21 +230,22 @@ void PmemSan::on_store(std::uint64_t off, std::uint64_t len,
                        StoreOrigin origin) {
   if (len == 0) return;
   std::vector<SanViolation> found;
-  const int slot = rules_ ? t_slot.get() : -1;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    if (rules_ && origin == StoreOrigin::User && off >= meta_bound_) {
+    Thread* t = current_thread();
+    if (t != nullptr) {
       // R1: a user-data store inside a transaction must be covered by an
       // add_range / add_fresh_range of that same transaction.
-      if (const std::uint32_t* lane = tx_lane_of(this); lane != nullptr) {
-        const TxCtx& ctx = tx_[*lane];
-        if (ctx.active && !covered(ctx, off, off + len))
-          found.push_back(make_violation(
-              SanRule::UnloggedStore, off, len,
-              "store inside a transaction to bytes neither undo-logged "
-              "(add_range) nor fresh (add_fresh_range); an abort or crash "
-              "cannot restore them"));
-      }
+      const TxCtx* ctx = t->tx_lane >= 0 ? &tx_[t->tx_lane] : nullptr;
+      if (origin == StoreOrigin::User && off >= meta_bound_ && ctx &&
+          ctx->active && !covered(*ctx, off, off + len))
+        found.push_back(make_violation(
+            SanRule::UnloggedStore, off, len,
+            "store inside a transaction to bytes neither undo-logged "
+            "(add_range) nor fresh (add_fresh_range); an abort or crash "
+            "cannot restore them"));
+      t->store_off = off;  // so a narrower follow-up persist is R6
+      t->store_len = len;
     }
     const std::uint64_t last =
         std::min<std::uint64_t>((off + len - 1) / kLine, lines_.size() - 1);
@@ -261,31 +253,20 @@ void PmemSan::on_store(std::uint64_t off, std::uint64_t len,
       // A pending flush stays pending: the next fence commits the line
       // with whatever it then holds.  The store itself still needs a new
       // flush (Stored), which the rules hold its thread to.
-      lines_[l] = static_cast<std::uint8_t>(
-          (lines_[l] & (kFlushed | kInfra)) | kDirty | kStored |
-          (origin == StoreOrigin::Infra ? kInfra : 0));
-      if (slot >= 0) owners_[l].owes |= 1ull << slot;
+      lines_[l] = static_cast<std::uint8_t>((lines_[l] & kFlushed) | kDirty |
+                                            kStored);
+      if (t != nullptr) owners_[l].owes |= t->bit;
     }
   }
-  if (!rules_) return;
-  // R6 bookkeeping: remember the store so a narrower follow-up persist is
-  // detectable.
-  for (auto& [s, st] : t_last_store)
-    if (s == this) {
-      st = LastStore{off, len};
-      deliver(std::move(found));
-      return;
-    }
-  t_last_store.emplace_back(this, LastStore{off, len});
   deliver(std::move(found));
 }
 
 void PmemSan::on_flush(std::uint64_t off, std::uint64_t len) {
   if (len == 0) return;
   std::vector<SanViolation> found;
-  const int slot = rules_ ? t_slot.get() : -1;
   {
     const std::lock_guard<std::mutex> lock(mu_);
+    Thread* t = current_thread();
     const std::uint64_t last =
         std::min<std::uint64_t>((off + len - 1) / kLine, lines_.size() - 1);
     for (std::uint64_t l = off / kLine; l <= last; ++l) {
@@ -293,51 +274,32 @@ void PmemSan::on_flush(std::uint64_t off, std::uint64_t len) {
         lines_[l] |= kFlushed;
         pending_.push_back(l);
       }
-      if (!rules_) {
-        set_state(l, kPending);
-        continue;
+      // A line unchanged since it was last durable — or never stored —
+      // gives this flush nothing to publish (R3 / R4), unless this thread
+      // still owes it a flush or has not fenced its own last one: another
+      // thread's fence is not this thread's.  A changed line was
+      // raw-stored through a direct() pointer: an implicit store.
+      const std::uint8_t s = state(l);
+      const bool clean =
+          rules_ && (s == 0 || s == kDurable) && line_matches_baseline(l);
+      const Owners own = claims(l, t);
+      if (clean && (own.owes | own.inflight) == 0) {
+        if (s == 0)
+          found.push_back(make_violation(
+              SanRule::FlushNeverStored, l * kLine, kLine,
+              "flush of a line no store ever touched (over-wide flush "
+              "range?)"));
+        else if (t != nullptr)
+          found.push_back(make_violation(
+              SanRule::RedundantFlush, l * kLine, kLine,
+              "flush of an already-durable line no store re-dirtied"));
       }
-      const Owners own = claims(l, slot);
-      const bool mine = (own.owes | own.inflight) != 0;
-      switch (state(l)) {
-        case 0:
-          // Never annotated.  Content decides: a line that differs from
-          // the baseline was raw-stored through a direct() pointer —
-          // accept it as an implicit store; a line that matches carries
-          // nothing for this flush to publish.
-          if (!mine && line_matches_baseline(l))
-            found.push_back(make_violation(
-                SanRule::FlushNeverStored, l * kLine, kLine,
-                "flush of a line no store ever touched (over-wide flush "
-                "range?)"));
-          set_state(l, kPending);
-          break;
-        case kStored:
-          set_state(l, kPending);
-          break;
-        case kPending:
-          break;  // benign: both flushes ride the next fence
-        case kDurable:
-          if (!line_matches_baseline(l)) {
-            set_state(l, kPending);  // raw re-store since the last fence
-          } else if (slot >= 0 && !mine) {
-            // Redundant for THIS thread: it has no store on the line since
-            // its own last flush, and that flush was fenced by it.
-            // Another thread's fence making the line durable does not
-            // count — that thread's flush was not this one's.
-            found.push_back(make_violation(
-                SanRule::RedundantFlush, l * kLine, kLine,
-                "flush of an already-durable line no store re-dirtied"));
-          }
-          break;
-      }
-      if (slot >= 0) {
+      if (s != kDurable || !clean) set_state(l, kPending);
+      if (t != nullptr) {
         Owners& o = owners_[l];
-        o.owes &= ~(1ull << slot);
-        if ((o.inflight >> slot & 1) == 0) {
-          o.inflight |= 1ull << slot;
-          inflight_[static_cast<std::size_t>(slot)].push_back(l);
-        }
+        o.owes &= ~t->bit;
+        if ((o.inflight & t->bit) == 0) t->inflight.push_back(l);
+        o.inflight |= t->bit;
       }
     }
   }
@@ -345,53 +307,39 @@ void PmemSan::on_flush(std::uint64_t off, std::uint64_t len) {
 }
 
 void PmemSan::on_fence() {
-  const int slot = rules_ ? t_slot.get() : -1;
   const std::lock_guard<std::mutex> lock(mu_);
   for (const std::uint64_t l : pending_) {
     std::memcpy(durable_.data() + l * kLine, live_ + l * kLine,
                 line_bytes(l));
     // A line re-stored after its flush keeps Stored: the fence committed
     // its fence-time bytes, but the store still owes a flush.
-    auto f = static_cast<std::uint8_t>(lines_[l] & ~(kFlushed | kDirty | kInfra));
+    auto f = static_cast<std::uint8_t>(lines_[l] & ~(kFlushed | kDirty));
     if ((f & kStateMask) == kPending)
       f = static_cast<std::uint8_t>((f & ~kStateMask) | kDurable);
     lines_[l] = f;
     if (!accepted_.empty()) accepted_.erase(l);
   }
   pending_.clear();
-  if (slot < 0) return;
-  std::vector<std::uint64_t>& mine = inflight_[static_cast<std::size_t>(slot)];
-  for (const std::uint64_t l : mine) {
-    const auto it = owners_.find(l);
-    if (it == owners_.end()) continue;  // dropped by a shrink
-    it->second.inflight &= ~(1ull << slot);
-    if (it->second.owes == 0 && it->second.inflight == 0) owners_.erase(it);
-  }
-  mine.clear();
+  if (Thread* t = current_thread()) end_inflight(*t);
 }
 
 void PmemSan::on_persist(std::uint64_t off, std::uint64_t len) {
-  if (!rules_) return;
-  for (const auto& [s, st] : t_last_store) {
-    if (s != this) continue;
-    if (st.off == off && len < st.len) {
-      // Benign inside a transaction that covers the stored range: commit
-      // flushes every covered line, so the narrow persist leaves no tail.
-      if (const std::uint32_t* lane = tx_lane_of(this); lane != nullptr) {
-        const std::lock_guard<std::mutex> lock(mu_);
-        const TxCtx& ctx = tx_[*lane];
-        if (ctx.active && covered(ctx, st.off, st.off + st.len)) return;
-      }
-      std::vector<SanViolation> found;
-      found.push_back(make_violation(
-          SanRule::PersistTooSmall, off, len,
-          "persist of " + std::to_string(len) + " bytes after a store of " +
-              std::to_string(st.len) +
-              " bytes at the same offset leaves a tail unflushed"));
-      deliver(std::move(found));
-    }
-    return;
+  std::vector<SanViolation> found;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const Thread* t = current_thread();
+    if (t == nullptr || t->store_off != off || len >= t->store_len) return;
+    // Benign inside a transaction that covers the stored range: commit
+    // flushes every covered line, so the narrow persist leaves no tail.
+    const TxCtx* ctx = t->tx_lane >= 0 ? &tx_[t->tx_lane] : nullptr;
+    if (ctx && ctx->active && covered(*ctx, off, off + t->store_len)) return;
+    found.push_back(make_violation(
+        SanRule::PersistTooSmall, off, len,
+        "persist of " + std::to_string(len) + " bytes after a store of " +
+            std::to_string(t->store_len) +
+            " bytes at the same offset leaves a tail unflushed"));
   }
+  deliver(std::move(found));
 }
 
 void PmemSan::remap(const std::byte* live, std::size_t size) {
@@ -421,12 +369,10 @@ void PmemSan::discard(std::uint64_t off, std::uint64_t len) {
 }
 
 void PmemSan::tx_begin(std::uint32_t lane) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    tx_[lane].active = true;
-    tx_[lane].coverage.clear();
-  }
-  t_tx_lane.emplace_back(this, lane);
+  const std::lock_guard<std::mutex> lock(mu_);
+  tx_[lane].active = true;
+  tx_[lane].coverage.clear();
+  if (Thread* t = current_thread()) t->tx_lane = lane;
 }
 
 void PmemSan::tx_cover(std::uint32_t lane, std::uint64_t off,
@@ -447,19 +393,19 @@ void PmemSan::tx_cover(std::uint32_t lane, std::uint64_t off,
 
 void PmemSan::tx_commit_publish(std::uint32_t lane) {
   std::vector<SanViolation> found;
-  const int slot = t_slot.get();
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const TxCtx& ctx = tx_[lane];
     if (!ctx.active) return;
+    const Thread* t = current_thread();
     for (const auto& [off, end] : ctx.coverage) {
       // Byte-precise, not line-state: a neighbour transaction's store
       // re-marks a shared line Stored even after this lane flushed and
       // fenced its own bytes (e.g. adjacent 8-byte slots on one line).
-      // What R2 actually requires is that the bytes THIS transaction
-      // covers are durable when its commit record publishes — and that
-      // this thread stored nothing to a covered line after flushing it
-      // (the fence carried such a store along, but only by luck).
+      // What R2 requires is that the bytes THIS transaction covers are
+      // durable when its commit record publishes — and that this thread
+      // stored nothing to a covered line after flushing it (the fence
+      // carried such a store along, but only by luck).
       const std::uint64_t hi = std::min<std::uint64_t>(end, durable_.size());
       for (std::uint64_t l = off / kLine; l * kLine < hi; ++l) {
         const std::uint64_t a = std::max(off, l * kLine);
@@ -468,7 +414,7 @@ void PmemSan::tx_commit_publish(std::uint32_t lane) {
         if (std::memcmp(live_ + a, baseline(l) + (a - l * kLine), b - a) != 0)
           how = state(l) == kPending ? "flushed but not fenced"
                                      : "not flushed";
-        else if (claims(l, slot).owes != 0)
+        else if (claims(l, t).owes != 0)
           how = "stored to again after its flush";
         if (how == nullptr) continue;
         found.push_back(make_violation(
@@ -483,42 +429,34 @@ void PmemSan::tx_commit_publish(std::uint32_t lane) {
 }
 
 void PmemSan::tx_end(std::uint32_t lane) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    tx_[lane].active = false;
-    tx_[lane].coverage.clear();
-  }
-  std::erase_if(t_tx_lane, [&](const auto& e) {
-    return e.first == this && e.second == lane;
-  });
+  const std::lock_guard<std::mutex> lock(mu_);
+  end_tx(lane);
+}
+
+void PmemSan::end_tx(std::uint32_t lane) {
+  tx_[lane].active = false;
+  tx_[lane].coverage.clear();
+  if (Thread* t = current_thread(); t != nullptr && t->tx_lane == lane)
+    t->tx_lane = -1;
 }
 
 void PmemSan::tx_abort(std::uint32_t lane) {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    TxCtx& ctx = tx_[lane];
-    for (const auto& [off, end] : ctx.coverage) {
-      const std::uint64_t hi = std::min<std::uint64_t>(end, durable_.size());
-      for (std::uint64_t l = off / kLine; l * kLine < hi; ++l) {
-        const std::uint8_t s = state(l);
-        if (s != kStored && s != kPending && line_matches_baseline(l))
-          continue;
-        // Undo-snapshotted ranges were restored and persisted by the
-        // rollback; what remains non-durable here is fresh-allocation
-        // content the AllocAction rollback just freed.  Dead bytes owe
-        // nobody a flush.  The crash image keeps its view: the line's
-        // dirty and pending flags stay, since the bytes never became
-        // durable.
-        set_state(l, 0);
-        accept(l, l * kLine, line_bytes(l));
-      }
+  const std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [off, end] : tx_[lane].coverage) {
+    const std::uint64_t hi = std::min<std::uint64_t>(end, durable_.size());
+    for (std::uint64_t l = off / kLine; l * kLine < hi; ++l) {
+      const std::uint8_t s = state(l);
+      if (s != kStored && s != kPending && line_matches_baseline(l)) continue;
+      // Undo-snapshotted ranges were restored and persisted by the
+      // rollback; what remains non-durable here is fresh-allocation
+      // content the AllocAction rollback just freed.  Dead bytes owe
+      // nobody a flush.  The crash image keeps its view: the line's dirty
+      // and pending flags stay, since the bytes never became durable.
+      set_state(l, 0);
+      accept(l, l * kLine, line_bytes(l));
     }
-    ctx.active = false;
-    ctx.coverage.clear();
   }
-  std::erase_if(t_tx_lane, [&](const auto& e) {
-    return e.first == this && e.second == lane;
-  });
+  end_tx(lane);
 }
 
 std::vector<std::byte> PmemSan::crash_image(CrashPolicy policy,
@@ -543,9 +481,8 @@ std::vector<std::byte> PmemSan::crash_image(CrashPolicy policy,
 
 std::size_t PmemSan::dirty_lines() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::size_t>(std::count_if(
-      lines_.begin(), lines_.end(),
-      [](std::uint8_t f) { return (f & kDirty) != 0; }));
+  return static_cast<std::size_t>(std::ranges::count_if(
+      lines_, [](std::uint8_t f) { return (f & kDirty) != 0; }));
 }
 
 std::size_t PmemSan::pending_lines() const {
@@ -553,8 +490,7 @@ std::size_t PmemSan::pending_lines() const {
   return pending_.size();
 }
 
-std::size_t PmemSan::scan_not_durable(std::size_t max_reports,
-                                      const char* when) {
+std::size_t PmemSan::verify(std::size_t max_reports, const char* when) {
   std::vector<SanViolation> found;
   std::size_t dirty = 0;
   {
@@ -577,14 +513,6 @@ std::size_t PmemSan::scan_not_durable(std::size_t max_reports,
   }
   deliver(std::move(found));
   return dirty;
-}
-
-std::size_t PmemSan::verify(std::size_t max_reports) {
-  return scan_not_durable(max_reports, "verify()");
-}
-
-std::size_t PmemSan::close_check(std::size_t max_reports) {
-  return scan_not_durable(max_reports, "pool close");
 }
 
 }  // namespace cxlpmem::pmemkit

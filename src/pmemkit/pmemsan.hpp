@@ -1,68 +1,48 @@
-// pmemkit/pmemsan.hpp — the persistence model and PmemSan, the runtime
-// persistency sanitizer that reads it.
+// pmemkit/pmemsan.hpp — the persistence model, and PmemSan, the runtime
+// persistency sanitizer built on it.
 //
-// Model (x86 + ADR semantics), kept per 64-byte cache line:
-//   * a store lands in the cache — NOT yet persistent;
-//   * CLWB/CLFLUSHOPT marks lines for write-back — persistence is only
-//     guaranteed after the next SFENCE;
-//   * at SFENCE, every line flushed since the previous fence is durably in
-//     the persistence domain, with the bytes it holds at the fence (a store
-//     between the flush and the fence rides along);
-//   * a line that was stored to but never flushed MAY still persist at any
-//     moment (cache eviction) — software must never rely on it, and a sound
-//     checker must be able to make either choice.
-//
-// One object holds the line states, the durable image and the pending
-// (flushed, not yet fenced) set.  PersistentRegion creates it when a pool
-// is opened with track_shadow or pmemcheck, and it has two readers:
+// One object per pool keeps, per 64-byte cache line, what x86 + ADR makes
+// durable: a store lands in the cache; a flush (CLWB) schedules the line;
+// the next fence (SFENCE) makes every scheduled line durable with the bytes
+// it holds at the fence; a stored but unfenced line MAY still reach media
+// at any moment (cache eviction).  The model holds the line states, one
+// durable image and the pending (flushed, unfenced) set.  PersistentRegion
+// creates it for a pool opened with track_shadow or pmemcheck.  Two readers:
 //
 //   crash_image()  the media after a power cut now, under a CrashPolicy —
 //                  what CrashSimulator and the crash tests reopen;
-//   the six rules  run only with pmemcheck on.  Every line runs
+//   the rules      pmemcheck only (PoolOptions::pmemcheck or
+//                  CXLPMEM_PMEMCHECK=1).  Each line runs
+//                  Clean ─store→ Stored ─flush→ Pending ─fence→ Durable,
+//                  and violations are reported — offset, size, rule id,
+//                  pool name and a small backtrace — to a ViolationSink:
 //
-//     Clean ──store──▶ Stored ──flush──▶ Pending ──fence──▶ Durable
-//
-//                  and transitions that violate the discipline are
-//                  reported — with offset, size, rule id and capture-time
-//                  provenance (pool name + a small backtrace) — through a
-//                  pluggable ViolationSink.  Enabled per pool via
-//                  PoolOptions::pmemcheck or process-wide via
-//                  CXLPMEM_PMEMCHECK=1.
-//
-// Rules:
 //   R1 UnloggedStore    — store inside a transaction to pool bytes neither
 //                         undo-logged (add_range) nor registered fresh
-//                         (add_fresh_range) nor tx/lane metadata: the
-//                         classic missing-snapshot bug
-//   R2 UnflushedCommit  — a commit record published while lines the
-//                         transaction covers are not yet durable (the
-//                         flush or the fence before the marker was shaved),
-//                         or while the committing thread has stored to a
-//                         covered line since its last flush of it
-//   R3 RedundantFlush   — flush of an already-durable, unchanged line that
-//                         the flushing thread itself flushed and fenced
-//                         since its own last store to it (wasted
-//                         write-back bandwidth)
-//   R4 FlushNeverStored — flush of a line no store ever touched (the flush
-//                         publishes nothing; usually an over-wide persist)
-//   R5 DirtyAtClose     — stored-but-not-durable lines still outstanding
-//                         when the pool closes (or verify() is called)
+//                         (add_fresh_range) nor tx/lane metadata
+//   R2 UnflushedCommit  — a commit record published while bytes the
+//                         transaction covers are not durable, or after its
+//                         thread stored to a covered line it has not
+//                         flushed since
+//   R3 RedundantFlush   — flush of a durable, unchanged line that the
+//                         flushing thread already flushed and fenced since
+//                         its own last store to it
+//   R4 FlushNeverStored — flush of a line no store ever touched (usually an
+//                         over-wide persist)
+//   R5 DirtyAtClose     — stored-but-not-durable lines outstanding at pool
+//                         close (or verify())
 //   R6 PersistTooSmall  — a persist starting where the preceding store
-//                         started but covering fewer bytes (a torn
-//                         publish waiting to happen)
+//                         started but covering fewer bytes
 //
-// Stores and flushes are attributed per thread: lanes on different threads
-// share heap lines, so one thread's flush+fence must not make another
-// thread's own (needed) flush of the same line read as redundant.  Fences
-// stay global — any thread's fence commits every pending line.
+// Stores and flushes are attributed per thread, because lanes on different
+// threads share heap lines: one thread's flush+fence must not make another
+// thread's own flush of the line read as redundant.  Fences stay global —
+// any thread's fence commits every pending line.
 //
-// Library-level visibility: pmemkit's own metadata stores announce
-// themselves (PersistentRegion::note_store_infra), transactional user
-// ranges arrive via note_store, and *unannounced* stores (raw writes
-// through direct() pointers) are inferred at flush time by comparing the
-// live line against the rules' baseline — a line that differs was stored
-// to; a line that matches was not, so flushing it publishes nothing
-// (R3/R4).
+// Store visibility: pmemkit's metadata stores announce themselves
+// (PersistentRegion::note_store_infra), transactional user ranges arrive
+// via note_store, and raw writes through direct() pointers are inferred at
+// flush time by comparing the live line against the rules' baseline.
 #pragma once
 
 #include <array>
@@ -82,18 +62,12 @@ namespace cxlpmem::pmemkit {
 
 /// Which unfenced stores a simulated power cut keeps.
 enum class CrashPolicy {
-  /// Strict loss of everything not explicitly persisted (catches missing
-  /// flush/fence bugs).
-  DropUnflushed,
-  /// Additionally lets each stored or flushed-but-unfenced line persist
-  /// with p=1/2, seeded (catches ordering bugs that only appear when a
-  /// line leaks early).
+  DropUnflushed,  ///< none: catches missing flushes and fences
+  /// Each stored or flushed-but-unfenced line, with p=1/2 (seeded): catches
+  /// ordering bugs that only show when a line leaks early.
   RandomEvict,
-  /// eADR / Global Persistent Flush: the persistence domain includes the
-  /// CPU caches (a battery drains them on power loss), so EVERY store
-  /// survives — flushes become performance hints.  This is the stronger
-  /// domain a battery-backed CXL device enables (CXL GPF) and the paper's
-  /// battery argument taken to its conclusion.
+  /// All: eADR / CXL Global Persistent Flush, where a battery drains the
+  /// caches on power loss and flushes become performance hints.
   EadrEverythingSurvives,
 };
 
@@ -182,24 +156,17 @@ class PmemSan {
   enum class StoreOrigin { Infra, User };
 
   /// Tracks a live region of `size` bytes; `live` must outlive the model.
-  /// The durable image starts as a copy of the live one (a fresh pool's
-  /// zeroes are durable; an opened pool's file content is).  With `rules`
-  /// off the object only maintains the crash image: no rule runs and no
-  /// sink is consulted.  The initial sink honors
-  /// CXLPMEM_PMEMCHECK_SINK=throw|log|count (default throw).
-  ///
-  /// Internally synchronized: concurrent lanes store/flush/fence in
-  /// parallel.  A fence copies the live line, which is racy only for lines
-  /// other threads are still mutating — exactly the lines a real power cut
-  /// would tear.
+  /// The durable image starts as a copy of the live one.  With `rules` off
+  /// only the crash image is kept.  The initial sink honors
+  /// CXLPMEM_PMEMCHECK_SINK=throw|log|count (default throw).  Internally
+  /// synchronized; a fence copies live lines, which is racy only for lines
+  /// other threads are still mutating — the lines a power cut would tear.
   PmemSan(const std::byte* live, std::size_t size, std::string pool_name,
           bool rules = true);
-  ~PmemSan();
   PmemSan(const PmemSan&) = delete;
   PmemSan& operator=(const PmemSan&) = delete;
 
-  /// True when the six rules run (pmemcheck), false for a crash-image-only
-  /// model (track_shadow).
+  /// True when the rules run (pmemcheck); false for track_shadow alone.
   [[nodiscard]] bool rules() const noexcept { return rules_; }
 
   /// Pool bytes below this offset are metadata (header page + lane
@@ -217,20 +184,14 @@ class PmemSan {
   /// persist() entry point, before its flush: checks R6 against the
   /// calling thread's preceding store.
   void on_persist(std::uint64_t off, std::uint64_t len);
-  /// Follows a live-region resize (pool grow/shrink): re-points at the
-  /// possibly-moved mapping and resizes the durable image to match.  Grown
-  /// bytes enter it as the live image holds them (file extension zeroes
-  /// are durable the moment ftruncate returns — there is no cache between
-  /// the kernel's zero page and the file); dropped bytes take their line
-  /// bookkeeping with them.
+  /// Follows a pool resize to the possibly-moved mapping.  Grown bytes are
+  /// durable as the live image holds them (ftruncate's zeroes never pass
+  /// through a cache); dropped bytes take their line bookkeeping along.
   void remap(const std::byte* live, std::size_t size);
   /// Accepts the live bytes of [off, off+len) as the rules' baseline
-  /// without requiring a flush.  For staged-then-abandoned scratch — an
-  /// uncommitted redo session's cells — that is *designed* never to become
-  /// durable; without this, the leftover raw stores would read as R5 dirt
-  /// at close.  Byte-precise: neighbouring bytes on shared cache lines keep
-  /// their tracking.  The crash image is untouched: the bytes never became
-  /// durable.
+  /// without a flush: staged-then-abandoned scratch (an uncommitted redo
+  /// session's cells) is designed never to become durable, and must not
+  /// read as R5 dirt at close.  Byte-precise; the crash image is untouched.
   void discard(std::uint64_t off, std::uint64_t len);
 
   // --- transaction hooks ---------------------------------------------------
@@ -241,10 +202,9 @@ class PmemSan {
   /// line the transaction covers must already be durable (R2).
   void tx_commit_publish(std::uint32_t lane);
   void tx_end(std::uint32_t lane);
-  /// The abort-path twin of tx_end: the rollback has just undone the
-  /// transaction, so covered lines that never reached durability (fresh
-  /// allocations, mid-tx stores) describe dead bytes — the rules accept
-  /// them as-is instead of letting them read as lost updates at close.
+  /// The abort-path twin of tx_end: covered lines the rollback left
+  /// non-durable (fresh allocations) hold dead bytes, which the rules
+  /// accept as-is instead of reporting them at close.
   void tx_abort(std::uint32_t lane);
 
   // --- readers -------------------------------------------------------------
@@ -255,20 +215,15 @@ class PmemSan {
   [[nodiscard]] std::size_t dirty_lines() const;
   /// Lines flushed since the last fence.
   [[nodiscard]] std::size_t pending_lines() const;
-  /// Side-by-side only: line `l` was infra-stored since its last commit.
-  [[nodiscard]] bool infra_dirty(std::uint64_t l) const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return l < lines_.size() && (lines_[l] & kInfra) != 0;
-  }
 
   /// Asserts everything stored so far is durable: any line still Stored or
   /// Pending — or whose live bytes differ from the baseline without any
-  /// store on record (a raw store nobody flushed) — is R5.  Reports at
-  /// most `max_reports` violations; returns how many lines were dirty.
-  std::size_t verify(std::size_t max_reports = 16);
-  /// The destructor-time variant of verify(); same checks, close-specific
-  /// messages.
-  std::size_t close_check(std::size_t max_reports = 16);
+  /// store on record (a raw store nobody flushed) — is R5, reported as
+  /// "not durable at `when`".  Reports at most `max_reports` violations;
+  /// returns how many lines were dirty.
+  std::size_t verify(std::size_t max_reports = 16,
+                     const char* when = "verify()");
+  std::size_t close_check() { return verify(16, "pool close"); }
 
   // --- counters (maintained regardless of sink) ----------------------------
   [[nodiscard]] std::uint64_t total_violations() const noexcept {
@@ -279,9 +234,8 @@ class PmemSan {
         std::memory_order_relaxed);
   }
 
-  /// Threads the per-thread attribution can tell apart at once.  A thread
-  /// that finds every slot taken skips the per-thread checks (R2's
-  /// re-store check, R3) rather than share a slot.
+  /// Threads told apart at once; a thread finding none free skips the
+  /// per-thread checks rather than share a slot.
   static constexpr unsigned kThreadSlots = 64;
 
  private:
@@ -296,13 +250,22 @@ class PmemSan {
     kStateMask = 3,
     kDirty = 4,    ///< stored since the fence that last made it durable
     kFlushed = 8,  ///< in pending_: flushed since the last fence
-    kInfra = 16,   ///< side-by-side only: infra-stored since last commit
   };
 
   /// Which threads (slot bits) have a claim on a line.
   struct Owners {
     std::uint64_t owes = 0;      ///< stored to it since their last flush
     std::uint64_t inflight = 0;  ///< flushed it since their last fence
+  };
+
+  /// What the rules know about one thread (by slot).
+  struct Thread {
+    std::uint64_t claim = 0;    ///< the slot holder this state belongs to
+    std::uint64_t bit = 0;      ///< its bit in Owners masks
+    std::int64_t tx_lane = -1;  ///< lane of its open transaction
+    std::uint64_t store_off = 0;  ///< its last store (R6)
+    std::uint64_t store_len = 0;
+    std::vector<std::uint64_t> inflight;  ///< lines with its inflight bit
   };
 
   struct TxCtx {
@@ -318,22 +281,24 @@ class PmemSan {
     lines_[l] = static_cast<std::uint8_t>((lines_[l] & ~kStateMask) | s);
   }
   [[nodiscard]] std::uint64_t line_bytes(std::uint64_t l) const noexcept;
-  /// What the rules compare a live line against: the durable image, or the
-  /// bytes discard()/tx_abort() accepted since the line's last fence.
+  /// What the rules compare live line `l` against: the durable image, or
+  /// what discard()/tx_abort() accepted since the line's last fence.
   [[nodiscard]] const std::byte* baseline(std::uint64_t l) const;
-  /// Accepts the live bytes [off, off+n) of line `l` into its baseline.
   void accept(std::uint64_t l, std::uint64_t off, std::uint64_t n);
-  /// True when the live line `l` matches its baseline byte-for-byte.
   [[nodiscard]] bool line_matches_baseline(std::uint64_t l) const;
   [[nodiscard]] bool covered(const TxCtx& ctx, std::uint64_t off,
                              std::uint64_t end) const;
-  /// Thread `slot`'s claims on line `l`, each field 0 or 1 (none when
-  /// slotless).
-  [[nodiscard]] Owners claims(std::uint64_t l, int slot) const;
+  /// The calling thread's state (mu_ held), reset if its slot changed
+  /// hands; nullptr when the rules are off or the thread is slotless.
+  Thread* current_thread();
+  /// Clears `t`'s inflight bits: the thread fenced.
+  void end_inflight(Thread& t);
+  void end_tx(std::uint32_t lane);
+  /// Thread `t`'s bits on line `l` (none for nullptr).
+  [[nodiscard]] Owners claims(std::uint64_t l, const Thread* t) const;
   SanViolation make_violation(SanRule rule, std::uint64_t off,
                               std::uint64_t len, std::string message) const;
   void deliver(std::vector<SanViolation> found);
-  std::size_t scan_not_durable(std::size_t max_reports, const char* when);
 
   mutable std::mutex mu_;
   const bool rules_;
@@ -351,8 +316,7 @@ class PmemSan {
   std::unordered_map<std::uint64_t, std::array<std::byte, kLine>> accepted_;
   /// Lines some thread owes a flush or has in flight; absent = no claims.
   std::unordered_map<std::uint64_t, Owners> owners_;
-  /// Per thread slot: lines whose inflight bit it set since its last fence.
-  std::array<std::vector<std::uint64_t>, kThreadSlots> inflight_;
+  std::array<Thread, kThreadSlots> threads_;
   std::array<TxCtx, kLaneCount> tx_;  ///< per-lane open-transaction context
 
   std::atomic<std::uint64_t> total_{0};

@@ -242,13 +242,6 @@ class ObjectPool {
     return resizes_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] PersistentRegion& region() noexcept { return region_; }
-  /// The media image after a power cut at this instant, under `policy`
-  /// (`seed` drives RandomEvict's coins).  Needs Options::track_shadow or
-  /// pmemcheck; throws PoolError otherwise.
-  [[nodiscard]] std::vector<std::byte> crash_image(
-      CrashPolicy policy, std::uint64_t seed = 0) const {
-    return region_.crash_image(policy, seed);
-  }
   /// The attached persistency sanitizer, or nullptr when pmemcheck is off.
   [[nodiscard]] PmemSan* pmemsan() noexcept { return region_.pmemsan(); }
   [[nodiscard]] Heap& heap() noexcept { return *heap_; }

@@ -30,7 +30,7 @@ std::vector<std::byte> payload_of(std::uint8_t fill, std::size_t n) {
 void crash_store(std::unique_ptr<core::CheckpointStore>& store,
                  pk::CrashPolicy policy, std::uint64_t seed = 0) {
   store->pool().mark_crashed();
-  const auto image = store->pool().crash_image(policy, seed);
+  const auto image = store->pool().region().crash_image(policy, seed);
   const fs::path path = store->pool().path();
   store.reset();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

@@ -14,6 +14,7 @@
 
 #include "pmemkit/introspect.hpp"
 #include "pmemkit/pmemkit.hpp"
+#include "worker_errors.hpp"
 
 namespace pk = cxlpmem::pmemkit;
 namespace fs = std::filesystem;
@@ -369,8 +370,9 @@ TEST(CrashSimMT, MixedWorkloadAcrossLanesRecoversConsistently) {
 
     std::vector<std::thread> workers;
     workers.reserve(kThreads);
+    FirstError errors;
     for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&pool, &points, trip, t] {
+      workers.emplace_back(errors.wrap([&pool, &points, trip, t] {
         auto* r = pool->direct(pool->root<MtRoot>());
         try {
           for (std::uint64_t i = 1; points.load() <= trip; ++i) {
@@ -397,15 +399,16 @@ TEST(CrashSimMT, MixedWorkloadAcrossLanesRecoversConsistently) {
         } catch (const pk::CrashInjected&) {
           // This lane's power cut: stop dead, no cleanup.
         }
-      });
+      }));
     }
     for (auto& w : workers) w.join();
     pk::set_crash_hook({});
+    errors.check();
     ASSERT_GT(points.load(), trip) << "workload never reached the trip";
 
     pool->mark_crashed();
     const std::vector<std::byte> image =
-        pool->crash_image(pk::CrashPolicy::DropUnflushed, trip);
+        pool->region().crash_image(pk::CrashPolicy::DropUnflushed, trip);
     pool.reset();
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -488,22 +491,26 @@ TEST(CrashSimMT, RedoReplayPrecedesOtherLanesRollback) {
 
   std::vector<std::byte> image;
   std::uint32_t atomic_lane = 0;
+  FirstError errors;
   std::thread atomic_side([&] {
-    // Pinned before the transaction's lane, so it is handed the higher one.
-    const pk::ObjectPool::LaneSession session(*pool);
-    atomic_lane = session.lane();
-    advance(1);
-    await(2);  // J is allocated, its transaction still open
-    pk::set_crash_hook([](std::string_view pt) {
-      if (pt == "redo:published") throw pk::CrashInjected{std::string(pt)};
+    errors.run([&] {
+      // Pinned before the transaction's lane, so it is handed the higher
+      // one.
+      const pk::ObjectPool::LaneSession session(*pool);
+      atomic_lane = session.lane();
+      advance(1);
+      await(2);  // J is allocated, its transaction still open
+      pk::set_crash_hook([](std::string_view pt) {
+        if (pt == "redo:published") throw pk::CrashInjected{std::string(pt)};
+      });
+      try {
+        (void)pool->alloc_atomic(64, 11);  // same class, same run as J
+      } catch (const pk::CrashInjected&) {
+      }
+      pk::set_crash_hook({});
+      image = pool->region().crash_image(pk::CrashPolicy::DropUnflushed, 1);
     });
-    try {
-      (void)pool->alloc_atomic(64, 11);  // same class, same run as J
-    } catch (const pk::CrashInjected&) {
-    }
-    pk::set_crash_hook({});
-    image = pool->crash_image(pk::CrashPolicy::DropUnflushed, 1);
-    advance(3);
+    advance(3);  // also on failure: the main thread waits for it
   });
   await(1);
   {
@@ -520,6 +527,7 @@ TEST(CrashSimMT, RedoReplayPrecedesOtherLanesRollback) {
     }
   }
   atomic_side.join();
+  errors.check();
   pool->mark_crashed();
   pool.reset();
   {

@@ -12,6 +12,7 @@
 
 #include "pmemkit/evolve.hpp"
 #include "pmemkit/pmemkit.hpp"
+#include "worker_errors.hpp"
 
 namespace pk = cxlpmem::pmemkit;
 namespace fs = std::filesystem;
@@ -285,8 +286,9 @@ TEST_F(HeapTest, OccupancySeededOnReopen) {
 TEST_F(HeapTest, OccupancyExactAfterConcurrentChurn) {
   constexpr int kThreads = 4;
   std::vector<std::thread> workers;
+  FirstError errors;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([this, t] {
+    workers.emplace_back(errors.wrap([this, t] {
       std::mt19937 rng(static_cast<std::uint32_t>(t + 1));
       std::vector<pk::ObjId> mine;
       for (int i = 0; i < 400; ++i) {
@@ -306,9 +308,10 @@ TEST_F(HeapTest, OccupancyExactAfterConcurrentChurn) {
           mine.erase(mine.begin() + static_cast<std::ptrdiff_t>(idx));
         }
       }
-    });
+    }));
   }
   for (auto& w : workers) w.join();
+  errors.check();
   expect_occupancy_matches_walk(*pool_, "after churn");
 }
 

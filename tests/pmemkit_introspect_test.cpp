@@ -9,6 +9,7 @@
 
 #include "pmemkit/introspect.hpp"
 #include "pmemkit/pmemkit.hpp"
+#include "worker_errors.hpp"
 
 namespace pk = cxlpmem::pmemkit;
 namespace fs = std::filesystem;
@@ -94,15 +95,16 @@ TEST_F(IntrospectTest, ConcurrentInspectionRacesNoTransaction) {
   auto* root = pool_->direct(pool_->root<R>());
   std::atomic<bool> stop{false};
   std::vector<std::thread> workers;
+  FirstError errors;
   for (int t = 0; t < 3; ++t) {
-    workers.emplace_back([&, t] {
+    workers.emplace_back(errors.wrap([&, t] {
       while (!stop.load()) {
         pool_->run_tx([&] {
           pool_->tx_add_range(&root->slots[t], 8);
           root->slots[t] += 1;
         });
       }
-    });
+    }));
   }
   for (int i = 0; i < 100; ++i) {
     const auto r = pk::inspect(*pool_);
@@ -114,6 +116,7 @@ TEST_F(IntrospectTest, ConcurrentInspectionRacesNoTransaction) {
   }
   stop.store(true);
   for (auto& w : workers) w.join();
+  errors.check();
   const auto after = pk::inspect(*pool_);
   EXPECT_TRUE(after.busy_lanes.empty());
   EXPECT_EQ(after.lanes_in_flight, 0u);
@@ -149,8 +152,9 @@ TEST_F(IntrospectTest, ConcurrentStressLeavesAConsistentPool) {
 
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
+  FirstError errors;
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
+    workers.emplace_back(errors.wrap([&, t] {
       std::mt19937 rng(static_cast<std::uint32_t>(t) + 1);
       std::vector<pk::ObjId> mine;
       for (int i = 0; i < kOpsPerThread; ++i) {
@@ -186,9 +190,10 @@ TEST_F(IntrospectTest, ConcurrentStressLeavesAConsistentPool) {
       }
       // Drop the survivors so the census is predictable.
       for (const pk::ObjId o : mine) pool_->free_atomic(o);
-    });
+    }));
   }
   for (auto& w : workers) w.join();
+  errors.check();
 
   const auto report = pk::inspect(*pool_);
   EXPECT_TRUE(report.consistent) << pk::to_text(report);

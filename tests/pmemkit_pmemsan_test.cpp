@@ -5,9 +5,14 @@
 // job runs the whole suite this way).
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstring>
+#include <exception>
 #include <filesystem>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <thread>
 
 #include "pmemkit/pmemkit.hpp"
 #include "pmemkit/pmemsan.hpp"
@@ -321,6 +326,180 @@ TEST_F(PmemSanTest, CleanReopenRoundTripFiresNothing) {
   });
   pool_.reset();
   EXPECT_EQ(sink_->total(), 0u);
+}
+
+// --- per-thread attribution -------------------------------------------------
+// Lanes on different threads share cache lines (heap chunk state, adjacent
+// small objects).  Each case below drives two threads through one line L
+// in a fixed order; one persistent worker thread per role keeps thread
+// identity stable while the steps run one at a time.
+
+/// A thread that runs the steps handed to it, synchronously: run() returns
+/// once the step finished on the worker (rethrowing what it threw).
+class Worker {
+ public:
+  Worker() : thread_([this] { loop(); }) {}
+  ~Worker() {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      quit_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+  Worker(const Worker&) = delete;
+  Worker& operator=(const Worker&) = delete;
+
+  void run(std::function<void()> step) {
+    std::unique_lock<std::mutex> lock(mu_);
+    step_ = std::move(step);
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return !step_; });
+    if (error_) std::rethrow_exception(std::exchange(error_, nullptr));
+  }
+
+ private:
+  void loop() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      cv_.wait(lock, [&] { return quit_ || step_; });
+      if (!step_) return;
+      try {
+        step_();
+      } catch (...) {
+        error_ = std::current_exception();
+      }
+      step_ = nullptr;
+      cv_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::function<void()> step_;
+  std::exception_ptr error_;
+  bool quit_ = false;
+  std::thread thread_;  // last: starts after the members it uses
+};
+
+class PmemSanThreadsTest : public PmemSanTest {
+ protected:
+  void SetUp() override {
+    PmemSanTest::SetUp();
+    const pk::ObjId oid = pool_->alloc_atomic(256, 9, nullptr, true);
+    auto* obj = static_cast<std::byte*>(pool_->direct(oid));
+    // Two words on one cache line inside the object.
+    auto* line = obj + (64 - off_of(obj) % 64) % 64;
+    word_a_ = reinterpret_cast<std::uint64_t*>(line);
+    word_b_ = reinterpret_cast<std::uint64_t*>(line + 8);
+  }
+
+  /// An announced infrastructure store, as pmemkit's own metadata writes.
+  void store(std::uint64_t* word, std::uint64_t value) {
+    *word = value;
+    pool_->region().note_store_infra(word, sizeof(*word));
+  }
+  void flush(std::uint64_t* word) { pool_->flush(word, sizeof(*word)); }
+
+  std::uint64_t* word_a_ = nullptr;
+  std::uint64_t* word_b_ = nullptr;
+  Worker a_;
+  Worker b_;
+};
+
+// (a) B stores L; A stores, flushes and fences L; B flushes L.  B's flush
+// is the one B owes for its own store — another thread's fence does not
+// make it redundant (free_atomic's redo apply on shared chunk-state lines).
+TEST_F(PmemSanThreadsTest, OtherThreadsFenceLeavesMyFlushNeeded) {
+  b_.run([&] { store(word_b_, 1); });
+  a_.run([&] {
+    store(word_a_, 2);
+    flush(word_a_);
+    pool_->drain();
+  });
+  b_.run([&] {
+    flush(word_b_);
+    pool_->drain();
+  });
+  EXPECT_EQ(sink_->total(), 0u);
+  EXPECT_EQ(pool_->pmemsan()->verify(), 0u);
+}
+
+// (b) A flushes L; B flushes and fences L; A flushes L again before its
+// own fence (Transaction::commit's flush loop over two covered ranges on
+// one line).  A has not fenced, so its second flush is not redundant.
+TEST_F(PmemSanThreadsTest, ReflushBeforeOwnFenceIsNotRedundant) {
+  a_.run([&] {
+    store(word_a_, 3);
+    flush(word_a_);
+  });
+  b_.run([&] {
+    store(word_b_, 4);
+    flush(word_b_);
+    pool_->drain();
+  });
+  a_.run([&] {
+    flush(word_a_);
+    pool_->drain();
+  });
+  EXPECT_EQ(sink_->total(), 0u);
+  EXPECT_EQ(pool_->pmemsan()->verify(), 0u);
+}
+
+// (c) A flushes its covered line; B stores to the same line; A fences and
+// publishes.  B's store must not cancel A's pending flush: the fence makes
+// A's covered bytes durable, so the commit record is sound.
+TEST_F(PmemSanThreadsTest, NeighbourStoreKeepsMyFlushPending) {
+  pk::PmemSan* san = pool_->pmemsan();
+  const std::uint64_t off = off_of(word_a_);
+  a_.run([&] {
+    san->tx_begin(7);
+    san->tx_cover(7, off, sizeof(*word_a_));
+    *word_a_ = 5;
+    san->on_store(off, sizeof(*word_a_), pk::PmemSan::StoreOrigin::User);
+    flush(word_a_);
+  });
+  b_.run([&] { store(word_b_, 6); });
+  a_.run([&] {
+    pool_->drain();
+    san->tx_commit_publish(7);
+    san->tx_end(7);
+  });
+  EXPECT_EQ(sink_->total(), 0u);
+  b_.run([&] {
+    flush(word_b_);
+    pool_->drain();
+  });
+  EXPECT_EQ(sink_->total(), 0u);
+  EXPECT_EQ(pool_->pmemsan()->verify(), 0u);
+}
+
+// (d) One thread covers L, stores, flushes, stores again, fences and
+// publishes.  The fence carried the second store along, but only by luck:
+// the commit record went out over a store its thread never flushed — R2.
+TEST_F(PmemSanThreadsTest, OwnStoreAfterFlushIsUnflushedCommit) {
+  pk::PmemSan* san = pool_->pmemsan();
+  const std::uint64_t off = off_of(word_a_);
+  a_.run([&] {
+    san->tx_begin(7);
+    san->tx_cover(7, off, sizeof(*word_a_));
+    *word_a_ = 7;
+    san->on_store(off, sizeof(*word_a_), pk::PmemSan::StoreOrigin::User);
+    flush(word_a_);
+    *word_a_ = 8;
+    san->on_store(off, sizeof(*word_a_), pk::PmemSan::StoreOrigin::User);
+    pool_->drain();
+    san->tx_commit_publish(7);
+    san->tx_end(7);
+  });
+  EXPECT_EQ(sink_->count(pk::SanRule::UnflushedCommit), 1u);
+  EXPECT_EQ(sink_->total(), 1u);
+  const auto kept = sink_->violations();
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].off, off / 64 * 64);
+
+  a_.run([&] { pool_->persist(word_a_, sizeof(*word_a_)); });  // leave durable
+  EXPECT_EQ(pool_->pmemsan()->verify(), 0u);
 }
 
 }  // namespace

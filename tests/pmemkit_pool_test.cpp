@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "pmemkit/pmemkit.hpp"
+#include "worker_errors.hpp"
 
 namespace pk = cxlpmem::pmemkit;
 namespace fs = std::filesystem;
@@ -45,12 +46,15 @@ TEST_F(PoolTest, RegistryLookupsRaceWithOpenClose) {
   const void* inside = stable->region().base() + 4096;
 
   std::atomic<bool> stop{false};
+  FirstError errors;
   std::thread churn([&] {
-    for (int i = 0; i < 40; ++i) {
-      auto p = pk::ObjectPool::create(pool_path("churn"), "reg", kSize);
-      p.reset();
-      fs::remove(pool_path("churn"));
-    }
+    errors.run([&] {
+      for (int i = 0; i < 40; ++i) {
+        auto p = pk::ObjectPool::create(pool_path("churn"), "reg", kSize);
+        p.reset();
+        fs::remove(pool_path("churn"));
+      }
+    });
     stop.store(true);
   });
   std::vector<std::thread> readers;
@@ -64,6 +68,7 @@ TEST_F(PoolTest, RegistryLookupsRaceWithOpenClose) {
   }
   churn.join();
   for (auto& r : readers) r.join();
+  errors.check();
 }
 
 // The registry lookups are served from a generation-validated thread-local
@@ -245,8 +250,9 @@ TEST_F(PoolTest, ConcurrentMixedAllocFreeIsConsistent) {
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
+  FirstError errors;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
+    threads.emplace_back(errors.wrap([&, t] {
       for (int i = 0; i < kIters; ++i) {
         // Small object, published into the root (replacing the previous
         // one: free + alloc through the same in-pool destination).
@@ -265,9 +271,10 @@ TEST_F(PoolTest, ConcurrentMixedAllocFreeIsConsistent) {
           p->tx_free(fresh);
         });
       }
-    });
+    }));
   }
   for (auto& th : threads) th.join();
+  errors.check();
 
   // Exactly one published object per thread of its type; scratch types empty.
   for (int t = 0; t < kThreads; ++t) {

@@ -121,7 +121,7 @@ std::vector<std::byte> image_at_crash(const fs::path& path,
   EXPECT_TRUE(crashed) << "scenario never reached " << point << " #" << trip;
 
   pool->mark_crashed();
-  auto image = pool->crash_image(pk::CrashPolicy::DropUnflushed);
+  auto image = pool->region().crash_image(pk::CrashPolicy::DropUnflushed);
   pool.reset();
   return image;
 }

@@ -10,6 +10,7 @@
 
 #include "pmemkit/introspect.hpp"
 #include "pmemkit/pmemkit.hpp"
+#include "worker_errors.hpp"
 
 namespace pk = cxlpmem::pmemkit;
 namespace fs = std::filesystem;
@@ -172,8 +173,9 @@ TEST_F(TxTest, ConcurrentTransactionsOnSeparateLanes) {
   // Each thread owns one slot of the root array.
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
+  FirstError errors;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
+    threads.emplace_back(errors.wrap([&, t] {
       for (int i = 0; i < kIters; ++i) {
         pool_->run_tx([&] {
           pool_->tx_add_range(&root_->values[t], 8);
@@ -182,9 +184,10 @@ TEST_F(TxTest, ConcurrentTransactionsOnSeparateLanes) {
           pool_->tx_free(tmp);
         });
       }
-    });
+    }));
   }
   for (auto& th : threads) th.join();
+  errors.check();
   for (int t = 0; t < kThreads; ++t)
     EXPECT_EQ(root_->values[t], static_cast<std::uint64_t>(kIters));
   // All temporaries freed.
@@ -460,21 +463,24 @@ TEST_F(TxTest, ConcurrentLaneSessionsGetDistinctLanes) {
   std::vector<std::thread> threads;
   std::atomic<int> armed{0};
   threads.reserve(kThreads);
+  FirstError errors;
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
+    threads.emplace_back(errors.wrap([&, t] {
       const pk::ObjectPool::LaneSession session(*pool_);
       lane[t] = session.lane();
       armed.fetch_add(1);
       // Hold the session until every thread has one: distinctness is only
       // meaningful while the sessions coexist.
-      while (armed.load() < kThreads) std::this_thread::yield();
+      while (armed.load() < kThreads && !errors.any())
+        std::this_thread::yield();
       pool_->run_tx([&] {
         pool_->tx_add_range(&root_->values[t], 8);
         root_->values[t] = session.lane() + 1;
       });
-    });
+    }));
   }
   for (auto& th : threads) th.join();
+  errors.check();
   std::sort(lane.begin(), lane.end());
   EXPECT_EQ(std::adjacent_find(lane.begin(), lane.end()), lane.end())
       << "two concurrent sessions shared a lane";
