@@ -180,7 +180,7 @@ PmemSan::Thread* PmemSan::current_thread() {
   if (t.claim != ts.claim) {  // the slot changed hands: a fresh thread
     t.bit = 1ull << ts.slot;
     end_inflight(t);
-    t.tx_lane = -1;
+    t.tx_lane = kNoTx;
     t.store_len = 0;
     t.claim = ts.claim;
   }
@@ -207,7 +207,7 @@ PmemSan::Owners PmemSan::claims(std::uint64_t l, const Thread* t) const {
 SanViolation PmemSan::make_violation(SanRule rule, std::uint64_t off,
                                      std::uint64_t len,
                                      std::string message) const {
-  return SanViolation{rule,       off, len, pool_name_, std::move(message),
+  return SanViolation{rule, off, len, pool_name_, std::move(message),
                       capture_backtrace()};
 }
 
@@ -236,7 +236,7 @@ void PmemSan::on_store(std::uint64_t off, std::uint64_t len,
     if (t != nullptr) {
       // R1: a user-data store inside a transaction must be covered by an
       // add_range / add_fresh_range of that same transaction.
-      const TxCtx* ctx = t->tx_lane >= 0 ? &tx_[t->tx_lane] : nullptr;
+      const TxCtx* ctx = t->tx_lane != kNoTx ? &tx_[t->tx_lane] : nullptr;
       if (origin == StoreOrigin::User && off >= meta_bound_ && ctx &&
           ctx->active && !covered(*ctx, off, off + len))
         found.push_back(make_violation(
@@ -271,7 +271,7 @@ void PmemSan::on_flush(std::uint64_t off, std::uint64_t len) {
         std::min<std::uint64_t>((off + len - 1) / kLine, lines_.size() - 1);
     for (std::uint64_t l = off / kLine; l <= last; ++l) {
       if ((lines_[l] & kFlushed) == 0) {
-        lines_[l] |= kFlushed;
+        lines_[l] = static_cast<std::uint8_t>(lines_[l] | kFlushed);
         pending_.push_back(l);
       }
       // A line unchanged since it was last durable — or never stored —
@@ -331,7 +331,7 @@ void PmemSan::on_persist(std::uint64_t off, std::uint64_t len) {
     if (t == nullptr || t->store_off != off || len >= t->store_len) return;
     // Benign inside a transaction that covers the stored range: commit
     // flushes every covered line, so the narrow persist leaves no tail.
-    const TxCtx* ctx = t->tx_lane >= 0 ? &tx_[t->tx_lane] : nullptr;
+    const TxCtx* ctx = t->tx_lane != kNoTx ? &tx_[t->tx_lane] : nullptr;
     if (ctx && ctx->active && covered(*ctx, off, off + t->store_len)) return;
     found.push_back(make_violation(
         SanRule::PersistTooSmall, off, len,
@@ -437,7 +437,7 @@ void PmemSan::end_tx(std::uint32_t lane) {
   tx_[lane].active = false;
   tx_[lane].coverage.clear();
   if (Thread* t = current_thread(); t != nullptr && t->tx_lane == lane)
-    t->tx_lane = -1;
+    t->tx_lane = kNoTx;
 }
 
 void PmemSan::tx_abort(std::uint32_t lane) {

@@ -25,8 +25,9 @@
 //                         thread stored to a covered line it has not
 //                         flushed since
 //   R3 RedundantFlush   — flush of a durable, unchanged line that the
-//                         flushing thread already flushed and fenced since
-//                         its own last store to it
+//                         flushing thread has neither stored to since its
+//                         own last flush nor flushed since its own last
+//                         fence
 //   R4 FlushNeverStored — flush of a line no store ever touched (usually an
 //                         over-wide persist)
 //   R5 DirtyAtClose     — stored-but-not-durable lines outstanding at pool
@@ -258,11 +259,12 @@ class PmemSan {
     std::uint64_t inflight = 0;  ///< flushed it since their last fence
   };
 
+  static constexpr std::uint32_t kNoTx = ~0u;
   /// What the rules know about one thread (by slot).
   struct Thread {
     std::uint64_t claim = 0;    ///< the slot holder this state belongs to
     std::uint64_t bit = 0;      ///< its bit in Owners masks
-    std::int64_t tx_lane = -1;  ///< lane of its open transaction
+    std::uint32_t tx_lane = kNoTx;  ///< lane of its open transaction
     std::uint64_t store_off = 0;  ///< its last store (R6)
     std::uint64_t store_len = 0;
     std::vector<std::uint64_t> inflight;  ///< lines with its inflight bit
@@ -275,7 +277,7 @@ class PmemSan {
   };
 
   [[nodiscard]] std::uint8_t state(std::uint64_t l) const noexcept {
-    return lines_[l] & kStateMask;
+    return static_cast<std::uint8_t>(lines_[l] & kStateMask);
   }
   void set_state(std::uint64_t l, std::uint8_t s) noexcept {
     lines_[l] = static_cast<std::uint8_t>((lines_[l] & ~kStateMask) | s);

@@ -368,9 +368,9 @@ TEST(CrashSimMT, MixedWorkloadAcrossLanesRecoversConsistently) {
         throw pk::CrashInjected{std::string(pt)};
     });
 
+    FirstError errors;
     std::vector<std::thread> workers;
     workers.reserve(kThreads);
-    FirstError errors;
     for (int t = 0; t < kThreads; ++t) {
       workers.emplace_back(errors.wrap([&pool, &points, trip, t] {
         auto* r = pool->direct(pool->root<MtRoot>());

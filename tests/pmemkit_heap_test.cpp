@@ -285,8 +285,8 @@ TEST_F(HeapTest, OccupancySeededOnReopen) {
 
 TEST_F(HeapTest, OccupancyExactAfterConcurrentChurn) {
   constexpr int kThreads = 4;
-  std::vector<std::thread> workers;
   FirstError errors;
+  std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back(errors.wrap([this, t] {
       std::mt19937 rng(static_cast<std::uint32_t>(t + 1));

@@ -94,8 +94,8 @@ TEST_F(IntrospectTest, ConcurrentInspectionRacesNoTransaction) {
   };
   auto* root = pool_->direct(pool_->root<R>());
   std::atomic<bool> stop{false};
-  std::vector<std::thread> workers;
   FirstError errors;
+  std::vector<std::thread> workers;
   for (int t = 0; t < 3; ++t) {
     workers.emplace_back(errors.wrap([&, t] {
       while (!stop.load()) {
@@ -150,9 +150,9 @@ TEST_F(IntrospectTest, ConcurrentStressLeavesAConsistentPool) {
   };
   auto* root = pool_->direct(pool_->root<R>());
 
+  FirstError errors;
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
-  FirstError errors;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back(errors.wrap([&, t] {
       std::mt19937 rng(static_cast<std::uint32_t>(t) + 1);

@@ -248,9 +248,9 @@ TEST_F(PoolTest, ConcurrentMixedAllocFreeIsConsistent) {
   };
   auto* r = p->direct(p->root<R>());
 
+  FirstError errors;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
-  FirstError errors;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back(errors.wrap([&, t] {
       for (int i = 0; i < kIters; ++i) {

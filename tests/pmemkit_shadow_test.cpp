@@ -250,7 +250,8 @@ TEST(ShadowPool, AbandonedRedoSessionStaysOutOfTheImage) {
                  pk::TxError);
     ASSERT_NE(std::memcmp(cells, before.data(), kCells), 0)
         << "tx_alloc staged no redo cells";
-    const auto image = pool->region().crash_image(pk::CrashPolicy::DropUnflushed);
+    const auto image =
+        pool->region().crash_image(pk::CrashPolicy::DropUnflushed);
     EXPECT_EQ(std::memcmp(image.data() + cells_off, before.data(), kCells), 0)
         << "abandoned redo cells reached the crash image";
   }

@@ -171,9 +171,9 @@ TEST_F(TxTest, ConcurrentTransactionsOnSeparateLanes) {
   constexpr int kThreads = 8;
   constexpr int kIters = 50;
   // Each thread owns one slot of the root array.
+  FirstError errors;
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
-  FirstError errors;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back(errors.wrap([&, t] {
       for (int i = 0; i < kIters; ++i) {
@@ -460,10 +460,10 @@ TEST_F(TxTest, LaneSessionReleasesItsLaneOnDestruction) {
 TEST_F(TxTest, ConcurrentLaneSessionsGetDistinctLanes) {
   constexpr int kThreads = 8;
   std::vector<std::uint32_t> lane(kThreads, UINT32_MAX);
+  FirstError errors;
   std::vector<std::thread> threads;
   std::atomic<int> armed{0};
   threads.reserve(kThreads);
-  FirstError errors;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back(errors.wrap([&, t] {
       const pk::ObjectPool::LaneSession session(*pool_);
