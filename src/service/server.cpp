@@ -128,16 +128,14 @@ struct Request {
 };
 
 struct Shard {
-  Shard(api::Pool p, int idx) : index(idx), pool(std::move(p)) {
-    map.emplace(pool->pmem());
-  }
+  explicit Shard(int idx) : index(idx) {}
 
   const int index;
-  /// pool/map/tier are optional so quarantine recovery can tear them down
-  /// and rebuild in place.  The serving worker touches them lock-free (it
-  /// is the only thread that replaces them, and only while quarantined);
-  /// the info thread takes `pool_mu` because its stats reads race the
-  /// recovery teardown.
+  /// pool/map/tier are built by open_shard and torn down by close_shard, so
+  /// quarantine recovery can rebuild them in place.  The serving worker
+  /// touches them lock-free (it is the only thread that replaces them, and
+  /// only while quarantined); the info thread takes `pool_mu` because its
+  /// stats reads race the recovery teardown.
   std::optional<api::Pool> pool;
   std::optional<DurableMap> map;
   /// Declared after `map` so it is destroyed first — the tier's promotion
@@ -188,7 +186,7 @@ std::string quarantine_reply(const Shard& s, const api::Error& cause) {
 struct Server::Impl {
   ServerOptions opts;
   api::Runtime* rt = nullptr;  ///< outlives the Server (start() contract)
-  std::uint64_t tier_shard_budget = 0;  ///< saved for quarantine rebuilds
+  std::uint64_t tier_shard_budget = 0;  ///< DRAM budget of each shard tier
   std::string ns;
   int numa_node = -1;
   std::uint16_t port = 0;
@@ -490,32 +488,31 @@ struct Server::Impl {
     }
   }
 
-  /// Tiered execution.  Inside a batch (`in_tx`) the worker already holds
-  /// the tier's batch lock and the open transaction, so the staged
-  /// *_in_tx / *_in_batch calls apply; a standalone op (read-only batch or
-  /// per-op retry after an abort) uses the tier's own-transaction API,
-  /// which takes the tier lock itself.
-  std::string exec_tiered(Shard& s, const Command& cmd, bool in_tx) {
-    tierkv::TieredCache& t = *s.tier;
+  /// Executes one command inside the open unit (see run_unit).  With the
+  /// tier on, every command goes through the tier's batch calls, whose
+  /// lock the caller holds.
+  std::string exec(Shard& s, const Command& cmd) {
+    tierkv::TieredCache* t = s.tier.get();
     switch (cmd.verb) {
       case Verb::Get: {
         const std::optional<std::string> v =
-            in_tx ? t.get_in_batch(cmd.key) : t.get(cmd.key);
+            t ? t->get_in_batch(cmd.key) : s.map->get(cmd.key);
         return v.has_value() ? encode_bulk(*v) : encode_null_bulk();
       }
       case Verb::Set:
-        if (in_tx)
-          t.put_in_tx(cmd.key, cmd.value);
+        if (t)
+          t->put_in_tx(cmd.key, cmd.value);
         else
-          t.put(cmd.key, cmd.value);
+          s.map->put_in_tx(cmd.key, cmd.value);
         return encode_simple("OK");
       case Verb::Del: {
-        const bool erased = in_tx ? t.erase_in_tx(cmd.key) : t.erase(cmd.key);
+        const bool erased =
+            t ? t->erase_in_tx(cmd.key) : s.map->erase_in_tx(cmd.key);
         return encode_integer(erased ? 1 : 0);
       }
       case Verb::Exists: {
         const bool found =
-            in_tx ? t.exists_in_batch(cmd.key) : t.exists(cmd.key);
+            t ? t->exists_in_batch(cmd.key) : s.map->exists(cmd.key);
         return encode_integer(found ? 1 : 0);
       }
       default:
@@ -524,132 +521,86 @@ struct Server::Impl {
     }
   }
 
-  /// Executes one command against the shard's map.  `in_tx` means the
-  /// caller opened the batch transaction; otherwise mutations run their
-  /// own.
-  std::string exec(Shard& s, const Command& cmd, bool in_tx) {
-    if (s.tier) return exec_tiered(s, cmd, in_tx);
-    switch (cmd.verb) {
-      case Verb::Get: {
-        const std::optional<std::string> v = s.map->get(cmd.key);
-        return v.has_value() ? encode_bulk(*v) : encode_null_bulk();
-      }
-      case Verb::Set:
-        if (in_tx)
-          s.map->put_in_tx(cmd.key, cmd.value);
-        else
-          s.map->put(cmd.key, cmd.value);
-        return encode_simple("OK");
-      case Verb::Del: {
-        const bool erased =
-            in_tx ? s.map->erase_in_tx(cmd.key) : s.map->erase(cmd.key);
-        return encode_integer(erased ? 1 : 0);
-      }
-      case Verb::Exists:
-        return encode_integer(s.map->exists(cmd.key) ? 1 : 0);
-      default:
-        return encode_error_reply(
-            api::Error{api::Errc::Internal, "unroutable verb"});
+  /// Runs requests [b, e) of `batch` as one unit, writing their replies.
+  /// The unit is ONE transaction if and only if any request in it mutates
+  /// — reads included, so a SET earlier in the unit is visible to a later
+  /// GET — and the tier's staged DRAM effects are committed or discarded
+  /// with it.  `batches` counts commits only.  The caller holds the tier
+  /// lock.
+  api::Result<void> run_unit(Shard& s, const std::vector<Request>& batch,
+                             std::size_t b, std::size_t e,
+                             std::vector<std::string>& replies) {
+    const bool mutating = std::any_of(
+        batch.begin() + static_cast<std::ptrdiff_t>(b),
+        batch.begin() + static_cast<std::ptrdiff_t>(e),
+        [](const Request& r) { return mutates(r.cmd.verb); });
+    const auto body = [&] {
+      for (std::size_t i = b; i < e; ++i) replies[i] = exec(s, batch[i].cmd);
+    };
+    const api::Result<void> done =
+        mutating ? s.pool->run_tx(body) : api::wrap(body);
+    if (s.tier) {
+      if (done.ok())
+        s.tier->commit_staged();
+      else
+        s.tier->discard_staged();
     }
+    if (done.ok() && mutating)
+      s.batches.fetch_add(1, std::memory_order_relaxed);
+    return done;
   }
 
-  /// Returns true when the shard surfaced a media failure and must
-  /// quarantine.  Every request in the batch is answered either way —
-  /// committed ops with their real reply, the rest (on a media failure)
-  /// with typed Unavailable.
+  /// Runs one batch and answers every request in it.  Returns true when
+  /// the shard surfaced a media failure and must quarantine.
   bool process_batch(Shard& s, std::vector<Request>& batch) {
     std::vector<std::string> replies(batch.size());
-    // First media failure surfaced while executing this batch; once set,
-    // the remaining requests are answered Unavailable without touching the
-    // (now suspect) pool again.
+    // Requests before `served` keep their replies.  After the first media
+    // failure the rest are answered Unavailable without touching the (now
+    // suspect) pool again.
+    std::size_t served = 0;
     std::optional<api::Error> media;
 
     // The serve-site fault point: where an injected device error (or
     // stall) enters the batch loop, upstream of the transaction, exactly
     // like a real EIO out of the mapping would.
-    if (const api::Result<void> probe = api::wrap([&] {
-          pmemkit::fault_point(pmemkit::FaultSite::Serve,
-                               "shard " + std::to_string(s.index));
-        });
-        !probe.ok()) {
+    const api::Result<void> probe = api::wrap([&] {
+      pmemkit::fault_point(pmemkit::FaultSite::Serve,
+                           "shard " + std::to_string(s.index));
+    });
+    if (!probe.ok()) {
       media = probe.error();
-      for (std::size_t i = 0; i < batch.size(); ++i)
-        replies[i] = quarantine_reply(s, *media);
-    }
-    const bool any_mutation =
-        std::any_of(batch.begin(), batch.end(),
-                    [](const Request& r) { return mutates(r.cmd.verb); });
-    if (!media && any_mutation) {
-      // The whole batch — reads included, so a SET earlier in the burst is
-      // visible to a later GET — under ONE transaction: one lane, one
-      // commit fence amortized across the burst.  With the tier on, the
-      // tier's lock spans the transaction AND the staged-DRAM apply, so
-      // the promotion lane never observes a half-applied batch and an
-      // abort leaves the DRAM tier exactly as it was.
-      api::Result<void> committed;
-      {
-        std::unique_lock<std::mutex> tier_lock;
-        if (s.tier) tier_lock = s.tier->batch_lock();
-        committed = s.pool->run_tx([&] {
-          for (std::size_t i = 0; i < batch.size(); ++i)
-            replies[i] = exec(s, batch[i].cmd, /*in_tx=*/true);
-        });
-        if (s.tier) {
-          if (committed.ok())
-            s.tier->commit_staged();
-          else
-            s.tier->discard_staged();
-        }
-      }
-      if (committed.ok()) {
-        s.batches.fetch_add(1, std::memory_order_relaxed);
-      } else if (media_failure(committed.error().code)) {
-        // The abort was the media, not the workload: nothing committed, so
-        // every request is answerable with Unavailable and the shard heads
-        // into quarantine.
-        media = committed.error();
-        for (std::size_t i = 0; i < batch.size(); ++i)
-          replies[i] = quarantine_reply(s, *media);
+    } else {
+      // The whole batch is one unit: one lane, one commit fence amortized
+      // across the burst.  The tier lock spans every unit of the batch, so
+      // the promotion lane never observes a half-applied one.
+      const std::unique_lock<std::mutex> tier_lock =
+          s.tier ? s.tier->batch_lock() : std::unique_lock<std::mutex>();
+      const api::Result<void> whole =
+          run_unit(s, batch, 0, batch.size(), replies);
+      if (whole.ok()) {
+        served = batch.size();
+      } else if (media_failure(whole.error().code)) {
+        media = whole.error();  // nothing committed: all answer Unavailable
       } else {
-        // The batch aborted wholesale (nothing committed).  Retry each
-        // request in its own transaction so one poisoned operation (say,
+        // The batch aborted wholesale (nothing committed).  Rerun each
+        // request as its own unit so one poisoned operation (say,
         // OutOfSpace on an oversized SET) fails alone, with a precise
         // error, instead of failing its batchmates.
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (media) {
-            replies[i] = quarantine_reply(s, *media);
-            continue;
-          }
-          const api::Result<void> one = api::wrap(
-              [&] { replies[i] = exec(s, batch[i].cmd, /*in_tx=*/false); });
-          if (one.ok()) {
-            s.batches.fetch_add(1, std::memory_order_relaxed);
-          } else if (media_failure(one.error().code)) {
-            media = one.error();
-            replies[i] = quarantine_reply(s, *media);
-          } else {
-            replies[i] = encode_error_reply(one.error());
-          }
-        }
-      }
-    } else if (!media) {
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (media) {
-          replies[i] = quarantine_reply(s, *media);
-          continue;
-        }
-        const api::Result<void> one = api::wrap(
-            [&] { replies[i] = exec(s, batch[i].cmd, /*in_tx=*/false); });
-        if (!one.ok()) {
+        for (; served < batch.size(); ++served) {
+          const api::Result<void> one =
+              run_unit(s, batch, served, served + 1, replies);
+          if (one.ok()) continue;
           if (media_failure(one.error().code)) {
             media = one.error();
-            replies[i] = quarantine_reply(s, *media);
-          } else {
-            replies[i] = encode_error_reply(one.error());
+            break;
           }
+          replies[served] = encode_error_reply(one.error());
         }
       }
     }
+    if (media)
+      for (std::size_t i = served; i < batch.size(); ++i)
+        replies[i] = quarantine_reply(s, *media);
     // Stats before acks: a client that reads INFO right after its last
     // reply must see this batch counted.
     s.ops.fetch_add(batch.size(), std::memory_order_relaxed);
@@ -680,8 +631,8 @@ struct Server::Impl {
     // the tier's promotion lane may concurrently read — hold the tier lock
     // for the pass.
     const api::Result<pmemkit::CompactReport> pass = api::wrap([&] {
-      std::unique_lock<std::mutex> tier_lock;
-      if (s.tier) tier_lock = s.tier->batch_lock();
+      const std::unique_lock<std::mutex> tier_lock =
+          s.tier ? s.tier->batch_lock() : std::unique_lock<std::mutex>();
       return s.map->compact();
     });
     if (!pass.ok()) return;
@@ -747,58 +698,62 @@ struct Server::Impl {
     return !stopping.load(std::memory_order_acquire);
   }
 
+  /// Opens (or creates) the shard's pool and builds its map and tier:
+  /// the one path for start() and for every rejoin.
+  api::Result<void> open_shard(Shard& s) {
+    api::PoolSpec spec;
+    spec.file = opts.pool_stem + "-" + std::to_string(s.index) + ".pool";
+    spec.size = opts.pool_size_bytes;
+    api::Result<api::Pool> pool =
+        rt->open_or_create_pool(opts.ns, "cxlpmemd-kv", spec);
+    if (!pool.ok()) return pool.error();
+    const api::Result<void> built = api::wrap([&] {
+      const std::lock_guard<std::mutex> pool_lock(s.pool_mu);
+      s.pool.emplace(std::move(pool).value());
+      s.map.emplace(s.pool->pmem());  // e.g. TypeMismatch on reopen
+      if (opts.tier) {
+        tierkv::TierOptions to;
+        to.codec = opts.tier_codec;
+        to.dram_bytes = tier_shard_budget;
+        s.tier = std::make_unique<tierkv::TieredCache>(*s.map, std::move(to));
+      }
+    });
+    if (!built.ok()) {
+      close_shard(s);
+      return built.error();
+    }
+    s.keys.store(s.map->size(), std::memory_order_relaxed);
+    return {};
+  }
+
+  /// Tears the shard down under pool_mu (the info thread reads pool
+  /// stats).  Order matters — the tier's promotion lane reads the map, the
+  /// map points into the pool.  Closing the pool also releases its
+  /// mapping, so a reopen gets a fresh view of the (possibly repaired)
+  /// media.
+  void close_shard(Shard& s) {
+    const std::lock_guard<std::mutex> pool_lock(s.pool_mu);
+    s.tier.reset();
+    s.map.reset();
+    s.pool.reset();
+  }
+
   /// The self-healing pass: tear the shard's pool down, then try bounded
   /// reopen-with-recovery attempts with doubling backoff.  Returns true on
   /// rejoin, false when the attempts are exhausted (or stop() arrived).
   bool recover_shard(Shard& s) {
     s.quarantined.store(true, std::memory_order_release);
     s.quarantines.fetch_add(1, std::memory_order_relaxed);
-    // Teardown under pool_mu: the info thread reads pool stats.  Order
-    // matters — the tier's promotion lane reads the map, the map points
-    // into the pool.  Closing the pool also releases its mapping, so a
-    // reopen gets a fresh view of the (possibly repaired) media.
-    {
-      const std::lock_guard<std::mutex> pool_lock(s.pool_mu);
-      s.tier.reset();
-      s.map.reset();
-      s.pool.reset();
-    }
+    close_shard(s);
     drain_unavailable(s);  // requests that raced the quarantine flag
-    api::PoolSpec spec;
-    spec.file = opts.pool_stem + "-" + std::to_string(s.index) + ".pool";
-    spec.size = opts.pool_size_bytes;
     for (int attempt = 0; attempt < opts.reopen_attempts; ++attempt) {
       if (!backoff_wait(s, static_cast<std::uint64_t>(opts.reopen_backoff_ms)
                                << attempt))
         return false;  // stopping — leave the shard down, stop() drains
-      api::Result<api::Pool> pool =
-          rt->open_or_create_pool(opts.ns, "cxlpmemd-kv", spec);
-      if (!pool.ok()) {
+      if (!open_shard(s).ok()) {
         s.reopen_failures.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      const api::Result<void> rebuilt = api::wrap([&] {
-        const std::lock_guard<std::mutex> pool_lock(s.pool_mu);
-        s.pool.emplace(std::move(pool).value());
-        s.map.emplace(s.pool->pmem());
-        if (opts.tier) {
-          tierkv::TierOptions to;
-          to.codec = opts.tier_codec;
-          to.dram_bytes = tier_shard_budget;
-          to.prefetch = opts.tier_prefetch;
-          s.tier = std::make_unique<tierkv::TieredCache>(*s.map,
-                                                         std::move(to));
-        }
-      });
-      if (!rebuilt.ok()) {
-        const std::lock_guard<std::mutex> pool_lock(s.pool_mu);
-        s.tier.reset();
-        s.map.reset();
-        s.pool.reset();
-        s.reopen_failures.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      s.keys.store(s.map->size(), std::memory_order_relaxed);
       s.rejoins.fetch_add(1, std::memory_order_relaxed);
       s.quarantined.store(false, std::memory_order_release);
       return true;
@@ -910,26 +865,10 @@ api::Result<std::unique_ptr<Server>> Server::start(api::Runtime& rt,
 
   // Shard pools: one file per shard, a disjoint keyspace each.
   for (int i = 0; i < opts.shards; ++i) {
-    api::PoolSpec spec;
-    spec.file = opts.pool_stem + "-" + std::to_string(i) + ".pool";
-    spec.size = opts.pool_size_bytes;
-    api::Result<api::Pool> pool =
-        rt.open_or_create_pool(opts.ns, "cxlpmemd-kv", spec);
-    if (!pool.ok()) return pool.error();
-    const api::Result<void> bound = api::wrap([&] {
-      auto shard = std::make_unique<Shard>(std::move(pool).value(), i);
-      if (opts.tier) {
-        tierkv::TierOptions to;
-        to.codec = opts.tier_codec;
-        to.dram_bytes = tier_shard_budget;
-        to.prefetch = opts.tier_prefetch;
-        shard->tier =
-            std::make_unique<tierkv::TieredCache>(*shard->map, std::move(to));
-      }
-      impl->shards.push_back(std::move(shard));
-    });
-    if (!bound.ok()) return bound.error();  // e.g. TypeMismatch on reopen
-    impl->paths.push_back(impl->shards.back()->pool->pmem().path());
+    Shard& shard = *impl->shards.emplace_back(std::make_unique<Shard>(i));
+    const api::Result<void> opened = impl->open_shard(shard);
+    if (!opened.ok()) return opened.error();
+    impl->paths.push_back(shard.pool->pmem().path());
   }
 
   // Worker placement labels: cores of the namespace's NUMA node (or the

@@ -8,12 +8,20 @@
 //   accept connections          own ONE pool file (kvshard-<i>.pool)
 //   read + parse RESP           own a disjoint keyspace (hash routing)
 //   route keyed commands  --->  drain queue in request order
-//   answer PING/INFO            fold each batch into ONE transaction
+//   answer PING/INFO            run each batch as ONE unit
 //                               (LaneSession: one pinned lane, one
 //                                commit fence per burst of SETs)
 //                               reply only after the commit  ----+
 //                                                                |
 //          per-connection sequencer (responses in request order) +--> socket
+//
+// How a batch runs: every request executes inside a unit, and a unit is
+// one transaction if and only if any of its requests mutates (a read-only
+// burst commits nothing).  The whole batch is tried as one unit first; if
+// it aborts for a reason other than the media, each request reruns as its
+// own unit, so one poisoned request (say, OutOfSpace) fails alone.  With
+// the tier on, the tier's lock spans the whole batch and its staged DRAM
+// effects are committed or discarded with each unit.
 //
 // Shards never share mutable pool state — key-hash routing gives each
 // worker a disjoint keyspace and its own pool, so the data path takes no
@@ -68,15 +76,15 @@ struct ServerOptions {
   std::uint64_t compact_min_live_bytes = 1ull << 20;
   /// Tiered DRAM front-end (tierkv): hot values served from a per-shard
   /// DRAM cache while every entry's authoritative copy stays a compressed,
-  /// fingerprinted block in the shard pool.  Strictly write-through here —
-  /// a SET's cold block lands inside the batch transaction before the ack,
-  /// so the durability contract is identical to the untiered map.
+  /// fingerprinted block in the shard pool.  The tier is write-through — a
+  /// SET's cold block lands inside the batch transaction before the ack,
+  /// so the durability contract is identical to the untiered map — and
+  /// runs tierkv's default prefetcher on the GETs.
   bool tier = false;
   /// Total DRAM budget across all shards; 0 = derive from the machine via
   /// the placement advisor (tierkv::derive_dram_budget).
   std::uint64_t tier_dram_bytes = 0;
   std::string tier_codec = "lz";  ///< cold-block codec: "lz" | "identity"
-  bool tier_prefetch = true;      ///< access-history prefetcher on the GETs
   /// Overload shedding: a shard whose request queue reaches this depth
   /// answers Errc::Busy instead of queueing — bounded memory, bounded
   /// latency, and a typed signal the client's retry loop understands.
@@ -97,7 +105,7 @@ struct ShardInfo {
   int core = -1;                 ///< numakit-assigned CoreId label
   std::uint64_t ops = 0;         ///< requests served
   std::uint64_t batches = 0;     ///< transactions committed for them
-  std::uint64_t keys = 0;        ///< live keys after the last batch
+  std::uint64_t keys = 0;        ///< live keys (at open, after each batch)
   std::uint32_t layout_version = 0;  ///< pool on-media format version
   double fragmentation = 0.0;    ///< heap fragmentation (1 - live/reserved)
   std::uint64_t resizes = 0;     ///< pool resize() count (since open)

@@ -28,6 +28,19 @@ void add_signed(std::atomic<std::uint64_t>& c, std::int64_t d) noexcept {
   c.fetch_add(static_cast<std::uint64_t>(d), std::memory_order_relaxed);
 }
 
+/// Runs `tier`'s batch calls in `body` as a batch of one, in their own
+/// transaction on `pool`.  The caller holds the tier lock.
+template <typename F>
+void run_alone(TieredCache& tier, pmemkit::ObjectPool& pool, F&& body) {
+  try {
+    pool.run_tx(std::forward<F>(body));
+  } catch (...) {
+    tier.discard_staged();
+    throw;
+  }
+  tier.commit_staged();
+}
+
 }  // namespace
 
 TieredCache::TieredCache(service::DurableMap& cold, TierOptions opts)
@@ -66,12 +79,11 @@ void TieredCache::observe_access(std::string_view key) {
 }
 
 void TieredCache::hot_insert(std::string_view key, std::string_view value,
-                             bool prefetched, bool dirty) {
+                             bool prefetched) {
   auto [it, fresh] = hot_.try_emplace(std::string(key));
   Hot& h = it->second;
   h.value.assign(value);
   h.prefetched = prefetched;
-  h.dirty = dirty;
   h.slot = clock_.acquire();
   if (h.slot >= slot_keys_.size()) slot_keys_.resize(h.slot + 1, nullptr);
   slot_keys_[h.slot] = &it->first;
@@ -99,66 +111,40 @@ void TieredCache::hot_erase(HotMap::iterator it, bool count_demotion) {
   counters_.dram_entries.store(hot_.size(), std::memory_order_relaxed);
 }
 
-void TieredCache::demote(HotMap::iterator victim) {
-  Hot& h = victim->second;
-  if (h.dirty) {
-    // Write-back demotion: the DRAM copy is the only copy.  Compress, then
-    // prove the block can reproduce the raw bytes *before* the raw copy is
-    // dropped — a codec bug must surface here, not at some future GET.
-    std::string block = encode_block(codec_, h.value);
-    std::string check;
-    if (decode_block(block, check).has_value() || check != h.value)
-      block = encode_block(nullptr, h.value);  // stored-raw always verifies
-    std::int64_t d_raw = 0;
-    std::int64_t d_comp = 0;
-    if (const auto prior = cold_->get(victim->first)) {
-      d_comp -= static_cast<std::int64_t>(prior->size());
-      const auto rl = block_raw_len(*prior);
-      d_raw -= static_cast<std::int64_t>(rl ? *rl : prior->size());
-    }
-    d_raw += static_cast<std::int64_t>(h.value.size());
-    d_comp += static_cast<std::int64_t>(block.size());
-    cold_->put(victim->first, block);
-    add_signed(counters_.raw_bytes, d_raw);
-    add_signed(counters_.compressed_bytes, d_comp);
-  }
-  hot_erase(victim, /*count_demotion=*/true);
-}
-
+// Demotion drops the DRAM copy: every entry is already durable in the
+// cold tier.
 bool TieredCache::ensure_room(std::uint64_t need) {
   if (need > opts_.dram_bytes) return false;
   while (dram_used_ + need > opts_.dram_bytes) {
     const std::uint32_t v = clock_.next_victim();
     if (v == ClockRing::kNoSlot) return false;
-    demote(hot_.find(*slot_keys_[v]));
+    hot_erase(hot_.find(*slot_keys_[v]), /*count_demotion=*/true);
   }
   return true;
 }
 
 void TieredCache::hot_admit(std::string_view key, std::string_view value,
-                            bool prefetched, bool dirty) {
+                            bool prefetched) {
   const std::uint64_t need = entry_bytes(key, value);
   if (need > opts_.dram_bytes) return;
   // TinyLFU gate: when admission would evict, the candidate must out-earn
   // the CLOCK victim.  Prefetched promotions skip the gate — a predicted
-  // key has no frequency history yet, that is the point of predicting it —
-  // and dirty write-back data skips it because it has nowhere else to live.
-  if (!prefetched && !dirty && dram_used_ + need > opts_.dram_bytes) {
+  // key has no frequency history yet, that is the point of predicting it.
+  if (!prefetched && dram_used_ + need > opts_.dram_bytes) {
     const std::uint32_t v = clock_.next_victim();
     if (v == ClockRing::kNoSlot) return;
     if (!sketch_.admit(fnv1a(key), fnv1a(*slot_keys_[v]))) return;
-    demote(hot_.find(*slot_keys_[v]));
+    hot_erase(hot_.find(*slot_keys_[v]), /*count_demotion=*/true);
   }
   if (!ensure_room(need)) return;
-  hot_insert(key, value, prefetched, dirty);
+  hot_insert(key, value, prefetched);
 }
 
 // ---------------------------------------------------------------------------
 // Cold tier plumbing (mu_ held; cold blocks via the codec seam)
 
 void TieredCache::cold_put(std::string_view key, std::string_view value,
-                           bool in_tx, std::int64_t* d_raw,
-                           std::int64_t* d_comp) {
+                           std::int64_t* d_raw, std::int64_t* d_comp) {
   const std::string block = encode_block(codec_, value);
   *d_raw = static_cast<std::int64_t>(value.size());
   *d_comp = static_cast<std::int64_t>(block.size());
@@ -167,20 +153,17 @@ void TieredCache::cold_put(std::string_view key, std::string_view value,
     const auto rl = block_raw_len(*prior);
     *d_raw -= static_cast<std::int64_t>(rl ? *rl : prior->size());
   }
-  if (in_tx)
-    cold_->put_in_tx(key, block);
-  else
-    cold_->put(key, block);
+  cold_->put_in_tx(key, block);
 }
 
-bool TieredCache::cold_erase(std::string_view key, bool in_tx,
-                             std::int64_t* d_raw, std::int64_t* d_comp) {
+bool TieredCache::cold_erase(std::string_view key, std::int64_t* d_raw,
+                             std::int64_t* d_comp) {
   const auto prior = cold_->get(key);
   if (!prior) return false;
   *d_comp = -static_cast<std::int64_t>(prior->size());
   const auto rl = block_raw_len(*prior);
   *d_raw = -static_cast<std::int64_t>(rl ? *rl : prior->size());
-  return in_tx ? cold_->erase_in_tx(key) : cold_->erase(key);
+  return cold_->erase_in_tx(key);
 }
 
 std::optional<std::string> TieredCache::cold_get(std::string_view key) {
@@ -196,104 +179,34 @@ std::optional<std::string> TieredCache::cold_get(std::string_view key) {
 }
 
 // ---------------------------------------------------------------------------
-// Own-transaction operations
+// Own-transaction operations: the batch calls as a batch of one
 
 void TieredCache::put(std::string_view key, std::string_view value) {
-  std::lock_guard<std::mutex> lk(mu_);
-  const std::string k(key);
-  sketch_.record(fnv1a(k));
-  if (opts_.write_back) {
-    if (const auto it = hot_.find(k); it != hot_.end()) {
-      dram_used_ -= entry_bytes(k, it->second.value);
-      it->second.value.assign(value);
-      it->second.dirty = true;
-      it->second.prefetched = false;
-      dram_used_ += entry_bytes(k, it->second.value);
-      clock_.touch(it->second.slot);
-      counters_.dram_bytes_used.store(dram_used_, std::memory_order_relaxed);
-      ensure_room(0);  // the grown value may have blown the budget
-      return;
-    }
-    hot_admit(k, value, /*prefetched=*/false, /*dirty=*/true);
-    if (hot_.count(k) != 0) return;  // lives dirty in DRAM until demoted
-  }
-  std::int64_t d_raw = 0;
-  std::int64_t d_comp = 0;
-  cold_put(k, value, /*in_tx=*/false, &d_raw, &d_comp);
-  add_signed(counters_.raw_bytes, d_raw);
-  add_signed(counters_.compressed_bytes, d_comp);
-  if (const auto it = hot_.find(k); it != hot_.end()) {
-    dram_used_ -= entry_bytes(k, it->second.value);
-    it->second.value.assign(value);
-    it->second.dirty = false;
-    it->second.prefetched = false;
-    dram_used_ += entry_bytes(k, it->second.value);
-    clock_.touch(it->second.slot);
-    counters_.dram_bytes_used.store(dram_used_, std::memory_order_relaxed);
-    ensure_room(0);
-  } else {
-    // Write-allocate through the same admission filter demand misses use.
-    hot_admit(k, value, /*prefetched=*/false, /*dirty=*/false);
-  }
+  const std::lock_guard<std::mutex> lk(mu_);
+  run_alone(*this, cold_->pool(), [&] { put_in_tx(key, value); });
 }
 
 std::optional<std::string> TieredCache::get(std::string_view key) {
-  std::lock_guard<std::mutex> lk(mu_);
-  const std::string k(key);
-  observe_access(k);
-  if (const auto it = hot_.find(k); it != hot_.end()) {
-    counters_.hits.fetch_add(1, std::memory_order_relaxed);
-    clock_.touch(it->second.slot);
-    if (it->second.prefetched) {
-      counters_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-      prefetcher_.credit(k, /*useful=*/true);
-      it->second.prefetched = false;
-    }
-    return it->second.value;
-  }
-  auto raw = cold_get(k);
-  if (!raw) return std::nullopt;  // absent is neither hit nor miss
-  counters_.misses.fetch_add(1, std::memory_order_relaxed);
-  hot_admit(k, *raw, /*prefetched=*/false, /*dirty=*/false);
-  if (hot_.count(k) != 0) {
-    counters_.promotions.fetch_add(1, std::memory_order_relaxed);
-    counters_.bytes_moved.fetch_add(raw->size(), std::memory_order_relaxed);
-  }
-  return raw;
+  const std::lock_guard<std::mutex> lk(mu_);
+  return get_in_batch(key);
 }
 
 bool TieredCache::erase(std::string_view key) {
-  std::lock_guard<std::mutex> lk(mu_);
-  const std::string k(key);
-  bool hot_existed = false;
-  if (const auto it = hot_.find(k); it != hot_.end()) {
-    hot_existed = true;
-    hot_erase(it, /*count_demotion=*/false);
-  }
-  std::int64_t d_raw = 0;
-  std::int64_t d_comp = 0;
-  const bool cold_erased = cold_erase(k, /*in_tx=*/false, &d_raw, &d_comp);
-  if (cold_erased) {
-    add_signed(counters_.raw_bytes, d_raw);
-    add_signed(counters_.compressed_bytes, d_comp);
-  }
-  return cold_erased || hot_existed;  // write-back: entry may be hot-only
+  const std::lock_guard<std::mutex> lk(mu_);
+  bool erased = false;
+  run_alone(*this, cold_->pool(), [&] { erased = erase_in_tx(key); });
+  return erased;
 }
 
 bool TieredCache::exists(std::string_view key) {
-  std::lock_guard<std::mutex> lk(mu_);
-  const std::string k(key);
-  return hot_.count(k) != 0 || cold_->exists(k);
+  const std::lock_guard<std::mutex> lk(mu_);
+  return exists_in_batch(key);
 }
 
 // ---------------------------------------------------------------------------
 // Batch composition (caller holds batch_lock() and the transaction)
 
 std::unique_lock<std::mutex> TieredCache::batch_lock() {
-  if (opts_.write_back)
-    throw pmemkit::TxError(
-        pmemkit::ErrKind::TxMisuse,
-        "tierkv: batch composition requires write-through mode");
   return std::unique_lock<std::mutex>(mu_);
 }
 
@@ -303,7 +216,7 @@ void TieredCache::put_in_tx(std::string_view key, std::string_view value) {
   StagedOp op;
   op.key = k;
   op.value.emplace(value);
-  cold_put(k, value, /*in_tx=*/true, &op.d_raw, &op.d_comp);
+  cold_put(k, value, &op.d_raw, &op.d_comp);
   staged_.push_back(std::move(op));
 }
 
@@ -311,7 +224,7 @@ bool TieredCache::erase_in_tx(std::string_view key) {
   const std::string k(key);
   StagedOp op;
   op.key = k;
-  if (!cold_erase(k, /*in_tx=*/true, &op.d_raw, &op.d_comp)) return false;
+  if (!cold_erase(k, &op.d_raw, &op.d_comp)) return false;
   staged_.push_back(std::move(op));
   return true;
 }
@@ -343,7 +256,7 @@ std::optional<std::string> TieredCache::get_in_batch(std::string_view key) {
   auto raw = cold_get(k);
   if (!raw) return std::nullopt;
   counters_.misses.fetch_add(1, std::memory_order_relaxed);
-  hot_admit(k, *raw, /*prefetched=*/false, /*dirty=*/false);
+  hot_admit(k, *raw, /*prefetched=*/false);
   if (hot_.count(k) != 0) {
     counters_.promotions.fetch_add(1, std::memory_order_relaxed);
     counters_.bytes_moved.fetch_add(raw->size(), std::memory_order_relaxed);
@@ -375,7 +288,7 @@ void TieredCache::commit_staged() {
       clock_.touch(it->second.slot);
       counters_.dram_bytes_used.store(dram_used_, std::memory_order_relaxed);
     } else {
-      hot_admit(op.key, *op.value, /*prefetched=*/false, /*dirty=*/false);
+      hot_admit(op.key, *op.value, /*prefetched=*/false);
     }
   }
   staged_.clear();
@@ -413,7 +326,7 @@ std::size_t TieredCache::promote_one_locked(const std::string& key) {
     prefetcher_.credit(key, /*useful=*/false);  // predicted past the run
     return 0;
   }
-  hot_admit(key, *raw, /*prefetched=*/true, /*dirty=*/false);
+  hot_admit(key, *raw, /*prefetched=*/true);
   if (hot_.count(key) == 0) {
     prefetcher_.credit(key, /*useful=*/false);
     return 0;

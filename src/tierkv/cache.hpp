@@ -9,21 +9,18 @@
 // promotes cold entries ahead of demand through a background promotion
 // lane.  Admission and eviction are W-TinyLFU over CLOCK (tierkv/policy.hpp).
 //
-// Durability modes:
-//   write-through (default, what cxlpmemd runs) — put() lands the
-//     compressed block in the cold pool inside the caller's transaction
-//     (or its own); the DRAM copy is strictly a cache.  Ack-after-commit
-//     semantics are therefore identical to the untiered map: anything
-//     acknowledged is durable, kill -9 notwithstanding.
-//   write-back (bench/ablation only) — put() may live in DRAM alone until
-//     eviction *demotes* it: compress, decode-and-verify the block against
-//     the raw bytes, then store — the raw copy is dropped only after the
-//     block proved it can reproduce it.
+// Durability: write-through.  put() lands the compressed block in the cold
+// pool inside a transaction (the caller's, or its own); the DRAM copy is
+// strictly a cache, so demoting an entry just drops it.  Ack-after-commit
+// semantics are therefore identical to the untiered map: anything
+// acknowledged is durable, kill -9 notwithstanding.
 //
 // Threading: one owner thread drives puts/gets (the shard worker), the
-// promotion lane is a second thread.  One mutex guards all tier state; the
-// batch composition API hands that mutex to the caller for the span of a
-// server batch so the lane never observes a half-applied transaction.
+// promotion lane is a second thread.  One mutex guards all tier state.
+// Every operation runs through the batch API below: the server holds the
+// mutex (batch_lock) for a whole batch, and the own-transaction calls are
+// that same path for a batch of one, so the lane never observes a
+// half-applied transaction.
 #pragma once
 
 #include <condition_variable>
@@ -65,8 +62,6 @@ struct TierOptions {
   /// Predictions beyond this are dropped oldest-first (a stalled lane must
   /// not grow an unbounded queue of stale guesses).
   std::size_t max_promotion_queue = 4096;
-  /// Write-back mode (see file header).  The server never enables this.
-  bool write_back = false;
 };
 
 /// The engine.  Throwing API (pmemkit discipline — it composes under
@@ -81,6 +76,8 @@ class TieredCache {
   TieredCache& operator=(const TieredCache&) = delete;
 
   // --- own-transaction operations (thread-safe vs the promotion lane) ------
+  // Each takes the tier lock and runs the batch call below as a batch of
+  // one: put/erase in their own transaction, then commit_staged().
   void put(std::string_view key, std::string_view value);
   [[nodiscard]] std::optional<std::string> get(std::string_view key);
   bool erase(std::string_view key);
@@ -93,7 +90,7 @@ class TieredCache {
   // aborted) while still holding the lock.  DRAM-tier effects of mutations
   // are staged so an aborted transaction leaves the DRAM tier exactly as it
   // was — the cache can never serve a value whose commit never happened.
-  // Write-through only (write_back + batch composition throws TxMisuse).
+  // Nothing is staged while the lock is free.
   [[nodiscard]] std::unique_lock<std::mutex> batch_lock();
   void put_in_tx(std::string_view key, std::string_view value);
   bool erase_in_tx(std::string_view key);
@@ -122,22 +119,20 @@ class TieredCache {
     std::string value;
     std::uint32_t slot = 0;
     bool prefetched = false;  ///< promoted by the lane, not yet touched
-    bool dirty = false;       ///< write-back: DRAM newer than cold
   };
   using HotMap = std::unordered_map<std::string, Hot>;
 
   // All private helpers assume mu_ is held.
   void observe_access(std::string_view key);
   void hot_admit(std::string_view key, std::string_view value,
-                 bool prefetched, bool dirty);
+                 bool prefetched);
   void hot_insert(std::string_view key, std::string_view value,
-                  bool prefetched, bool dirty);
+                  bool prefetched);
   void hot_erase(HotMap::iterator it, bool count_demotion);
   bool ensure_room(std::uint64_t need);
-  void demote(HotMap::iterator victim);
-  void cold_put(std::string_view key, std::string_view value, bool in_tx,
+  void cold_put(std::string_view key, std::string_view value,
                 std::int64_t* d_raw, std::int64_t* d_comp);
-  bool cold_erase(std::string_view key, bool in_tx, std::int64_t* d_raw,
+  bool cold_erase(std::string_view key, std::int64_t* d_raw,
                   std::int64_t* d_comp);
   [[nodiscard]] std::optional<std::string> cold_get(std::string_view key);
   void enqueue_predictions(std::vector<std::string> keys);

@@ -13,6 +13,7 @@
 
 #include "core/core.hpp"
 #include "pmemkit/crash_hook.hpp"
+#include "temp_path.hpp"
 
 namespace core = cxlpmem::core;
 namespace pk = cxlpmem::pmemkit;
@@ -41,17 +42,15 @@ void crash_store(std::unique_ptr<core::CheckpointStore>& store,
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("cptest-" + std::to_string(::getpid()) + "-" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    fs::remove_all(dir_);
     setup_ = profiles::make_setup_one();
     ns_ = std::make_unique<core::DaxNamespace>(
-        "pmem2", dir_ / "pmem2", setup_.machine, setup_.cxl, false);
+        "pmem2", dir_.path() / "pmem2", setup_.machine, setup_.cxl, false);
   }
-  void TearDown() override { fs::remove_all(dir_); }
 
-  fs::path dir_;
+  // Declared first, so it is removed after the namespace closes.
+  const TempPath dir_{
+      "cptest",
+      ::testing::UnitTest::GetInstance()->current_test_info()->name()};
   profiles::SetupOne setup_;
   std::unique_ptr<core::DaxNamespace> ns_;
 };
@@ -138,7 +137,7 @@ TEST_F(CheckpointTest, EmptyPayloadIsAValidEpoch) {
 }
 
 TEST_F(CheckpointTest, VolatileNamespaceNeedsOptIn) {
-  core::DaxNamespace pmem0("pmem0", dir_ / "pmem0", setup_.machine,
+  core::DaxNamespace pmem0("pmem0", dir_.path() / "pmem0", setup_.machine,
                            setup_.ddr5_socket0, true);
   EXPECT_THROW(core::CheckpointStore(pmem0, "cp.pool", 1024), pk::PoolError);
   EXPECT_NO_THROW(core::CheckpointStore(pmem0, "cp.pool", 1024, true));

@@ -14,6 +14,7 @@
 #include "pmemkit/introspect.hpp"
 #include "pmemkit/pmemkit.hpp"
 #include "pmemkit/resource.hpp"
+#include "temp_path.hpp"
 
 namespace pk = cxlpmem::pmemkit;
 namespace fs = std::filesystem;
@@ -30,13 +31,6 @@ constexpr std::uint64_t kObjBytes = 8000;
 struct CompactRoot {
   pk::ObjId slots[kSlots];
 };
-
-fs::path scratch(const std::string& name) {
-  const fs::path p = fs::temp_directory_path() /
-                     ("compact-" + std::to_string(::getpid()) + "-" + name);
-  fs::remove(p);
-  return p;
-}
 
 void fill_payload(unsigned char* data, std::uint64_t seq) {
   for (std::uint64_t b = 8; b < kObjBytes; ++b)
@@ -105,7 +99,7 @@ std::vector<pk::ObjId*> root_refs(pk::ObjectPool& pool,
 }  // namespace
 
 TEST(CompactTest, InPoolSlotsFragmentationDrops) {
-  const fs::path path = scratch("inpool.pool");
+  const TempPath path("compact", "inpool.pool");
   pk::FileResource resource(path);
   auto pool = pk::ObjectPool::create(resource, "compact-test",
                                      pk::ObjectPool::min_pool_size());
@@ -131,7 +125,7 @@ TEST(CompactTest, InPoolSlotsFragmentationDrops) {
 }
 
 TEST(CompactTest, VolatileSlotsAreRewritten) {
-  const fs::path path = scratch("volatile.pool");
+  const TempPath path("compact", "volatile.pool");
   pk::FileResource resource(path);
   auto pool = pk::ObjectPool::create(resource, "compact-test",
                                      pk::ObjectPool::min_pool_size());
@@ -171,7 +165,7 @@ TEST(CompactTest, VolatileSlotsAreRewritten) {
 }
 
 TEST(CompactTest, ByteBudgetIsHonored) {
-  const fs::path path = scratch("budget.pool");
+  const TempPath path("compact", "budget.pool");
   pk::FileResource resource(path);
   auto pool = pk::ObjectPool::create(resource, "compact-test",
                                      pk::ObjectPool::min_pool_size());
@@ -199,9 +193,9 @@ TEST(CompactTest, ByteBudgetIsHonored) {
 // sweep's points x (setup + scenario) cost in check.
 TEST(CompactTest, CompactionCrashSweep) {
   constexpr std::uint32_t kSweepSlots = 24;
+  const TempPath path("compact", "sweep.pool");
   pk::CrashSimulator::Config cfg;
-  cfg.pool_path = fs::temp_directory_path() /
-                  ("compact-" + std::to_string(::getpid()) + "-sweep.pool");
+  cfg.pool_path = path;
   cfg.seed = 23;
 
   const auto setup = [](pk::ObjectPool& p) {

@@ -14,6 +14,7 @@
 
 #include "evolve_fixture.hpp"
 #include "pmemkit/crash_hook.hpp"
+#include "temp_path.hpp"
 
 namespace pk = cxlpmem::pmemkit;
 namespace fx = evolve_fixture;
@@ -22,13 +23,6 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr const char* kLayout = "resize-test";
-
-fs::path scratch(const std::string& name) {
-  const fs::path p = fs::temp_directory_path() /
-                     ("resize-" + std::to_string(::getpid()) + "-" + name);
-  fs::remove(p);
-  return p;
-}
 
 std::unique_ptr<pk::ObjectPool> make_pool(const fs::path& p,
                                           std::uint64_t size) {
@@ -71,7 +65,7 @@ struct HookGuard {
 }  // namespace
 
 TEST(ResizeTest, GrowIsImmediatelyUsable) {
-  const fs::path path = scratch("grow.pool");
+  const TempPath path("resize", "grow.pool");
   auto pool = make_pool(path, pk::ObjectPool::min_pool_size());
   const std::uint64_t before = fill_heap(*pool, nullptr);
   ASSERT_GT(before, 0u);
@@ -90,7 +84,7 @@ TEST(ResizeTest, GrowIsImmediatelyUsable) {
 }
 
 TEST(ResizeTest, GrowPersistsAcrossReopen) {
-  const fs::path path = scratch("grow-reopen.pool");
+  const TempPath path("resize", "grow-reopen.pool");
   const std::uint64_t grown =
       pk::ObjectPool::min_pool_size() + 8 * pk::kChunkSize;
   std::uint64_t filled = 0;
@@ -112,7 +106,7 @@ TEST(ResizeTest, GrowPersistsAcrossReopen) {
 }
 
 TEST(ResizeTest, ShrinkWithLiveTailIsRefused) {
-  const fs::path path = scratch("shrink-live.pool");
+  const TempPath path("resize", "shrink-live.pool");
   const std::uint64_t base = pk::ObjectPool::min_pool_size();
   auto pool = make_pool(path, base);
   fill_heap(*pool, nullptr);
@@ -133,7 +127,7 @@ TEST(ResizeTest, ShrinkWithLiveTailIsRefused) {
 }
 
 TEST(ResizeTest, ShrinkOfEmptyTailSucceeds) {
-  const fs::path path = scratch("shrink-empty.pool");
+  const TempPath path("resize", "shrink-empty.pool");
   const std::uint64_t base = pk::ObjectPool::min_pool_size();
   const std::uint64_t grown = base + 8 * pk::kChunkSize;
   auto pool = make_pool(path, base);
@@ -155,7 +149,7 @@ TEST(ResizeTest, ShrinkOfEmptyTailSucceeds) {
 }
 
 TEST(ResizeTest, ResizeInsideTransactionIsMisuse) {
-  const fs::path path = scratch("misuse-tx.pool");
+  const TempPath path("resize", "misuse-tx.pool");
   auto pool = make_pool(path, pk::ObjectPool::min_pool_size());
   const std::uint64_t grown =
       pk::ObjectPool::min_pool_size() + 8 * pk::kChunkSize;
@@ -177,7 +171,7 @@ TEST(ResizeTest, ResizeInsideTransactionIsMisuse) {
 // must land on wholly-old or wholly-new, the fixture payload intact either
 // way, and a follow-up resize must complete.
 TEST(ResizeTest, ResizeCrashSweep) {
-  const fs::path path = scratch("sweep.pool");
+  const TempPath path("resize", "sweep.pool");
   const std::uint64_t base = fx::fixture_pool_size();
   const std::uint64_t grown = base + 8 * pk::kChunkSize;
 
@@ -237,7 +231,7 @@ TEST(ResizeTest, ResizeCrashSweep) {
 // current size) must surface as ErrKind::Io, leave the pool fully usable,
 // and clear the marker it planted.
 TEST(ResizeTest, GrowPastFileSizeLimitIsIoError) {
-  const fs::path path = scratch("rlimit.pool");
+  const TempPath path("resize", "rlimit.pool");
   const std::uint64_t base = pk::ObjectPool::min_pool_size();
   auto pool = make_pool(path, base);
   pool->run_tx([&] { pool->tx_alloc(512, 3, /*zero=*/true); });

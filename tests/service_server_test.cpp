@@ -1,21 +1,27 @@
 // service_server_test — cxlpmemd's engine end to end, in process: an
 // embedded Server driven through the Client library over real loopback
 // sockets.  Covers the command surface, >= 8 concurrent connections,
-// pipelined ordering + read-your-writes, the error taxonomy over the wire,
-// protocol violations, graceful shutdown (drained transactions, zero busy
-// lanes on reopen) and the teardown race the TSan job hunts.
+// pipelined ordering + read-your-writes, the per-request fallback after a
+// batch aborts, the shard counters across a restart, the error taxonomy
+// over the wire, protocol violations, graceful shutdown (drained
+// transactions, zero busy lanes on reopen) and the teardown race the TSan
+// job hunts.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/cxlpmem.hpp"
+#include "pmemkit/faultkit.hpp"
 #include "pmemkit/introspect.hpp"
 #include "pmemkit/pool.hpp"
 #include "service/client.hpp"
@@ -57,6 +63,86 @@ class ServiceServerTest : public ::testing::Test {
     auto c = Client::connect(server_->port());
     EXPECT_TRUE(c.ok());
     return std::move(c).value();
+  }
+
+  /// The burst the fallback tests send: SET small, five SETs of
+  /// incompressible 4 MB values (the 16 MiB test pool holds only two of
+  /// them), then GET small.  Another connection's GET holds the shard
+  /// worker in an injected stall while the burst arrives, so the whole
+  /// burst lands in one batch, which aborts with OutOfSpace and falls back
+  /// to one unit per request.
+  std::vector<RespValue> send_out_of_space_burst() {
+    const std::vector<std::string>& big = big_values();
+    pmemkit::arm_faults(pmemkit::FaultPlan::parse("serve:stall@1+1000"));
+    std::thread holder([&] { (void)connect().get("hold"); });
+    const auto stalls = [] {
+      return pmemkit::fault_stats()
+          .injected[static_cast<int>(pmemkit::FaultKind::Stall)];
+    };
+    while (stalls() == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    Client c = connect();
+    c.queue_set("small", "s");
+    for (std::size_t i = 0; i < big.size(); ++i)
+      c.queue_set("big" + std::to_string(i), big[i]);
+    c.queue_get("small");
+    auto replies = c.flush();
+    holder.join();
+    pmemkit::clear_faults();
+    EXPECT_TRUE(replies.ok()) << replies.error().to_string();
+    return replies.ok() ? std::move(replies).value()
+                        : std::vector<RespValue>{};
+  }
+
+  /// What the fallback must deliver for that burst: the small SET and the
+  /// GET succeed, every SET answered OK reads back, and the rest fail
+  /// alone with OutOfSpace.  Returns how many SETs were answered OK.
+  std::size_t check_fallback(const std::vector<RespValue>& replies) {
+    const std::vector<std::string>& big = big_values();
+    EXPECT_EQ(replies.size(), big.size() + 2);
+    if (replies.size() != big.size() + 2) return 0;
+    EXPECT_EQ(replies.front().text, "OK");
+    EXPECT_EQ(replies.back().text, "s");
+    std::size_t ok = 1, out_of_space = 0;
+    Client c = connect();
+    for (std::size_t i = 0; i < big.size(); ++i) {
+      const RespValue& r = replies[i + 1];
+      const std::string key = "big" + std::to_string(i);
+      if (r.type == RespValue::Type::Error) {
+        EXPECT_EQ(service::decode_error_reply(r.text).code,
+                  api::Errc::OutOfSpace)
+            << key << ": " << r.text;
+        ++out_of_space;
+        continue;
+      }
+      EXPECT_EQ(r.text, "OK") << key;
+      // Not EXPECT_EQ: a mismatch would print both 4 MB values.
+      EXPECT_TRUE(c.get(key).value() == big[i]) << key << " did not read back";
+      ++ok;
+    }
+    EXPECT_GE(out_of_space, 1u) << "the burst fit the pool";
+    return ok;
+  }
+
+  /// Five incompressible 4,000,000-byte values (lz would shrink repetitive
+  /// ones until they fit).
+  static const std::vector<std::string>& big_values() {
+    static const std::vector<std::string> values = [] {
+      std::vector<std::string> out;
+      std::uint64_t x = 0x9E3779B97F4A7C15ull;
+      for (int v = 0; v < 5; ++v) {
+        std::string bytes(4000000, '\0');
+        for (std::size_t i = 0; i < bytes.size(); i += sizeof(x)) {
+          x ^= x << 13;  // xorshift64
+          x ^= x >> 7;
+          x ^= x << 17;
+          std::memcpy(&bytes[i], &x, std::min(sizeof(x), bytes.size() - i));
+        }
+        out.push_back(std::move(bytes));
+      }
+      return out;
+    }();
+    return values;
   }
 
   fs::path dir_;
@@ -196,6 +282,55 @@ TEST_F(ServiceServerTest, PipelinedBurstKeepsOrderAndReadsItsWrites) {
   }
   EXPECT_EQ(ops, 68u);
   EXPECT_GE(batches, 1u);
+}
+
+// A batch that aborts on OutOfSpace reruns each request as its own unit:
+// the requests that fit still commit, the rest fail alone.
+TEST_F(ServiceServerTest, PerRequestFallbackIsolatesOutOfSpace) {
+  service::ServerOptions opts;
+  opts.shards = 1;
+  start(opts);
+  check_fallback(send_out_of_space_burst());
+}
+
+// The same fallback through the tier: its staging is discarded with the
+// aborted batch and committed with each unit that fits.
+TEST_F(ServiceServerTest, TieredPerRequestFallbackIsolatesOutOfSpace) {
+  service::ServerOptions opts;
+  opts.shards = 1;
+  opts.tier = true;
+  opts.tier_dram_bytes = 1 << 20;
+  start(opts);
+  check_fallback(send_out_of_space_burst());
+}
+
+// `batches` counts committed transactions: in the fallback that is one per
+// SET answered OK, and the GET, which commits nothing, adds none.
+TEST_F(ServiceServerTest, BatchesCountsCommittedUnitsOnly) {
+  service::ServerOptions opts;
+  opts.shards = 1;
+  start(opts);
+  const std::vector<RespValue> replies = send_out_of_space_burst();
+  const std::uint64_t batches = server_->info().shards[0].batches;
+  EXPECT_EQ(batches, check_fallback(replies));
+}
+
+// A restarted server reports its keys before serving any request.
+TEST_F(ServiceServerTest, KeysAreCountedAtOpen) {
+  start();
+  {
+    Client c = connect();
+    for (int i = 0; i < 40; ++i)
+      ASSERT_TRUE(c.set("key" + std::to_string(i), "v").ok());
+  }
+  server_->stop();
+  server_.reset();
+  start();
+  std::uint64_t keys = 0;
+  for (const service::ShardInfo& s : server_->info().shards) keys += s.keys;
+  EXPECT_EQ(keys, 40u);
+  EXPECT_NE(connect().info().value().find("\r\nkeys:40\r\n"),
+            std::string::npos);
 }
 
 TEST_F(ServiceServerTest, ErrorTaxonomyCrossesTheWire) {

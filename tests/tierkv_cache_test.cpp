@@ -1,7 +1,8 @@
 // tierkv_cache_test — the tiered cache engine over a real durable pool:
 // write-through semantics, DRAM budget/eviction/admission, prefetch-driven
-// promotion, batch staging under caller-owned transactions, write-back
-// demotion, the typed corruption error, and topology-derived sizing.
+// promotion, batch staging under caller-owned transactions and under the
+// own-transaction calls, the typed corruption error, and topology-derived
+// sizing.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -217,27 +218,24 @@ TEST_F(TierkvCacheTest, BatchStagingDiscardsOnAbort) {
   EXPECT_EQ(tier.cold_keys(), 1u);
 }
 
-TEST_F(TierkvCacheTest, WriteBackDemotionPersistsDirtyEntries) {
-  auto& tier = make_tier({.codec = "lz",
-                          .dram_bytes = 1u << 10,
-                          .prefetch = false,
-                          .write_back = true});
-  // Budget fits ~2 entries; later puts demote earlier dirty ones with a
-  // compress-and-verify into the cold tier.
-  for (int i = 0; i < 8; ++i)
-    tier.put("w" + std::to_string(i), compressible_value(300, char('a' + i)));
-  EXPECT_GT(tier.stats().demotions, 0u);
-  EXPECT_GE(tier.cold_keys(), 6u);
-  for (int i = 0; i < 8; ++i)
-    EXPECT_EQ(tier.get("w" + std::to_string(i)).value(),
-              compressible_value(300, char('a' + i)))
-        << i;
-  // A dirty, hot-only entry still erases correctly.
-  tier.put("w9", "short-lived");
-  EXPECT_TRUE(tier.erase("w9"));
-  EXPECT_FALSE(tier.exists("w9"));
-  // Batch composition is a write-through-only contract.
-  EXPECT_THROW((void)tier.batch_lock(), cxlpmem::pmemkit::TxError);
+// The own-transaction put is a batch of one: when its transaction aborts
+// (here: a value larger than the pool), the staged DRAM effect is dropped
+// with it, so neither tier shows the failed write.
+TEST_F(TierkvCacheTest, FailedPutLeavesBothTiersUntouched) {
+  auto& tier = make_tier({.codec = "lz", .dram_bytes = 64u << 10});
+  tier.put("k", "committed");
+  std::string huge(17u << 20, '\0');  // incompressible, beyond the 16 MiB pool
+  std::uint64_t x = 88172645463325252ull;
+  for (char& c : huge) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    c = static_cast<char>(x);
+  }
+  EXPECT_THROW(tier.put("k", huge), cxlpmem::pmemkit::Error);
+  EXPECT_EQ(tier.get("k").value(), "committed");
+  EXPECT_EQ(tier.cold_keys(), 1u);
+  EXPECT_EQ(tier.stats().raw_bytes, std::string("committed").size());
 }
 
 TEST_F(TierkvCacheTest, CorruptColdBlockThrowsCorruptImage) {
