@@ -132,8 +132,11 @@ int main(int argc, char** argv) {
 
   std::printf("# micro_mt_alloc: mixed alloc/free/tx workload, %llu ops/thread\n",
               static_cast<unsigned long long>(ops));
-  std::printf("%-8s %-12s %-12s %-14s %-12s\n", "threads", "Mops/s",
-              "lane_waits", "run_skips", "run_waits");
+  // class/chunk/span: contended acquisitions of the heap's size-class,
+  // blocking chunk and span locks (HeapContention).
+  std::printf("%-8s %-12s %-12s %-14s %-12s %-12s %-12s %-12s\n", "threads",
+              "Mops/s", "lane_waits", "run_skips", "run_waits", "class_cont",
+              "chunk_cont", "span_cont");
 
   double mops1 = 0, mops_best_mt = 0;
   std::string json = "{\n  \"ops_per_thread\": " + std::to_string(ops) +
@@ -148,10 +151,16 @@ int main(int argc, char** argv) {
       RunResult r = run_once(path, threads, ops);
       if (r.mops > best.mops) best = r;
     }
-    std::printf("%-8d %-12.3f %-12llu %-14llu %-12llu\n", threads, best.mops,
-                static_cast<unsigned long long>(best.stats.lane_waits),
-                static_cast<unsigned long long>(best.stats.heap.run_lock_skips),
-                static_cast<unsigned long long>(best.stats.heap.run_lock_waits));
+    const pk::HeapContention& cont = best.stats.heap.contended;
+    std::printf(
+        "%-8d %-12.3f %-12llu %-14llu %-12llu %-12llu %-12llu %-12llu\n",
+        threads, best.mops,
+        static_cast<unsigned long long>(best.stats.lane_waits),
+        static_cast<unsigned long long>(best.stats.heap.run_lock_skips),
+        static_cast<unsigned long long>(best.stats.heap.run_lock_waits),
+        static_cast<unsigned long long>(cont.class_lock),
+        static_cast<unsigned long long>(cont.chunk_lock),
+        static_cast<unsigned long long>(cont.span_lock));
     json += std::string(json_first ? "" : ",\n") +
             "    {\"threads\": " + std::to_string(threads) +
             ", \"mops\": " + std::to_string(best.mops) +
@@ -159,7 +168,11 @@ int main(int argc, char** argv) {
             ", \"run_lock_skips\": " +
             std::to_string(best.stats.heap.run_lock_skips) +
             ", \"run_lock_waits\": " +
-            std::to_string(best.stats.heap.run_lock_waits) + "}";
+            std::to_string(best.stats.heap.run_lock_waits) +
+            ", \"class_lock_contended\": " + std::to_string(cont.class_lock) +
+            ", \"chunk_lock_contended\": " + std::to_string(cont.chunk_lock) +
+            ", \"span_lock_contended\": " + std::to_string(cont.span_lock) +
+            "}";
     json_first = false;
     if (threads == 1) mops1 = best.mops;
     if (threads > 1) mops_best_mt = std::max(mops_best_mt, best.mops);

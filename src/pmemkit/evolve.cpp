@@ -387,6 +387,9 @@ CompactReport compact_pool(ObjectPool& pool, std::span<ObjId* const> refs,
     std::byte* dst = nullptr;
     const std::byte* src = nullptr;
     std::uint64_t moved = 0;
+    // Place the relocation by the shared partial list: the previous move's
+    // free made its source run this thread's current run.
+    Heap::forget_current_runs();
     try {
       pool.run_tx([&] {
         const std::uint64_t bytes = pool.usable_size(oid);

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "pmemkit/crash_hook.hpp"
 #include "pmemkit/errors.hpp"
 
 namespace cxlpmem::pmemkit {
@@ -30,6 +31,28 @@ std::uint64_t alloc_word(std::uint32_t type_num,
 double fragmentation_of(std::uint64_t live, std::uint64_t reserved) noexcept {
   if (reserved == 0 || live >= reserved) return 0.0;
   return 1.0 - static_cast<double>(live) / static_cast<double>(reserved);
+}
+
+/// Source of heap epochs: process-unique, so a thread's cached runs can
+/// never match a different heap, or one reopened at the same address.
+std::atomic<std::uint64_t> g_heap_epochs{0};
+
+/// A thread's current run per size class, valid for one heap epoch.
+/// Epoch 0 is never issued, so a fresh or forgotten cache matches nothing.
+struct CurrentRuns {
+  std::uint64_t epoch = 0;
+  std::array<std::uint32_t, kSizeClasses.size()> chunk{};
+};
+thread_local CurrentRuns t_current_runs;
+
+/// The calling thread's number, which picks its counter shard in every
+/// heap: threads are numbered in first-count order, so up to the shard
+/// count each gets a shard of its own.
+std::size_t thread_number() noexcept {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t number =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return number;
 }
 
 }  // namespace
@@ -64,9 +87,9 @@ void Heap::publish_span(const Span& s, bool chunks_free) {
   if (idx >= kMaxHeapSpans)
     throw PoolError(ErrKind::CorruptImage, "too many heap spans");
   spans_[idx] = s;
-  chunk_mu_[idx] = std::make_unique<std::mutex[]>(s.chunk_count);
+  chunk_slots_[idx] = std::make_unique<ChunkSlot[]>(s.chunk_count);
   {
-    const std::lock_guard<std::mutex> lock(span_mu_);
+    const auto lock = lock_counted(span_mu_, kSpanContended);
     chunk_free_.resize(std::size_t{s.first_chunk} + s.chunk_count,
                        chunks_free);
   }
@@ -78,6 +101,7 @@ void Heap::publish_span(const Span& s, bool chunks_free) {
 Heap::Heap(PersistentRegion& region, std::uint64_t heap_off,
            std::uint64_t heap_size)
     : region_(&region), heap_off_(heap_off), heap_size_(heap_size) {
+  new_epoch();
   partial_runs_.assign(kSizeClasses.size(), {});
   publish_span(solve_span(heap_off, heap_size), /*chunks_free=*/false);
 }
@@ -135,7 +159,7 @@ std::uint64_t Heap::span_live_bytes(std::uint32_t idx) const {
 
 bool Heap::span_retractable(std::uint32_t idx) const {
   const Span& s = spans_[idx];
-  const std::lock_guard<std::mutex> lock(span_mu_);
+  const auto lock = lock_counted(span_mu_, kSpanContended);
   for (std::uint32_t c = 0; c < s.chunk_count; ++c) {
     const ChunkDesc& d =
         reinterpret_cast<const ChunkDesc*>(region_->base() + s.off)[c];
@@ -154,7 +178,7 @@ void Heap::retract_span() {
   // Persistent occupancy and transient claims must both be clear; the
   // caller has quiesced transactions, so nothing can slip in between the
   // check and the unpublish below (both run under span_mu_).
-  const std::lock_guard<std::mutex> lock(span_mu_);
+  const auto lock = lock_counted(span_mu_, kSpanContended);
   for (std::uint32_t c = 0; c < s.chunk_count; ++c) {
     const ChunkDesc& d =
         reinterpret_cast<const ChunkDesc*>(region_->base() + s.off)[c];
@@ -166,6 +190,7 @@ void Heap::retract_span() {
   chunk_free_.resize(s.first_chunk);
   chunk_count_.store(s.first_chunk, std::memory_order_relaxed);
   span_count_.store(n - 1, std::memory_order_release);
+  new_epoch();  // current runs may name the dropped chunks
 }
 
 std::uint32_t Heap::span_index_of_chunk(std::uint32_t chunk) const noexcept {
@@ -199,17 +224,19 @@ std::uint32_t Heap::reclaim_empty_runs() {
                             sizeof(word));
 
     // Retire the transient hints (lock order: chunk -> class -> span).
-    {
-      const std::lock_guard<std::mutex> cl(class_mu_[d.class_idx]);
+    if (chunk_slot(c).on_partial) {
+      const auto cl = lock_counted(class_mu_[d.class_idx], kClassContended);
       auto& partials = partial_runs_[d.class_idx];
       partials.erase(std::remove(partials.begin(), partials.end(), c),
                      partials.end());
+      chunk_slot(c).on_partial = false;
     }
     {
-      const std::lock_guard<std::mutex> sl(span_mu_);
+      const auto sl = lock_counted(span_mu_, kSpanContended);
       chunk_free_[c] = true;
     }
-    reserved_bytes_.fetch_sub(kChunkSize, std::memory_order_relaxed);
+    count(kReserved, -static_cast<std::int64_t>(kChunkSize));
+    new_epoch();  // a run became Free: no thread may keep it current
     ++reclaimed;
   }
   return reclaimed;
@@ -242,9 +269,9 @@ RunHeader* Heap::run_header(std::uint32_t chunk) noexcept {
 const RunHeader* Heap::run_header(std::uint32_t chunk) const noexcept {
   return reinterpret_cast<const RunHeader*>(chunk_data(chunk));
 }
-std::mutex& Heap::chunk_mutex(std::uint32_t chunk) const noexcept {
+Heap::ChunkSlot& Heap::chunk_slot(std::uint32_t chunk) const noexcept {
   const std::uint32_t i = span_index_of_chunk(chunk);
-  return chunk_mu_[i][chunk - spans_[i].first_chunk];
+  return chunk_slots_[i][chunk - spans_[i].first_chunk];
 }
 
 std::uint32_t Heap::chunk_of(std::uint64_t off) const noexcept {
@@ -269,16 +296,19 @@ void Heap::format() {
   region_->note_store_infra(table, s.chunk_count * sizeof(ChunkDesc));
   region_->persist(table, s.chunk_count * sizeof(ChunkDesc));
   partial_runs_.assign(kSizeClasses.size(), {});
-  live_bytes_.store(0, std::memory_order_relaxed);
-  reserved_bytes_.store(0, std::memory_order_relaxed);
-  const std::lock_guard<std::mutex> lock(span_mu_);
+  for (std::uint32_t c = 0; c < s.chunk_count; ++c)
+    chunk_slot(c).on_partial = false;
+  reset_occupancy(0, 0);
+  new_epoch();
+  const auto lock = lock_counted(span_mu_, kSpanContended);
   chunk_free_.assign(chunk_count_.load(std::memory_order_relaxed), true);
 }
 
 void Heap::rebuild() {
   partial_runs_.assign(kSizeClasses.size(), {});
+  new_epoch();
   {
-    const std::lock_guard<std::mutex> lock(span_mu_);
+    const auto lock = lock_counted(span_mu_, kSpanContended);
     chunk_free_.assign(chunk_count_.load(std::memory_order_relaxed), false);
   }
   std::uint64_t live = 0, reserved = 0;
@@ -286,6 +316,8 @@ void Heap::rebuild() {
   for (std::uint32_t i = 0; i < spans; ++i) {
     const Span& s = spans_[i];
     const std::uint32_t end = s.first_chunk + s.chunk_count;
+    for (std::uint32_t c = s.first_chunk; c < end; ++c)
+      chunk_slot(c).on_partial = false;
     std::uint32_t c = s.first_chunk;
     while (c < end) {
       const ChunkDesc& d = *chunk_desc(c);
@@ -304,7 +336,10 @@ void Heap::rebuild() {
           for (const std::uint64_t w : rh->bitmap)
             used += static_cast<std::uint32_t>(std::popcount(w));
           if (used > rh->block_count) throw PoolError(ErrKind::CorruptImage, "corrupt run bitmap");
-          if (used < rh->block_count) partial_runs_[d.class_idx].push_back(c);
+          if (used < rh->block_count) {
+            partial_runs_[d.class_idx].push_back(c);
+            chunk_slot(c).on_partial = true;
+          }
           live += run_live_bytes(c);
           reserved += kChunkSize;
           ++c;
@@ -324,8 +359,7 @@ void Heap::rebuild() {
       }
     }
   }
-  live_bytes_.store(live, std::memory_order_relaxed);
-  reserved_bytes_.store(reserved, std::memory_order_relaxed);
+  reset_occupancy(live, reserved);
 }
 
 std::uint32_t Heap::find_free_span(std::uint32_t span) const {
@@ -348,7 +382,7 @@ std::uint32_t Heap::find_free_span(std::uint32_t span) const {
 }
 
 void Heap::unclaim_span(std::uint32_t chunk, std::uint32_t span) {
-  const std::lock_guard<std::mutex> lock(span_mu_);
+  const auto lock = lock_counted(span_mu_, kSpanContended);
   const std::uint32_t total = chunk_count_.load(std::memory_order_relaxed);
   for (std::uint32_t i = 0; i < span && chunk + i < total; ++i)
     chunk_free_[chunk + i] = true;
@@ -364,6 +398,44 @@ bool Heap::run_has_free_block(std::uint32_t chunk) const noexcept {
   return false;
 }
 
+void Heap::forget_current_runs() noexcept { t_current_runs.epoch = 0; }
+
+void Heap::new_epoch() noexcept {
+  epoch_.store(g_heap_epochs.fetch_add(1, std::memory_order_relaxed) + 1,
+               std::memory_order_release);
+}
+
+std::uint32_t& Heap::current_run(int class_idx) const noexcept {
+  CurrentRuns& runs = t_current_runs;
+  const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
+  if (runs.epoch != epoch) {
+    runs.epoch = epoch;
+    runs.chunk.fill(kNoChunk);
+  }
+  return runs.chunk[static_cast<std::size_t>(class_idx)];
+}
+
+bool Heap::take_current_run(int class_idx, PreparedAlloc& a) {
+  const std::uint32_t c = current_run(class_idx);
+  if (c == kNoChunk) return false;
+  std::unique_lock<std::mutex> lk(chunk_mutex(c), std::try_to_lock);
+  if (!lk.owns_lock()) {
+    count(kRunLockSkips);
+    return false;
+  }
+  // Re-validate under the lock: the run may have filled up, or have been
+  // reclaimed (and the chunk reused) since the thread made it current.
+  const ChunkDesc& d = *chunk_desc(c);
+  if (static_cast<ChunkState>(d.state) != ChunkState::Run ||
+      d.class_idx != static_cast<std::uint8_t>(class_idx) ||
+      !run_has_free_block(c))
+    return false;
+  a.chunk = c;
+  a.claimed_span = 0;
+  a.owner = std::move(lk);
+  return true;
+}
+
 void Heap::acquire_run(RedoSession& redo, int class_idx, PreparedAlloc& a) {
   for (;;) {
     // (1) An idle partial run of this class.  Busy runs are skipped, not
@@ -371,13 +443,13 @@ void Heap::acquire_run(RedoSession& redo, int class_idx, PreparedAlloc& a) {
     // allocations fan out across runs.
     std::uint32_t busy_candidate = kNoChunk;
     {
-      const std::lock_guard<std::mutex> cl(class_mu_[class_idx]);
+      const auto cl = lock_counted(class_mu_[class_idx], kClassContended);
       auto& partials = partial_runs_[class_idx];
       for (std::size_t i = partials.size(); i-- > 0;) {
         const std::uint32_t c = partials[i];
         std::unique_lock<std::mutex> lk(chunk_mutex(c), std::try_to_lock);
         if (!lk.owns_lock()) {
-          run_lock_skips_.fetch_add(1, std::memory_order_relaxed);
+          count(kRunLockSkips);
           busy_candidate = c;
           continue;
         }
@@ -389,6 +461,7 @@ void Heap::acquire_run(RedoSession& redo, int class_idx, PreparedAlloc& a) {
         }
         partials.erase(partials.begin() +
                        static_cast<std::ptrdiff_t>(i));  // stale: full
+        chunk_slot(c).on_partial = false;
       }
     }
 
@@ -399,13 +472,14 @@ void Heap::acquire_run(RedoSession& redo, int class_idx, PreparedAlloc& a) {
     // commits.
     std::uint32_t c = kNoChunk;
     {
-      const std::lock_guard<std::mutex> sl(span_mu_);
+      const auto sl = lock_counted(span_mu_, kSpanContended);
       c = find_free_span(1);
       if (c != kNoChunk) chunk_free_[c] = false;
     }
     if (c != kNoChunk) {
       // May briefly wait for a previous owner (e.g. a huge free) to finish.
-      std::unique_lock<std::mutex> lk(chunk_mutex(c));
+      std::unique_lock<std::mutex> lk =
+          lock_counted(chunk_mutex(c), kChunkContended);
       try {
         RunHeader rh{};
         rh.class_idx = static_cast<std::uint32_t>(class_idx);
@@ -431,8 +505,9 @@ void Heap::acquire_run(RedoSession& redo, int class_idx, PreparedAlloc& a) {
     // (3) No free chunk and every partial run is mid-operation: wait for
     // one (no other lock held, so this cannot deadlock) and re-validate —
     // its holder may have taken the last block.
-    run_lock_waits_.fetch_add(1, std::memory_order_relaxed);
-    std::unique_lock<std::mutex> lk(chunk_mutex(busy_candidate));
+    count(kRunLockWaits);
+    std::unique_lock<std::mutex> lk =
+        lock_counted(chunk_mutex(busy_candidate), kChunkContended);
     const ChunkDesc& d = *chunk_desc(busy_candidate);
     if (static_cast<ChunkState>(d.state) == ChunkState::Run &&
         d.class_idx == static_cast<std::uint8_t>(class_idx) &&
@@ -447,8 +522,13 @@ void Heap::acquire_run(RedoSession& redo, int class_idx, PreparedAlloc& a) {
 
 PreparedAlloc Heap::stage_alloc(RedoSession& redo, std::uint64_t usable,
                                 std::uint32_t type_num, bool zero) {
+  // Nothing durable may happen before this point: the stage writes the
+  // AllocHeader (and a fresh run's RunHeader), and a thread that has not
+  // seen a power cut yet must not write them into a block a cut lane's
+  // published-but-unapplied redo log already allocated.
+  crash_point("heap:stage");
   if (usable == 0) throw AllocError(ErrKind::BadAlloc, "zero-size allocation");
-  alloc_ops_.fetch_add(1, std::memory_order_relaxed);
+  count(kAllocOps);
   const std::uint64_t total = usable + sizeof(AllocHeader);
   PreparedAlloc out;
 
@@ -456,7 +536,10 @@ PreparedAlloc Heap::stage_alloc(RedoSession& redo, std::uint64_t usable,
   std::uint64_t block_off;  // pool offset of the block start
   if (cls >= 0) {
     const std::uint32_t block = kSizeClasses[cls];
-    acquire_run(redo, cls, out);
+    if (!take_current_run(cls, out)) {
+      acquire_run(redo, cls, out);
+      current_run(cls) = out.chunk;
+    }
     const std::uint32_t c = out.chunk;
     const RunHeader* rh = run_header(c);
     try {
@@ -485,7 +568,7 @@ PreparedAlloc Heap::stage_alloc(RedoSession& redo, std::uint64_t usable,
         (total + kChunkSize - 1) / kChunkSize);
     std::uint32_t c = kNoChunk;
     {
-      const std::lock_guard<std::mutex> sl(span_mu_);
+      const auto sl = lock_counted(span_mu_, kSpanContended);
       c = find_free_span(span);
       if (c != kNoChunk)
         for (std::uint32_t i = 0; i < span; ++i) chunk_free_[c + i] = false;
@@ -494,7 +577,8 @@ PreparedAlloc Heap::stage_alloc(RedoSession& redo, std::uint64_t usable,
       throw AllocError(ErrKind::OutOfSpace, "out of contiguous heap space");
     // A chunk freed moments ago may still be held by its freeing lane for
     // the last transient update; waiting here holds no other lock.
-    std::unique_lock<std::mutex> lk(chunk_mutex(c));
+    std::unique_lock<std::mutex> lk =
+        lock_counted(chunk_mutex(c), kChunkContended);
     out.chunk = c;
     out.claimed_span = span;
     out.owner = std::move(lk);
@@ -519,11 +603,13 @@ PreparedAlloc Heap::stage_alloc(RedoSession& redo, std::uint64_t usable,
 }
 
 void Heap::hint_partial(std::uint8_t class_idx, std::uint32_t chunk) {
-  const std::lock_guard<std::mutex> cl(class_mu_[class_idx]);
-  auto& partials = partial_runs_[class_idx];
-  bool hinted = false;
-  for (const std::uint32_t p : partials) hinted |= (p == chunk);
-  if (!hinted) partials.push_back(chunk);
+  // The chunk lock (held by the caller) guards the flag, so a listed run —
+  // the steady state — is re-hinted without the class lock.
+  bool& listed = chunk_slot(chunk).on_partial;
+  if (listed) return;
+  const auto cl = lock_counted(class_mu_[class_idx], kClassContended);
+  partial_runs_[class_idx].push_back(chunk);
+  listed = true;
 }
 
 void Heap::finish_alloc(PreparedAlloc& a) {
@@ -535,11 +621,10 @@ void Heap::finish_alloc(PreparedAlloc& a) {
   // time; the committed descriptor now reserves them.
   const auto* hdr = reinterpret_cast<const AllocHeader*>(
       region_->base() + a.data_off - sizeof(AllocHeader));
-  live_bytes_.fetch_add(hdr->size + sizeof(AllocHeader),
-                        std::memory_order_relaxed);
+  count(kLive, static_cast<std::int64_t>(hdr->size + sizeof(AllocHeader)));
   if (a.claimed_span > 0)
-    reserved_bytes_.fetch_add(std::uint64_t{a.claimed_span} * kChunkSize,
-                              std::memory_order_relaxed);
+    count(kReserved, static_cast<std::int64_t>(
+                         std::uint64_t{a.claimed_span} * kChunkSize));
   if (a.owner.owns_lock()) a.owner.unlock();
 }
 
@@ -560,7 +645,8 @@ PreparedFree Heap::stage_free(RedoSession& redo, std::uint64_t data_off,
     if (tolerate_dead) return out;
     throw AllocError(ErrKind::InvalidFree, "free of non-live object");
   }
-  std::unique_lock<std::mutex> lk(chunk_mutex(c));
+  std::unique_lock<std::mutex> lk =
+      lock_counted(chunk_mutex(c), kChunkContended);
   // Liveness must be judged under the chunk lock: a concurrent operation on
   // the same chunk may be mid-commit.
   if (!is_live(data_off)) {
@@ -585,7 +671,7 @@ PreparedFree Heap::stage_free(RedoSession& redo, std::uint64_t data_off,
     ChunkDesc free_desc{static_cast<std::uint8_t>(ChunkState::Free), 0, 0, 0};
     redo.stage(desc_off(c), desc_word(free_desc));
   }
-  free_ops_.fetch_add(1, std::memory_order_relaxed);
+  count(kFreeOps);
   out.data_off = data_off;
   out.chunk = c;
   out.staged = true;
@@ -600,16 +686,18 @@ void Heap::finish_free(PreparedFree& f) {
   const auto* hdr = reinterpret_cast<const AllocHeader*>(
       region_->base() + f.data_off - sizeof(AllocHeader));
   const std::uint64_t total = hdr->size + sizeof(AllocHeader);
-  live_bytes_.fetch_sub(total, std::memory_order_relaxed);
+  count(kLive, -static_cast<std::int64_t>(total));
   if (static_cast<ChunkState>(d.state) == ChunkState::Run) {
     hint_partial(d.class_idx, c);
+    // The freed block is the hottest free block this thread knows of.
+    current_run(d.class_idx) = c;
   } else {
     // The span's head descriptor became Free; covered chunks follow suit
     // transiently.  Recompute the span from the allocation header.
     const auto span =
         static_cast<std::uint32_t>((total + kChunkSize - 1) / kChunkSize);
-    reserved_bytes_.fetch_sub(std::uint64_t{span} * kChunkSize,
-                              std::memory_order_relaxed);
+    count(kReserved,
+          -static_cast<std::int64_t>(std::uint64_t{span} * kChunkSize));
     unclaim_span(c, span);
   }
   if (f.owner.owns_lock()) f.owner.unlock();
@@ -619,7 +707,7 @@ bool Heap::is_live_synced(std::uint64_t data_off) const {
   if (data_off < sizeof(AllocHeader)) return false;
   const std::uint32_t c = chunk_of(data_off - sizeof(AllocHeader));
   if (c == kNoChunk) return false;
-  const std::lock_guard<std::mutex> lock(chunk_mutex(c));
+  const auto lock = lock_counted(chunk_mutex(c), kChunkContended);
   return is_live(data_off);
 }
 
@@ -667,7 +755,7 @@ std::uint32_t Heap::type_of_synced(std::uint64_t data_off) const {
   const std::uint32_t c = chunk_of(data_off - sizeof(AllocHeader));
   if (c == kNoChunk)
     throw AllocError(ErrKind::BadOid, "offset outside the heap");
-  const std::lock_guard<std::mutex> lock(chunk_mutex(c));
+  const auto lock = lock_counted(chunk_mutex(c), kChunkContended);
   return header_of(data_off).type_num;
 }
 
@@ -764,19 +852,66 @@ HeapStats Heap::stats() const {
   }
   s.reserved_bytes = (s.chunk_count - s.free_chunks) * kChunkSize;
   s.fragmentation = fragmentation_of(s.live_bytes, s.reserved_bytes);
-  s.alloc_ops = alloc_ops_.load(std::memory_order_relaxed);
-  s.free_ops = free_ops_.load(std::memory_order_relaxed);
-  s.run_lock_skips = run_lock_skips_.load(std::memory_order_relaxed);
-  s.run_lock_waits = run_lock_waits_.load(std::memory_order_relaxed);
+  s.alloc_ops = static_cast<std::uint64_t>(sum(kAllocOps));
+  s.free_ops = static_cast<std::uint64_t>(sum(kFreeOps));
+  s.run_lock_skips = static_cast<std::uint64_t>(sum(kRunLockSkips));
+  s.run_lock_waits = static_cast<std::uint64_t>(sum(kRunLockWaits));
+  s.contended = contention();
   return s;
 }
 
+HeapContention Heap::contention() const noexcept {
+  HeapContention c;
+  c.class_lock = static_cast<std::uint64_t>(sum(kClassContended));
+  c.chunk_lock = static_cast<std::uint64_t>(sum(kChunkContended));
+  c.span_lock = static_cast<std::uint64_t>(sum(kSpanContended));
+  return c;
+}
+
 HeapOccupancy Heap::occupancy() const noexcept {
+  // Summed shard by shard while lanes may be mid-update, so a transient sum
+  // can dip below zero; at quiescence it is exact.
   HeapOccupancy o;
-  o.live_bytes = live_bytes_.load(std::memory_order_relaxed);
-  o.reserved_bytes = reserved_bytes_.load(std::memory_order_relaxed);
+  o.live_bytes =
+      static_cast<std::uint64_t>(std::max<std::int64_t>(sum(kLive), 0));
+  o.reserved_bytes =
+      static_cast<std::uint64_t>(std::max<std::int64_t>(sum(kReserved), 0));
   o.fragmentation = fragmentation_of(o.live_bytes, o.reserved_bytes);
   return o;
+}
+
+void Heap::count(Counter which, std::int64_t delta) const noexcept {
+  counters_[thread_number() % kCounterShards].v[which].fetch_add(
+      delta, std::memory_order_relaxed);
+}
+
+std::int64_t Heap::sum(Counter which) const noexcept {
+  std::int64_t total = 0;
+  for (const CounterShard& shard : counters_)
+    total += shard.v[which].load(std::memory_order_relaxed);
+  return total;
+}
+
+void Heap::reset_occupancy(std::uint64_t live,
+                           std::uint64_t reserved) noexcept {
+  for (CounterShard& shard : counters_) {
+    shard.v[kLive].store(0, std::memory_order_relaxed);
+    shard.v[kReserved].store(0, std::memory_order_relaxed);
+  }
+  counters_[0].v[kLive].store(static_cast<std::int64_t>(live),
+                              std::memory_order_relaxed);
+  counters_[0].v[kReserved].store(static_cast<std::int64_t>(reserved),
+                                  std::memory_order_relaxed);
+}
+
+std::unique_lock<std::mutex> Heap::lock_counted(std::mutex& mu,
+                                                Counter which) const {
+  std::unique_lock<std::mutex> lk(mu, std::try_to_lock);
+  if (!lk.owns_lock()) {
+    count(which);
+    lk.lock();
+  }
+  return lk;
 }
 
 std::uint64_t Heap::run_live_bytes(std::uint32_t chunk,

@@ -26,14 +26,28 @@
 // chunk.  Every stage_* call acquires the target chunk's mutex and hands it
 // back inside the Prepared* guard; the caller keeps it across its redo
 // commit and releases it via finish_*/cancel_*.  Around that core:
-//   * per-size-class mutexes guard the partial-run hint lists; busy runs
-//     are skipped (try-lock), so same-class allocations from different
-//     lanes spread across runs instead of queueing;
+//   * each thread keeps a *current run* per size class (thread-local,
+//     keyed by the heap's epoch).  A small allocation try-locks it first
+//     and uses it when, under the chunk lock, it is still a Run of that
+//     class with a free block; a free makes the freed block's run the
+//     thread's current run, so hot freed blocks are reused first.  Only a
+//     miss touches the shared partial-run lists;
+//   * per-size-class mutexes guard those partial-run lists; busy runs are
+//     skipped (try-lock), so same-class allocations from different lanes
+//     spread across runs instead of queueing.  Whether a run is listed is
+//     a per-chunk flag guarded by the chunk lock, so finish_* re-hints an
+//     already listed run without taking the class lock;
 //   * one span mutex guards the transient free-chunk map; fresh chunks are
 //     claimed there eagerly at stage time so concurrent span searches never
 //     overlap, and cancel_* returns the claim;
+//   * the epoch is process-unique and moves on in format, rebuild,
+//     retract_span and whenever reclaim_empty_runs frees a chunk, the only
+//     ways a run stops being one or a chunk index stops being valid;
+//   * the running counters (occupancy, op and contention counts) live in
+//     cache-line shards, one per thread up to 16, summed on read;
 //   * lock order is chunk -> (class | span); class- and span-holders only
-//     ever try-lock chunks, so the order cannot cycle.
+//     ever try-lock chunks, so the order cannot cycle.  Contended blocking
+//     acquisitions (a failed try_lock first) are counted per lock kind.
 // Recovery and rebuild still run single-threaded on the open path.
 // Span-table mutation (extend/retract) happens only on the open path or
 // under a fully quiesced pool (every lane held), published through an
@@ -76,6 +90,16 @@ struct PreparedFree {
   std::unique_lock<std::mutex> owner;
 };
 
+/// Contended acquisitions (transient, since open): a failed try_lock before
+/// a blocking lock, counted per lock kind.  chunk_lock covers the blocking
+/// chunk locks — stage_free, is_live_synced, type_of_synced, and the waits
+/// for a fresh run's or a huge span's chunk.
+struct HeapContention {
+  std::uint64_t class_lock = 0;  ///< size-class (partial-list) mutexes
+  std::uint64_t chunk_lock = 0;
+  std::uint64_t span_lock = 0;   ///< the free-chunk map's mutex
+};
+
 struct HeapStats {
   std::uint64_t total_bytes = 0;      ///< heap data capacity
   std::uint64_t allocated_bytes = 0;  ///< sum of live block/span bytes
@@ -90,8 +114,9 @@ struct HeapStats {
   // Contention counters (transient, since open).
   std::uint64_t alloc_ops = 0;       ///< stage_alloc calls
   std::uint64_t free_ops = 0;        ///< stage_free calls that staged
-  std::uint64_t run_lock_skips = 0;  ///< partial runs skipped because busy
+  std::uint64_t run_lock_skips = 0;  ///< runs skipped because busy
   std::uint64_t run_lock_waits = 0;  ///< blocking waits on a busy run
+  HeapContention contended;          ///< see HeapContention
 };
 
 /// The fragmentation inputs of HeapStats, kept as running counters so a
@@ -228,6 +253,15 @@ class Heap {
   /// operation is between stage and finish.
   [[nodiscard]] HeapOccupancy occupancy() const noexcept;
 
+  /// The contention counts of HeapStats in O(1), without the heap walk.
+  [[nodiscard]] HeapContention contention() const noexcept;
+
+  /// Drops the calling thread's current runs: its next small allocation of
+  /// every class takes a run from the shared partial list.  Compaction
+  /// calls it before each relocation, or the relocation would land back in
+  /// the run its source block was just freed from.
+  static void forget_current_runs() noexcept;
+
   /// Largest single allocation this heap can ever satisfy.
   [[nodiscard]] std::uint64_t max_alloc_bytes() const noexcept;
 
@@ -275,7 +309,16 @@ class Heap {
   [[nodiscard]] RunHeader* run_header(std::uint32_t chunk) noexcept;
   [[nodiscard]] const RunHeader* run_header(std::uint32_t chunk) const
       noexcept;
-  [[nodiscard]] std::mutex& chunk_mutex(std::uint32_t chunk) const noexcept;
+  /// A chunk's lock and the transient state it guards, one cache line per
+  /// chunk so threads working in neighbouring chunks share no line.
+  struct alignas(64) ChunkSlot {
+    std::mutex mu;
+    bool on_partial = false;  ///< listed in its class's partial_runs_
+  };
+  [[nodiscard]] ChunkSlot& chunk_slot(std::uint32_t chunk) const noexcept;
+  [[nodiscard]] std::mutex& chunk_mutex(std::uint32_t chunk) const noexcept {
+    return chunk_slot(chunk).mu;
+  }
 
   /// Locates the chunk holding pool offset `off`; kInvalid when outside.
   [[nodiscard]] std::uint32_t chunk_of(std::uint64_t off) const noexcept;
@@ -284,13 +327,54 @@ class Heap {
   [[nodiscard]] bool run_has_free_block(std::uint32_t chunk) const noexcept;
 
   /// Records `chunk` in class `class_idx`'s partial-run hint list (no-op if
-  /// already hinted).
+  /// already hinted).  The caller holds the chunk lock.
   void hint_partial(std::uint8_t class_idx, std::uint32_t chunk);
 
-  /// Picks a run of `class_idx` with a free block, creating one if needed.
-  /// On return `a.owner` holds the run's chunk lock and `a.chunk` /
-  /// `a.claimed_span` are set.
+  /// The calling thread's current run of `class_idx` (kNoChunk when none),
+  /// emptied first when the epoch moved on since it was cached.
+  [[nodiscard]] std::uint32_t& current_run(int class_idx) const noexcept;
+
+  /// Takes the calling thread's current run of `class_idx` when its lock is
+  /// free and it is still a Run of that class with a free block; on success
+  /// `a.owner` holds its chunk lock.
+  bool take_current_run(int class_idx, PreparedAlloc& a);
+
+  /// Picks a run of `class_idx` with a free block from the partial list,
+  /// creating one if needed.  On return `a.owner` holds the run's chunk
+  /// lock and `a.chunk` / `a.claimed_span` are set.
   void acquire_run(RedoSession& redo, int class_idx, PreparedAlloc& a);
+
+  /// Moves the epoch on: every thread's current runs on this heap drop.
+  void new_epoch() noexcept;
+
+  /// The running counters, one cache-line shard per thread (up to
+  /// kCounterShards threads; more share).  live/reserved are signed per
+  /// shard because a block counted on one thread's shard may be freed on
+  /// another's; only the sum is meaningful.
+  enum Counter : std::size_t {
+    kLive,
+    kReserved,
+    kAllocOps,
+    kFreeOps,
+    kRunLockSkips,
+    kRunLockWaits,
+    kClassContended,
+    kChunkContended,
+    kSpanContended,
+    kCounterKinds
+  };
+  static constexpr std::size_t kCounterShards = 16;
+  struct alignas(64) CounterShard {
+    std::array<std::atomic<std::int64_t>, kCounterKinds> v{};
+  };
+  void count(Counter which, std::int64_t delta = 1) const noexcept;
+  [[nodiscard]] std::int64_t sum(Counter which) const noexcept;
+  /// Sets the occupancy sums (format/rebuild, single-threaded).
+  void reset_occupancy(std::uint64_t live, std::uint64_t reserved) noexcept;
+
+  /// Locks `mu`, counting a contended acquisition under `which` first.
+  [[nodiscard]] std::unique_lock<std::mutex> lock_counted(
+      std::mutex& mu, Counter which) const;
 
   /// Finds `span` contiguous transiently-free chunks within one heap span;
   /// kNoChunk sentinel (~0u) when exhausted.  Caller must hold span_mu_.
@@ -315,9 +399,10 @@ class Heap {
   std::array<Span, kMaxHeapSpans> spans_{};
   std::atomic<std::uint32_t> span_count_{0};
   std::atomic<std::uint32_t> chunk_count_{0};
-  /// Per-span mutex blocks (never freed on retract: a stats walker racing
-  /// a shrink may still be parked on one).
-  std::array<std::unique_ptr<std::mutex[]>, kMaxHeapSpans> chunk_mu_;
+  std::atomic<std::uint64_t> epoch_{0};  ///< see new_epoch()
+  /// Per-span chunk-slot blocks (never freed on retract: a stats walker
+  /// racing a shrink may still be parked on one).
+  std::array<std::unique_ptr<ChunkSlot[]>, kMaxHeapSpans> chunk_slots_;
 
   // Transient state, sharded (see header comment for the lock order).
   std::vector<std::vector<std::uint32_t>> partial_runs_;  ///< per class
@@ -325,15 +410,7 @@ class Heap {
   std::vector<bool> chunk_free_;  ///< transient mirror of Free state
   mutable std::mutex span_mu_;    ///< guards chunk_free_
 
-  std::atomic<std::uint64_t> alloc_ops_{0};
-  std::atomic<std::uint64_t> free_ops_{0};
-  // occupancy() counters.  Each add happens under the chunk lock of the
-  // allocation it counts, and so does the matching subtract, so neither
-  // counter can wrap below zero.
-  std::atomic<std::uint64_t> live_bytes_{0};
-  std::atomic<std::uint64_t> reserved_bytes_{0};
-  std::atomic<std::uint64_t> run_lock_skips_{0};
-  std::atomic<std::uint64_t> run_lock_waits_{0};
+  mutable std::array<CounterShard, kCounterShards> counters_;
 };
 
 }  // namespace cxlpmem::pmemkit

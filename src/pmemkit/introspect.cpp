@@ -19,20 +19,27 @@ PoolReport inspect(const ObjectPool& pool) {
   // the published bytes are recomputed the way recovery would see them:
   // the checksum-valid current-generation entry prefix.  Both that scan
   // and the header reads are only performed where they cannot race with a
-  // concurrent transaction: lanes sitting in the free pool (no one can
-  // check one out while lane_mu_ is held, and a past owner's writes
-  // happened-before its mutex-protected release) and the calling thread's
-  // own transaction lane.  A lane another thread is actively transacting
-  // on is in motion end to end — it is counted, never read.
+  // concurrent transaction: the lanes that were free, which the scan takes
+  // out of the pool's free-lane mask for its duration (a past owner's
+  // writes happened-before its release into the mask, and no one can
+  // check one out until the scan hands them back), and the calling
+  // thread's own transaction lane.  A lane another thread is actively
+  // transacting on is in motion end to end — it is counted, never read.
+  // lane_mu_ only keeps two inspections from taking each other's lanes;
+  // the lanes go back after it is released, on every exit path.
   auto& mutable_pool = const_cast<ObjectPool&>(pool);
+  struct LanesBack {
+    ObjectPool& pool;
+    std::uint64_t lanes = 0;
+    ~LanesBack() { pool.return_lanes(lanes); }
+  };
   {
-    const std::lock_guard<std::mutex> lane_lock(mutable_pool.lane_mu_);
-    std::vector<bool> lane_free(h.lane_count, false);
-    for (const std::uint32_t l : mutable_pool.free_lanes_)
-      lane_free[l] = true;
+    LanesBack taken{mutable_pool};
+    const std::lock_guard<std::mutex> one_scan(mutable_pool.lane_mu_);
+    taken.lanes = mutable_pool.free_lanes_.exchange(0);
     const std::uint32_t own_lane = mutable_pool.current_tx_lane();
     for (std::uint32_t l = 0; l < h.lane_count; ++l) {
-      if (!lane_free[l] && l != own_lane) {
+      if (((taken.lanes >> l) & 1) == 0 && l != own_lane) {
         ++r.lanes_in_flight;
         continue;
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,7 +52,7 @@ thread_local std::vector<std::pair<const ObjectPool*, Transaction*>>
     t_current_tx;
 
 /// Per-thread pinned lanes (LaneSession), keyed by pool.  Checked by
-/// acquire_tx_lane before the free-pool mutex: a thread holding a session
+/// acquire_tx_lane before the free-lane mask: a thread holding a session
 /// runs every transaction on its pinned lane for free.
 thread_local std::vector<std::pair<const ObjectPool*, std::uint32_t>>
     t_lane_sessions;
@@ -62,6 +63,13 @@ thread_local std::vector<std::pair<const ObjectPool*, std::uint32_t>>
     if (p == pool) return &lane;
   return nullptr;
 }
+
+/// The calling thread's last checked-out lane.  A checkout takes it again
+/// while it is free, so a thread keeps writing the same lane's log lines;
+/// a fresh thread starts at 0 and so gets the lowest free lane.
+thread_local std::uint32_t t_lane_hint = 0;
+
+constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
 
 /// Process-wide registry of open pools, in open order.  Registration only
 /// happens on pool open/close; every mutation bumps g_pools_gen so the
@@ -197,8 +205,6 @@ ObjectPool::ObjectPool(MappedFile file, Options options)
       tx_publish_(options.tx_publish) {
   if (PmemSan* san = region_.pmemsan())
     san->set_meta_bound(kHeaderSize + kLaneCount * kLaneSize);
-  free_lanes_.reserve(kLaneCount);
-  for (std::uint32_t l = 0; l < kLaneCount; ++l) free_lanes_.push_back(l);
 }
 
 ObjectPool::OpLane::OpLane(ObjectPool& pool) : pool_(pool) {
@@ -588,26 +594,55 @@ void ObjectPool::release_tx_lane(std::uint32_t lane) {
   if (const std::uint32_t* pinned = session_lane_of(this);
       pinned != nullptr && *pinned == lane)
     return;  // stays checked out until the LaneSession ends
-  release_lane_raw(lane);
+  return_lanes(std::uint64_t{1} << lane);
+}
+
+bool ObjectPool::try_take_lane(std::uint32_t& lane) noexcept {
+  // seq_cst throughout: a sleeper's re-check must not be ordered before its
+  // lane_sleepers_ increment (see return_lanes).  The thread's own lane is
+  // taken with one fetch_and, not a load and a CAS: each is a transfer of
+  // the mask's line, which every checkout on the pool writes.  Clearing a
+  // bit that is already clear changes nothing.
+  const std::uint64_t hint = std::uint64_t{1} << t_lane_hint;
+  std::uint64_t free = free_lanes_.fetch_and(~hint);
+  if ((free & hint) != 0) {
+    lane = t_lane_hint;
+    return true;
+  }
+  while (free != 0) {
+    const auto pick = static_cast<std::uint32_t>(std::countr_zero(free));
+    if (free_lanes_.compare_exchange_weak(free,
+                                          free & ~(std::uint64_t{1} << pick))) {
+      t_lane_hint = pick;
+      lane = pick;
+      return true;
+    }
+  }
+  return false;
 }
 
 std::uint32_t ObjectPool::acquire_lane_raw() {
+  std::uint32_t lane = 0;
+  if (try_take_lane(lane)) return lane;
+  lane_waits_.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock<std::mutex> lock(lane_mu_);
-  if (free_lanes_.empty()) {
-    lane_waits_.fetch_add(1, std::memory_order_relaxed);
-    lane_cv_.wait(lock, [this] { return !free_lanes_.empty(); });
-  }
-  const std::uint32_t lane = free_lanes_.back();
-  free_lanes_.pop_back();
+  lane_sleepers_.fetch_add(1);
+  lane_cv_.wait(lock, [&] { return try_take_lane(lane); });
+  lane_sleepers_.fetch_sub(1);
   return lane;
 }
 
-void ObjectPool::release_lane_raw(std::uint32_t lane) {
-  {
-    const std::lock_guard<std::mutex> lock(lane_mu_);
-    free_lanes_.push_back(lane);
-  }
-  lane_cv_.notify_one();
+void ObjectPool::return_lanes(std::uint64_t lanes) {
+  // No lost wake-up: a sleeper registers in lane_sleepers_ before its
+  // re-check of the mask, and a return sets its bits before it reads the
+  // count, all seq_cst — so either the sleeper sees the bits or the return
+  // sees the sleeper.  Taking the mutex then waits out a sleeper between
+  // its failed re-check and its wait.  notify_all, because a Quiesce may
+  // sleep among ordinary checkouts and must see every return.
+  free_lanes_.fetch_or(lanes);
+  if (lane_sleepers_.load() == 0) return;
+  { const std::lock_guard<std::mutex> lock(lane_mu_); }
+  lane_cv_.notify_all();
 }
 
 ObjectPool::LaneSession::LaneSession(ObjectPool& pool) : pool_(pool) {
@@ -622,31 +657,30 @@ ObjectPool::LaneSession::~LaneSession() {
   std::erase_if(t_lane_sessions, [this](const auto& e) {
     return e.first == &pool_ && e.second == lane_;
   });
-  pool_.release_lane_raw(lane_);
+  pool_.return_lanes(std::uint64_t{1} << lane_);
 }
 
 ObjectPool::Quiesce::Quiesce(ObjectPool& pool) : pool_(pool) {
-  // The calling thread holding a lane would deadlock the drain below.
+  // The calling thread holding a lane would deadlock the drain below (and,
+  // while another quiesce gathers, the wait for quiesce_mu_).
   if (pool.current_tx() != nullptr || session_lane_of(&pool) != nullptr)
     throw TxError(ErrKind::TxMisuse,
                   "pool evolution requires the calling thread to hold no "
                   "transaction or LaneSession on the pool");
+  one_at_a_time_ = std::unique_lock<std::mutex>(pool.quiesce_mu_);
+  std::uint64_t held = pool.free_lanes_.exchange(0);
+  if (held == kAllLanes) return;
+  pool.lane_waits_.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock<std::mutex> lock(pool.lane_mu_);
-  if (pool.free_lanes_.size() != kLaneCount)
-    pool.lane_waits_.fetch_add(1, std::memory_order_relaxed);
-  pool.lane_cv_.wait(lock,
-                     [&] { return pool.free_lanes_.size() == kLaneCount; });
-  pool.free_lanes_.clear();  // hold every lane: nothing can start
+  pool.lane_sleepers_.fetch_add(1);
+  pool.lane_cv_.wait(lock, [&] {
+    held |= pool.free_lanes_.exchange(0);
+    return held == kAllLanes;
+  });
+  pool.lane_sleepers_.fetch_sub(1);
 }
 
-ObjectPool::Quiesce::~Quiesce() {
-  {
-    const std::lock_guard<std::mutex> lock(pool_.lane_mu_);
-    for (std::uint32_t l = 0; l < kLaneCount; ++l)
-      pool_.free_lanes_.push_back(l);
-  }
-  pool_.lane_cv_.notify_all();
-}
+ObjectPool::Quiesce::~Quiesce() { pool_.return_lanes(kAllLanes); }
 
 PoolStats ObjectPool::stats() const {
   PoolStats s;

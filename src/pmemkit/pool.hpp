@@ -17,7 +17,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "pmemkit/errors.hpp"
 #include "pmemkit/heap.hpp"
@@ -271,9 +270,11 @@ class ObjectPool {
 
   /// Pins a transaction lane to the constructing thread for the session's
   /// lifetime: every run_tx (and atomic-op redo session) this thread runs
-  /// on the pool reuses the pinned lane without touching the lane mutex.
-  /// This is the server-worker idiom — a shard thread that commits one
-  /// transaction per request batch checks its lane out once, not per batch.
+  /// on the pool reuses the pinned lane without touching the free-lane
+  /// mask.  This is the server-worker idiom — a shard thread that commits
+  /// one transaction per request batch checks its lane out once, not per
+  /// batch.  The session's own checkout is an ordinary one (one atomic
+  /// read-modify-write, or a sleep while all 64 lanes are taken).
   /// One session per thread per pool (a second construction throws
   /// TxError(TxMisuse)); the session must be destroyed on the thread that
   /// created it, before the pool.
@@ -320,8 +321,14 @@ class ObjectPool {
   /// when it has one, else a lane from the free pool (raw path).
   std::uint32_t acquire_tx_lane();
   void release_tx_lane(std::uint32_t lane);
+  /// Raw checkout: the calling thread's last lane by one fetch_and on
+  /// free_lanes_ while it is free, else the lowest free lane by CAS; sleeps
+  /// on lane_cv_ only while every lane is taken.
   std::uint32_t acquire_lane_raw();
-  void release_lane_raw(std::uint32_t lane);
+  /// Clears one free bit of free_lanes_ into `lane`; false when none is set.
+  bool try_take_lane(std::uint32_t& lane) noexcept;
+  /// Sets `lanes` in free_lanes_ and wakes the sleepers, if any.
+  void return_lanes(std::uint64_t lanes);
   void set_current_tx(Transaction* tx);
   /// Lane index of the calling thread's open transaction on this pool, or
   /// kLaneCount when there is none.  Lets introspection recognize the one
@@ -347,9 +354,12 @@ class ObjectPool {
     bool owned_;
   };
 
-  /// All-lane quiesce for evolution ops: checks out every lane (raw path)
-  /// so no transaction or atomic op can be in flight, then hands them back.
-  /// Throws TxError(TxMisuse) when the calling thread itself holds a lane.
+  /// All-lane quiesce for evolution ops: takes every lane as it comes free
+  /// (so a stream of new checkouts cannot starve it) until no transaction
+  /// or atomic op can be in flight, then hands them back.  One quiesce
+  /// gathers at a time: two gathering at once could each hold part of the
+  /// lanes forever.  Throws TxError(TxMisuse) when the calling thread
+  /// itself holds a lane.
   class Quiesce {
    public:
     explicit Quiesce(ObjectPool& pool);
@@ -359,6 +369,7 @@ class ObjectPool {
 
    private:
     ObjectPool& pool_;
+    std::unique_lock<std::mutex> one_at_a_time_;  ///< on quiesce_mu_
   };
 
   PersistentRegion region_;
@@ -373,11 +384,19 @@ class ObjectPool {
   /// state allocation takes only the heap's sharded locks.
   std::mutex root_mu_;
 
-  /// Transaction lane pool (lanes 0 .. kLaneCount-1).
-  std::mutex lane_mu_;
+  /// Transaction lane pool: bit l of free_lanes_ is set while lane l is
+  /// free.  Checkout is one atomic read-modify-write and a return one
+  /// fetch_or, so no lane mutex sits on the hot path.  lane_mu_/lane_cv_
+  /// serve only threads that found every lane taken; lane_sleepers_ counts
+  /// them, so a return skips the mutex while nobody sleeps.  The mask has
+  /// its own cache line: every checkout and return on the pool writes it.
+  static_assert(kLaneCount == 64, "the free-lane mask is one 64-bit word");
+  alignas(64) std::atomic<std::uint64_t> free_lanes_{~std::uint64_t{0}};
+  std::atomic<std::uint32_t> lane_sleepers_{0};
+  alignas(64) std::mutex lane_mu_;
   std::condition_variable lane_cv_;
-  std::vector<std::uint32_t> free_lanes_;
   std::atomic<std::uint64_t> lane_waits_{0};
+  std::mutex quiesce_mu_;  ///< held by the one gathering Quiesce
 };
 
 // --- open-pool registry ------------------------------------------------------

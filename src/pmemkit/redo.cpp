@@ -44,6 +44,10 @@ void RedoSession::stage(std::uint64_t off, std::uint64_t val) {
 
 void RedoSession::commit() {
   if (count_ == 0) return;
+  // Before the content persist: a thread that has not seen a power cut yet
+  // must not overwrite a log that a cut thread published on this lane and
+  // released unapplied (tx:acquire guards the undo side the same way).
+  crash_point("redo:begin");
   RedoLog& log = *log_;
 
   // (1) log content.  Only the header words and the staged cells were

@@ -3,11 +3,13 @@
 // the paper's §1.4 claim of transactional integrity on (CXL-) PMem.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -481,7 +483,7 @@ TEST(CrashSimMT, RedoReplayPrecedesOtherLanesRollback) {
   int stage = 0;
   const auto advance = [&](int to) {
     const std::lock_guard<std::mutex> lock(mu);
-    stage = to;
+    stage = std::max(stage, to);
     cv.notify_all();
   };
   const auto await = [&](int at) {
@@ -489,17 +491,38 @@ TEST(CrashSimMT, RedoReplayPrecedesOtherLanesRollback) {
     cv.wait(lock, [&] { return stage >= at; });
   };
 
+  // Both sides run on fresh threads, and a fresh thread checks out the
+  // lowest free lane: the transaction side pins first and so holds the
+  // lower lane j.
   std::vector<std::byte> image;
+  std::uint32_t tx_lane = 0;
   std::uint32_t atomic_lane = 0;
   FirstError errors;
+  std::thread tx_side([&] {
+    errors.run([&] {
+      const pk::ObjectPool::LaneSession session(*pool);
+      tx_lane = session.lane();
+      advance(1);
+      await(2);  // the atomic side has pinned its lane
+      try {
+        pool->run_tx([&] {
+          (void)pool->tx_alloc(64, 10);
+          advance(3);
+          await(4);
+          throw pk::CrashInjected{"power cut with the transaction open"};
+        });
+      } catch (const pk::CrashInjected&) {
+      }
+    });
+    advance(4);  // also on failure: the atomic side waits for it
+  });
   std::thread atomic_side([&] {
     errors.run([&] {
-      // Pinned before the transaction's lane, so it is handed the higher
-      // one.
+      await(1);
       const pk::ObjectPool::LaneSession session(*pool);
       atomic_lane = session.lane();
-      advance(1);
-      await(2);  // J is allocated, its transaction still open
+      advance(2);
+      await(3);  // J is allocated, its transaction still open
       pk::set_crash_hook([](std::string_view pt) {
         if (pt == "redo:published") throw pk::CrashInjected{std::string(pt)};
       });
@@ -510,24 +533,13 @@ TEST(CrashSimMT, RedoReplayPrecedesOtherLanesRollback) {
       pk::set_crash_hook({});
       image = pool->region().crash_image(pk::CrashPolicy::DropUnflushed, 1);
     });
-    advance(3);  // also on failure: the main thread waits for it
+    advance(4);  // also on failure: the transaction side waits for it
   });
-  await(1);
-  {
-    const pk::ObjectPool::LaneSession session(*pool);
-    EXPECT_LT(session.lane(), atomic_lane) << "the scenario needs j < i";
-    try {
-      pool->run_tx([&] {
-        (void)pool->tx_alloc(64, 10);
-        advance(2);
-        await(3);
-        throw pk::CrashInjected{"power cut with the transaction open"};
-      });
-    } catch (const pk::CrashInjected&) {
-    }
-  }
+  tx_side.join();
   atomic_side.join();
   errors.check();
+  EXPECT_LT(tx_lane, atomic_lane) << "the scenario needs j < i";
+  ASSERT_FALSE(image.empty());
   pool->mark_crashed();
   pool.reset();
   {
@@ -545,6 +557,104 @@ TEST(CrashSimMT, RedoReplayPrecedesOtherLanesRollback) {
   EXPECT_TRUE(report.consistent) << pk::to_text(report);
   re.reset();
   fs::remove(path);
+}
+
+// After a power cut, a thread that has not reached a crash point yet must
+// not write durable state.  Thread A's alloc_atomic is cut with its redo
+// log published but unapplied, and its lane goes back to the pool; from
+// then on every crash point throws.  A fresh thread B checks out the same
+// lane (the lowest free one) and runs `second_op`: it must stop before it
+// persists anything — neither its AllocHeader into A's block nor its log
+// content over A's log.
+void expect_op_after_cut_leaves_no_trace(
+    const std::string& name,
+    const std::function<void(pk::ObjectPool&, pk::ObjId)>& second_op) {
+  struct CutRoot {
+    pk::ObjId slot;
+    pk::ObjId before;
+  };
+  const fs::path path = fs::temp_directory_path() /
+                        ("crash-after-cut-" + name + "-" +
+                         std::to_string(::getpid()));
+  fs::remove(path);
+  pk::PoolOptions opts;
+  opts.track_shadow = true;
+  auto pool = pk::ObjectPool::create(path, "cut", 8ull << 20, opts);
+  auto* root = pool->direct(pool->root<CutRoot>());
+  (void)pool->alloc_atomic(64, 13, &root->before);
+
+  std::atomic<bool> power_off{false};
+  pk::set_crash_hook([&power_off](std::string_view pt) {
+    if (power_off.load() || pt == "redo:published") {
+      power_off.store(true);
+      throw pk::CrashInjected{std::string(pt)};
+    }
+  });
+  std::thread a([&] {
+    try {
+      (void)pool->alloc_atomic(64, 11, &root->slot);
+    } catch (const pk::CrashInjected&) {
+    }
+  });
+  a.join();
+  const pk::ObjId before = root->before;
+  FirstError errors;
+  std::thread b(errors.wrap([&] {
+    try {
+      second_op(*pool, before);
+    } catch (const pk::CrashInjected&) {
+    }
+  }));
+  b.join();
+  pk::set_crash_hook({});
+  errors.check();
+  ASSERT_TRUE(power_off.load());
+
+  const std::vector<std::byte> image =
+      pool->region().crash_image(pk::CrashPolicy::DropUnflushed, 1);
+  pool->mark_crashed();
+  pool.reset();
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    ASSERT_TRUE(out);
+    out.write(reinterpret_cast<const char*>(image.data()),
+              static_cast<std::streamsize>(image.size()));
+    ASSERT_TRUE(out);
+  }
+
+  auto re = pk::ObjectPool::open(path, "cut");
+  auto* r = re->direct(re->root<CutRoot>());
+  const auto live = [&](std::uint32_t type) {
+    int n = 0;
+    for (pk::ObjId o = re->first(type); !o.is_null(); o = re->next(o, type))
+      ++n;
+    return n;
+  };
+  EXPECT_FALSE(r->slot.is_null()) << "A's published allocation was lost";
+  EXPECT_EQ(live(11), 1) << "A's object";
+  EXPECT_EQ(live(12), 0) << "B allocated after the power cut";
+  EXPECT_EQ(live(13), 1) << "B freed after the power cut";
+  if (!r->slot.is_null()) {
+    EXPECT_EQ(re->type_of(r->slot), 11u);
+  }
+  const pk::PoolReport report = pk::inspect(*re);
+  EXPECT_TRUE(report.consistent) << pk::to_text(report);
+  re.reset();
+  fs::remove(path);
+}
+
+TEST(CrashSimMT, AllocAfterPowerCutLeavesNoTrace) {
+  expect_op_after_cut_leaves_no_trace(
+      "alloc", [](pk::ObjectPool& p, pk::ObjId) {
+        (void)p.alloc_atomic(64, 12);
+      });
+}
+
+TEST(CrashSimMT, FreeAfterPowerCutLeavesNoTrace) {
+  expect_op_after_cut_leaves_no_trace(
+      "free", [](pk::ObjectPool& p, pk::ObjId before) {
+        p.free_atomic(before);
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, CrashPolicyTest,

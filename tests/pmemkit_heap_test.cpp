@@ -3,7 +3,10 @@
 // alloc/free property sweep with reopen-rebuild checks.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <random>
 #include <stdexcept>
@@ -11,6 +14,7 @@
 #include <vector>
 
 #include "pmemkit/evolve.hpp"
+#include "pmemkit/introspect.hpp"
 #include "pmemkit/pmemkit.hpp"
 #include "worker_errors.hpp"
 
@@ -313,6 +317,151 @@ TEST_F(HeapTest, OccupancyExactAfterConcurrentChurn) {
   for (auto& w : workers) w.join();
   errors.check();
   expect_occupancy_matches_walk(*pool_, "after churn");
+}
+
+// A thread's current run must not outlive its run.  Thread T allocates and
+// frees in one size class, which makes run R its current run; R is then
+// reclaimed and its chunk reused by a huge allocation, as a covered (not
+// head) chunk whose stale descriptor reads Free.  T's next allocation of
+// the class must leave the huge object's bytes alone.
+TEST_F(HeapTest, CurrentRunDropsWhenItsRunIsReclaimed) {
+  const pk::ObjId first_chunk = pool_->alloc_atomic(100 * 1024, 2);
+  std::promise<pk::ObjId> freed;
+  std::promise<void> reused;
+  pk::ObjId again = pk::kNullOid;
+  std::thread t([&] {
+    const pk::ObjId o = pool_->alloc_atomic(100, 3);
+    pool_->free_atomic(o);
+    freed.set_value(o);
+    reused.get_future().wait();
+    again = pool_->alloc_atomic(100, 3);
+  });
+  const std::uint32_t run =
+      pool_->heap().chunk_index_of(freed.get_future().get().off);
+  pool_->free_atomic(first_chunk);
+  EXPECT_EQ(pool_->heap().reclaim_empty_runs(), 2u);
+
+  constexpr std::uint64_t kHuge = 4 * pk::kChunkSize;
+  const pk::ObjId huge = pool_->alloc_atomic(kHuge, 4);
+  const std::uint32_t head = pool_->heap().chunk_index_of(huge.off);
+  ASSERT_LT(head, run) << "the huge span must cover R past its head";
+  ASSERT_LE(run, head + 4);
+  std::memset(pool_->direct(huge), 0x5A, kHuge);
+  pool_->persist(pool_->direct(huge), kHuge);
+  reused.set_value();
+  t.join();
+
+  ASSERT_FALSE(again.is_null());
+  EXPECT_EQ(pool_->type_of(again), 3u);
+  const auto* bytes = static_cast<const unsigned char*>(pool_->direct(huge));
+  std::uint64_t damaged = 0;
+  for (std::uint64_t i = 0; i < kHuge; ++i) damaged += bytes[i] != 0x5A;
+  EXPECT_EQ(damaged, 0u) << "an allocation landed inside the huge object";
+  const pk::PoolReport report = pk::inspect(*pool_);
+  EXPECT_TRUE(report.consistent) << pk::to_text(report);
+}
+
+// The same with a shrink: T's current run sits in a grown span that a
+// shrink then retracts.  T's next allocation must land inside the heap
+// that is left, never at a dropped chunk index.
+TEST_F(HeapTest, CurrentRunDropsWhenItsSpanIsRetracted) {
+  pool_.reset();
+  fs::remove(path_);
+  pool_ =
+      pk::ObjectPool::create(path_, "heap", pk::ObjectPool::min_pool_size());
+  const std::uint64_t base = pool_->size();
+  // Fill the base span so T's run has to go to the grown one.
+  std::vector<pk::ObjId> held;
+  for (;;) {
+    try {
+      held.push_back(pool_->alloc_atomic(200 * 1024, 5));
+    } catch (const pk::AllocError&) {
+      break;
+    }
+  }
+  ASSERT_FALSE(held.empty());
+  const std::uint64_t base_chunks = pool_->stats().heap.chunk_count;
+  pool_->resize(base + 4 * pk::kChunkSize);
+
+  std::promise<pk::ObjId> freed;
+  std::promise<void> shrunk;
+  pk::ObjId again = pk::kNullOid;
+  std::thread t([&] {
+    const pk::ObjId o = pool_->alloc_atomic(100, 3);
+    pool_->free_atomic(o);
+    freed.set_value(o);
+    shrunk.get_future().wait();
+    again = pool_->alloc_atomic(100, 3);
+  });
+  EXPECT_GE(pool_->heap().chunk_index_of(freed.get_future().get().off),
+            base_chunks);
+  pool_->free_atomic(held.back());  // room for T in the base span
+  pool_->resize(base);
+  ASSERT_EQ(pool_->size(), base);
+  shrunk.set_value();
+  t.join();
+
+  ASSERT_FALSE(again.is_null());
+  EXPECT_LT(pool_->heap().chunk_index_of(again.off),
+            pool_->stats().heap.chunk_count);
+  EXPECT_EQ(pool_->type_of(again), 3u);
+  const pk::PoolReport report = pk::inspect(*pool_);
+  EXPECT_TRUE(report.consistent) << pk::to_text(report);
+}
+
+// A blocking chunk lock that finds its chunk held counts exactly one
+// contended acquisition.  A is parked at redo:content, holding its run's
+// chunk lock, while B frees an object of the same run.
+TEST_F(HeapTest, ContendedChunkLockIsCountedOnce) {
+  const pk::ObjId victim = pool_->alloc_atomic(100, 3);
+  std::promise<void> parked;
+  std::promise<void> resume;
+  std::shared_future<void> resumed = resume.get_future().share();
+  std::atomic<bool> parked_once{false};
+  pk::set_crash_hook([&](std::string_view pt) {
+    if (pt == "redo:content" && !parked_once.exchange(true)) {
+      parked.set_value();
+      resumed.wait();
+    }
+  });
+  std::thread a([&] { (void)pool_->alloc_atomic(100, 3); });
+  parked.get_future().wait();
+  std::thread b([&] { pool_->free_atomic(victim); });
+  while (pool_->heap().contention().chunk_lock == 0)
+    std::this_thread::yield();
+  resume.set_value();
+  a.join();
+  b.join();
+  pk::set_crash_hook({});
+  EXPECT_EQ(pool_->heap().contention().chunk_lock, 1u);
+  EXPECT_EQ(pool_->stats().heap.contended.chunk_lock, 1u);
+}
+
+// One thread alone never finds a lock held: every contention count stays
+// zero across runs, huge spans, transactions and checked reads.
+TEST_F(HeapTest, SingleThreadCountsNoContention) {
+  std::vector<pk::ObjId> objs;
+  for (int i = 0; i < 300; ++i)
+    objs.push_back(pool_->alloc_atomic(
+        static_cast<std::uint64_t>(1 + (i * 997) % 9000), 6));
+  objs.push_back(pool_->alloc_atomic(600 * 1024, 6));
+  pool_->run_tx([&] {
+    objs.push_back(pool_->tx_alloc(256, 6));
+    pool_->tx_free(objs.front());
+  });
+  objs.erase(objs.begin());
+  for (const pk::ObjId& o : objs) {
+    EXPECT_EQ(pool_->heap().type_of_synced(o.off), 6u);
+    EXPECT_TRUE(pool_->heap().is_live_synced(o.off));
+  }
+  for (const pk::ObjId& o : objs) pool_->free_atomic(o);
+  (void)pool_->heap().reclaim_empty_runs();
+  const pk::HeapStats s = pool_->stats().heap;
+  EXPECT_EQ(s.contended.class_lock, 0u);
+  EXPECT_EQ(s.contended.chunk_lock, 0u);
+  EXPECT_EQ(s.contended.span_lock, 0u);
+  EXPECT_EQ(s.run_lock_skips, 0u);
+  EXPECT_EQ(s.run_lock_waits, 0u);
 }
 
 // ---------------------------------------------------------------------------

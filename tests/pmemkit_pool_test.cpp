@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -298,6 +301,105 @@ TEST_F(PoolTest, ConcurrentMixedAllocFreeIsConsistent) {
   p.reset();
   p = pk::ObjectPool::open(pool_path(), "mt");
   EXPECT_FALSE(p->recovered());
+}
+
+// Every lane of one pool checked out: a further checkout on that pool
+// sleeps (counted in lane_waits) until a lane comes back, while a checkout
+// on a second pool goes straight through — the free-lane mask is per pool.
+TEST_F(PoolTest, CheckoutSleepsOnlyWhileItsPoolHasNoFreeLane) {
+  auto full = pk::ObjectPool::create(pool_path("full"), "lanes", kSize);
+  auto other = pk::ObjectPool::create(pool_path("other"), "lanes", kSize);
+  constexpr int kLanes = static_cast<int>(pk::kLaneCount);
+
+  std::mutex mu;
+  std::condition_variable cv;
+  int pinned = 0;
+  int may_end = 0;  // sessions allowed to end
+  FirstError errors;
+  std::vector<std::thread> holders;
+  holders.reserve(kLanes);
+  for (int t = 0; t < kLanes; ++t) {
+    holders.emplace_back(errors.wrap([&] {
+      const pk::ObjectPool::LaneSession session(*full);
+      std::unique_lock<std::mutex> lock(mu);
+      ++pinned;
+      cv.notify_all();
+      cv.wait(lock, [&] { return may_end > 0; });
+      --may_end;
+    }));
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return pinned == kLanes; });
+  }
+
+  const std::uint64_t waits_before = full->stats().lane_waits;
+  std::atomic<bool> done{false};
+  std::thread sleeper(errors.wrap([&] {
+    full->run_tx([] {});
+    done.store(true);
+  }));
+  while (full->stats().lane_waits == waits_before) std::this_thread::yield();
+  EXPECT_FALSE(done.load()) << "a checkout went through with no lane free";
+
+  other->run_tx([] {});
+  EXPECT_EQ(other->stats().lane_waits, 0u);
+  EXPECT_FALSE(done.load());
+
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    may_end = 1;
+    cv.notify_all();
+  }
+  sleeper.join();
+  EXPECT_TRUE(done.load());
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    may_end = kLanes;
+    cv.notify_all();
+  }
+  for (auto& h : holders) h.join();
+  errors.check();
+  EXPECT_EQ(full->stats().lane_waits, waits_before + 1);
+}
+
+// A thread's checkouts keep to its last lane while that lane stays free,
+// even with a lower lane free: each thread keeps writing its own lane's
+// log lines.  Both threads are fresh, so each first gets the lowest free
+// lane.
+TEST_F(PoolTest, ConsecutiveCheckoutsKeepTheThreadsLane) {
+  auto p = pk::ObjectPool::create(pool_path(), "lanes", kSize);
+  std::promise<std::uint32_t> low_held;
+  std::promise<void> first_done;
+  std::promise<void> low_free;
+  std::thread low_holder([&] {
+    {
+      const pk::ObjectPool::LaneSession session(*p);
+      low_held.set_value(session.lane());
+      first_done.get_future().wait();
+    }
+    low_free.set_value();
+  });
+  std::uint32_t low = 0;
+  std::uint32_t first = 0;
+  std::vector<std::uint32_t> later;
+  std::thread worker([&] {
+    low = low_held.get_future().get();
+    {
+      const pk::ObjectPool::LaneSession session(*p);
+      first = session.lane();
+    }
+    first_done.set_value();
+    low_free.get_future().wait();
+    for (int i = 0; i < 4; ++i) {
+      const pk::ObjectPool::LaneSession session(*p);
+      later.push_back(session.lane());
+    }
+  });
+  low_holder.join();
+  worker.join();
+  EXPECT_LT(low, first);
+  for (const std::uint32_t lane : later) EXPECT_EQ(lane, first);
 }
 
 }  // namespace
