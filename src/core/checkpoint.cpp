@@ -1,7 +1,11 @@
 #include "core/checkpoint.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <numeric>
 
 #include "pmemkit/checksum.hpp"
 #include "pmemkit/crash_hook.hpp"
@@ -21,19 +25,30 @@ std::uint64_t effective_chunk_size(std::uint64_t requested) {
 }
 
 /// Calls fn(begin, end) for every maximal run [begin, end) of indices in
-/// [from, to) on which pred holds.
-template <typename Pred, typename Fn>
-void for_each_run(std::uint64_t from, std::uint64_t to, Pred pred, Fn fn) {
+/// [from, to) on which pred holds and for which adjacent(i) holds at each
+/// i after the run's first.
+template <typename Pred, typename Adjacent, typename Fn>
+void for_each_run(std::uint64_t from, std::uint64_t to, Pred pred,
+                  Adjacent adjacent, Fn fn) {
   for (std::uint64_t i = from; i < to;) {
     if (!pred(i)) {
       ++i;
       continue;
     }
     std::uint64_t j = i + 1;
-    while (j < to && pred(j)) ++j;
+    while (j < to && pred(j) && adjacent(j)) ++j;
     fn(i, j);
     i = j;
   }
+}
+
+/// The pool as the dirty-page tracker keys it (pool_id 0 when its file
+/// cannot be identified).
+TrackedPool identify(const pmemkit::ObjectPool& pool) {
+  struct stat st{};
+  if (pool.path().empty() || ::stat(pool.path().c_str(), &st) != 0) return {};
+  return TrackedPool{static_cast<std::uint64_t>(st.st_dev),
+                     static_cast<std::uint64_t>(st.st_ino), pool.pool_id()};
 }
 
 /// Bytes the slot allocation must provide for `payload` bytes: exact for
@@ -88,6 +103,7 @@ CheckpointStore::CheckpointStore(DaxNamespace& ns, const std::string& file,
         pool_size_for(max_payload_bytes, chunk_size_, table_capacity_),
         allow_volatile, pool_options);
   }
+  identity_ = identify(*pool_);
   init_tables();
 }
 
@@ -152,9 +168,42 @@ SaveStats CheckpointStore::save_empty(Root* r, std::uint32_t target) {
   return stats;
 }
 
+std::vector<std::uint64_t> CheckpointStore::candidates(
+    std::span<const std::byte> payload, std::uint64_t nchunks,
+    const DirtyPlan& plan) const {
+  std::vector<std::uint64_t> out;
+  if (!plan.tracked) {
+    out.resize(nchunks);
+    std::iota(out.begin(), out.end(), std::uint64_t{0});
+    return out;
+  }
+  // Byte ranges of the payload arrive in ascending order; `next` is the
+  // first chunk not yet listed, so a chunk two pages share is listed once.
+  std::uint64_t next = 0;
+  const auto add = [&](std::uint64_t from, std::uint64_t to) {
+    if (from >= to) return;
+    const std::uint64_t last = std::min((to - 1) / chunk_size_ + 1, nchunks);
+    for (std::uint64_t c = std::max(from / chunk_size_, next); c < last; ++c)
+      out.push_back(c);
+    next = std::max(next, last);
+  };
+  const std::uint64_t head =
+      plan.first_page - reinterpret_cast<std::uintptr_t>(payload.data());
+  add(0, head);  // the leading partial page, never armed
+  for (std::size_t w = 0; w < plan.written.size(); ++w)
+    for (std::uint64_t bits = plan.written[w]; bits != 0; bits &= bits - 1) {
+      const std::uint64_t page =
+          w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
+      add(head + page * kTrackerPage, head + (page + 1) * kTrackerPage);
+    }
+  add(head + plan.pages * kTrackerPage, payload.size());  // trailing page
+  return out;
+}
+
 void CheckpointStore::copy_chunks(std::byte* dst,
                                   std::span<const std::byte> payload,
                                   const std::uint64_t* old_sums, bool trusted,
+                                  const std::vector<std::uint64_t>& cand,
                                   std::vector<std::uint64_t>& sums,
                                   std::vector<std::uint8_t>& dirty,
                                   SaveStats& stats) {
@@ -166,12 +215,13 @@ void CheckpointStore::copy_chunks(std::byte* dst,
   const auto copy_range = [&](std::uint64_t begin, std::uint64_t end,
                               Tally& out) {
     Tally t;
-    for (std::uint64_t i = begin; i < end; ++i) {
+    for (std::uint64_t j = begin; j < end; ++j) {
+      const std::uint64_t i = cand[j];
       const std::uint64_t off = i * chunk_size_;
       const std::uint64_t n = std::min(chunk_size_, payload.size() - off);
-      sums[i] = pmemkit::fingerprint64(payload.data() + off, n);
-      if (trusted && old_sums[i] == sums[i]) continue;
-      dirty[i] = 1;
+      sums[j] = pmemkit::fingerprint64(payload.data() + off, n);
+      if (trusted && old_sums[i] == sums[j]) continue;
+      dirty[j] = 1;
       // pmemlint: allow(announced below, flushed by persist_copy)
       std::memcpy(dst + off, payload.data() + off, n);
       // The announcement tells the persistency tooling these lines were
@@ -185,7 +235,7 @@ void CheckpointStore::copy_chunks(std::byte* dst,
     out.bytes += t.bytes;
   };
 
-  const std::uint64_t nchunks = sums.size();
+  const std::uint64_t ncand = cand.size();
   // Crash hooks are single-threaded by contract, so an installed hook (or a
   // serial configuration) keeps the copy on the calling thread — which is
   // also what gives the crash sweep its deterministic per-chunk points.
@@ -194,16 +244,17 @@ void CheckpointStore::copy_chunks(std::byte* dst,
   std::vector<Tally> tallies(
       serial ? 1 : static_cast<std::size_t>(pool->size()));
   if (serial) {
-    for (std::uint64_t i = 0; i < nchunks; ++i) {
-      copy_range(i, i + 1, tallies[0]);
+    for (std::uint64_t j = 0; j < ncand; ++j) {
+      copy_range(j, j + 1, tallies[0]);
       pmemkit::crash_point("ckpt:chunk");
     }
   } else {
-    pool->parallel_for(nchunks, [&](int w, std::uint64_t begin,
-                                    std::uint64_t end) {
+    pool->parallel_for(ncand, [&](int w, std::uint64_t begin,
+                                  std::uint64_t end) {
       copy_range(begin, end, tallies[static_cast<std::size_t>(w)]);
     });
   }
+  stats.chunks_scanned = ncand;
   stats.threads_used = static_cast<int>(tallies.size());
   for (const Tally& t : tallies) {
     stats.chunks_written += t.chunks;
@@ -213,19 +264,27 @@ void CheckpointStore::copy_chunks(std::byte* dst,
 
 void CheckpointStore::persist_copy(std::byte* dst,
                                    std::uint64_t payload_bytes,
+                                   std::uint64_t nchunks,
                                    std::uint64_t* table, bool trusted,
+                                   const std::vector<std::uint64_t>& cand,
                                    const std::vector<std::uint64_t>& sums,
                                    const std::vector<std::uint8_t>& dirty) {
-  const std::uint64_t nchunks = sums.size();
+  // Runs are over candidate positions whose chunks are consecutive.
+  const auto adjacent = [&](std::uint64_t j) {
+    return cand[j] == cand[j - 1] + 1;
+  };
   // Each maximal dirty run is flushed once.  Runs are at least one clean
   // chunk apart, so no cache line is flushed twice although chunk
   // boundaries split lines (slot data starts 16 B into one).
   for_each_run(
-      0, nchunks, [&](std::uint64_t i) { return dirty[i] != 0; },
+      0, cand.size(), [&](std::uint64_t j) { return dirty[j] != 0; },
+      adjacent,
       [&](std::uint64_t b, std::uint64_t e) {
-        const std::uint64_t off = b * chunk_size_;
+        const std::uint64_t off = cand[b] * chunk_size_;
         pool_->flush(dst + off,
-                     std::min(e * chunk_size_, payload_bytes) - off);
+                     std::min((cand[e - 1] + 1) * chunk_size_,
+                              payload_bytes) -
+                         off);
       });
 
   const auto publish = [&](std::uint64_t b, std::uint64_t e) {
@@ -233,11 +292,13 @@ void CheckpointStore::persist_copy(std::byte* dst,
     pool_->flush(table + b, (e - b) * sizeof(std::uint64_t));
   };
   for_each_run(
-      0, nchunks, [&](std::uint64_t i) { return table[i] != sums[i]; },
+      0, cand.size(),
+      [&](std::uint64_t j) { return table[cand[j]] != sums[j]; }, adjacent,
       [&](std::uint64_t b, std::uint64_t e) {
         std::copy(sums.begin() + static_cast<std::ptrdiff_t>(b),
-                  sums.begin() + static_cast<std::ptrdiff_t>(e), table + b);
-        publish(b, e);
+                  sums.begin() + static_cast<std::ptrdiff_t>(e),
+                  table + cand[b]);
+        publish(cand[b], cand[b] + (e - b));
       });
   // An untrusted save may follow a crashed one that rewrote chunks past
   // this payload without updating their fingerprints.  Left in place, those
@@ -250,6 +311,7 @@ void CheckpointStore::persist_copy(std::byte* dst,
     for_each_run(
         nchunks, table_capacity_,
         [&](std::uint64_t i) { return table[i] != 0; },
+        [](std::uint64_t) { return true; },
         [&](std::uint64_t b, std::uint64_t e) {
           std::fill(table + b, table + e, 0);
           publish(b, e);
@@ -291,6 +353,16 @@ SaveStats CheckpointStore::save(std::span<const std::byte> payload,
       !realloc && r->valid[target] != 0 && mode == SaveMode::Incremental;
   stats.full_rewrite = !trusted;
 
+  // Ask the tracker which pages changed since the target's seal before any
+  // payload byte is read.  An unidentified pool never arms a range.
+  DirtyTracker& tracker = DirtyTracker::process();
+  const DirtyPlan plan =
+      identity_.pool_id == 0
+          ? DirtyPlan{}
+          : tracker.begin_save(payload, identity_, target, r->epoch, trusted);
+  stats.tracked = plan.tracked;
+  const std::vector<std::uint64_t> cand = candidates(payload, nchunks, plan);
+
   // Phase A — prepare: durably invalidate the target slot BEFORE any of its
   // bytes or fingerprints change (a crash mid-copy must never leave
   // fingerprints that claim to describe the half-overwritten contents),
@@ -307,19 +379,20 @@ SaveStats CheckpointStore::save(std::span<const std::byte> payload,
   }
   pmemkit::crash_point("ckpt:prepared");
 
-  // Phase B — copy: fingerprint every chunk, copy the dirty ones.
+  // Phase B — copy: fingerprint the candidates, copy the dirty ones.
   auto* dst = static_cast<std::byte*>(pool_->direct(r->slot[target]));
   auto* table = static_cast<std::uint64_t*>(pool_->direct(r->table[target]));
-  std::vector<std::uint64_t> sums(nchunks);
-  std::vector<std::uint8_t> dirty(nchunks, 0);
-  copy_chunks(dst, payload, table, trusted, sums, dirty, stats);
+  std::vector<std::uint64_t> sums(cand.size());
+  std::vector<std::uint8_t> dirty(cand.size(), 0);
+  copy_chunks(dst, payload, table, trusted, cand, sums, dirty, stats);
   pmemkit::crash_point("ckpt:chunks-done");
 
   // Phase C — persist the copy and the target's fingerprints with one
   // drain.  The table needs no undo log: valid[target] is durably 0, so a
   // crash before the seal leaves the slot untrusted whatever the table
   // holds.
-  persist_copy(dst, payload.size(), table, trusted, sums, dirty);
+  persist_copy(dst, payload.size(), nchunks, table, trusted, cand, sums,
+               dirty);
   pmemkit::crash_point("ckpt:table");
 
   // Phase D — seal: one small transaction flips {size, valid, active,
@@ -331,6 +404,7 @@ SaveStats CheckpointStore::save(std::span<const std::byte> payload,
     r->active = target;
     r->epoch += 1;
   });
+  if (plan.armed) tracker.sealed(plan, payload, identity_, target, r->epoch);
 
   last_save_ = stats;
   return stats;

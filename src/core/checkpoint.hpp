@@ -8,12 +8,19 @@
 //
 //   * two payload slots; saves go to the inactive one;
 //   * each slot carries a per-chunk fingerprint table (fixed chunk size,
-//     default one 4 KiB page); save() fingerprints the new payload chunk by
-//     chunk and rewrites only the chunks that changed since that slot was
-//     last sealed — most solver state is identical between adjacent
-//     epochs, so an incremental save moves about the bytes the solver
-//     dirtied, not whole multi-page chunks around them;
-//   * the fingerprint scan and the copy of each dirty chunk (while its
+//     default one 4 KiB page); save() fingerprints candidate chunks of the
+//     new payload and rewrites only those whose fingerprint changed since
+//     that slot was last sealed — most solver state is identical between
+//     adjacent epochs, so an incremental save moves about the bytes the
+//     solver dirtied, not whole multi-page chunks around them;
+//   * the candidates come from the process's DirtyTracker
+//     (dirty_tracker.hpp) when it tracks the payload: the chunks
+//     overlapping pages written since the target slot's seal, plus the
+//     chunks touching the span's two partial edge pages — so a save costs
+//     O(dirty pages), not O(payload).  Otherwise (no userfaultfd, a new or
+//     remapped buffer, a small span, an untrusted slot) every chunk is a
+//     candidate: the same path with the full set;
+//   * the fingerprinting and the copy of each dirty chunk (while its
 //     source is still in cache) fan out over a numakit::ThreadPool when
 //     the store was configured with threads (the facade binds the pool to
 //     the namespace's NUMA placement) — Wahlgren et al. show a single
@@ -30,6 +37,10 @@
 //     overwritten, so a save that dies mid-copy can never poison a later
 //     incremental diff; the next save to that slot rewrites it in full and
 //     clears the fingerprints past its payload.
+//
+// The payload must not change while save() runs (as before: a chunk
+// written between its fingerprint and its copy would be sealed with a
+// fingerprint that does not describe it).
 #pragma once
 
 #include <cstdint>
@@ -39,6 +50,7 @@
 #include <vector>
 
 #include "core/dax.hpp"
+#include "core/dirty_tracker.hpp"
 #include "numakit/threadpool.hpp"
 
 namespace cxlpmem::core {
@@ -71,10 +83,14 @@ enum class SaveMode {
 /// incremental tests key on.
 struct SaveStats {
   std::uint64_t chunks_total = 0;    ///< chunks the payload spans
+  std::uint64_t chunks_scanned = 0;  ///< chunks fingerprinted
   std::uint64_t chunks_written = 0;  ///< chunks copied + persisted
   std::uint64_t bytes_written = 0;   ///< payload bytes actually copied
   bool full_rewrite = false;  ///< no trusted fingerprints (or SaveMode::Full)
-  int threads_used = 1;       ///< workers the copy fanned out over
+  /// The dirty-page tracker chose the candidate chunks; false means every
+  /// chunk was fingerprinted.
+  bool tracked = false;
+  int threads_used = 1;  ///< workers the copy fanned out over
 };
 
 class CheckpointStore {
@@ -154,20 +170,28 @@ class CheckpointStore {
   [[nodiscard]] Root* root() const;
   void init_tables();
   SaveStats save_empty(Root* r, std::uint32_t target);
-  /// Fingerprints every chunk of `payload` into `sums` and copies each
-  /// chunk whose fingerprint differs from `old_sums` (every chunk unless
-  /// `trusted`) into `dst`, marking it in `dirty`.  The copies are
-  /// announced but neither flushed nor fenced.  Runs on the calling thread
-  /// or the worker pool.
+  /// The chunks save() fingerprints, ascending: all `nchunks` unless
+  /// `plan` is tracked, else those overlapping a page it marks written or
+  /// one of the span's partial edge pages.
+  [[nodiscard]] std::vector<std::uint64_t> candidates(
+      std::span<const std::byte> payload, std::uint64_t nchunks,
+      const DirtyPlan& plan) const;
+  /// Fingerprints each candidate chunk `cand[j]` of `payload` into
+  /// `sums[j]` and copies it into `dst`, marking `dirty[j]`, when its
+  /// fingerprint differs from `old_sums` (always unless `trusted`).  The
+  /// copies are announced but neither flushed nor fenced.  Runs on the
+  /// calling thread or the worker pool.
   void copy_chunks(std::byte* dst, std::span<const std::byte> payload,
                    const std::uint64_t* old_sums, bool trusted,
+                   const std::vector<std::uint64_t>& cand,
                    std::vector<std::uint64_t>& sums,
                    std::vector<std::uint8_t>& dirty, SaveStats& stats);
   /// Flushes the copied chunks, writes and flushes the target's changed
   /// fingerprints (clearing stale ones past the payload unless `trusted`),
   /// then drains once.  The caller guarantees the slot is durably invalid.
   void persist_copy(std::byte* dst, std::uint64_t payload_bytes,
-                    std::uint64_t* table, bool trusted,
+                    std::uint64_t nchunks, std::uint64_t* table,
+                    bool trusted, const std::vector<std::uint64_t>& cand,
                     const std::vector<std::uint64_t>& sums,
                     const std::vector<std::uint8_t>& dirty);
   [[nodiscard]] numakit::ThreadPool* worker_pool();
@@ -181,6 +205,9 @@ class CheckpointStore {
   std::uint64_t chunk_size_ = kDefaultCheckpointChunk;
   std::uint64_t table_capacity_ = 1;
   CheckpointOptions options_;
+  /// The pool as the dirty-page tracker keys it; pool_id 0 (the file
+  /// could not be identified) keeps every save on the full scan.
+  TrackedPool identity_;
   std::unique_ptr<numakit::ThreadPool> workers_;  ///< lazily built
   SaveStats last_save_;
 };

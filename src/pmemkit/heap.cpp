@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstring>
 
 #include "pmemkit/crash_hook.hpp"
@@ -250,6 +251,7 @@ const ChunkDesc* Heap::chunk_desc(std::uint32_t chunk) const noexcept {
                                             desc_off(chunk));
 }
 std::uint64_t Heap::desc_off(std::uint32_t chunk) const noexcept {
+  assert(chunk < chunk_count_.load(std::memory_order_relaxed));
   const Span& s = spans_[span_index_of_chunk(chunk)];
   return s.off + std::uint64_t{chunk - s.first_chunk} * sizeof(ChunkDesc);
 }
@@ -270,6 +272,7 @@ const RunHeader* Heap::run_header(std::uint32_t chunk) const noexcept {
   return reinterpret_cast<const RunHeader*>(chunk_data(chunk));
 }
 Heap::ChunkSlot& Heap::chunk_slot(std::uint32_t chunk) const noexcept {
+  assert(chunk < chunk_count_.load(std::memory_order_relaxed));
   const std::uint32_t i = span_index_of_chunk(chunk);
   return chunk_slots_[i][chunk - spans_[i].first_chunk];
 }
@@ -415,9 +418,15 @@ std::uint32_t& Heap::current_run(int class_idx) const noexcept {
   return runs.chunk[static_cast<std::size_t>(class_idx)];
 }
 
+std::uint32_t Heap::current_run_of(int class_idx) const noexcept {
+  return current_run(class_idx);
+}
+
 bool Heap::take_current_run(int class_idx, PreparedAlloc& a) {
   const std::uint32_t c = current_run(class_idx);
-  if (c == kNoChunk) return false;
+  // An index past the heap names a retracted span; its slot and descriptor
+  // no longer exist.
+  if (c >= chunk_count_.load(std::memory_order_acquire)) return false;
   std::unique_lock<std::mutex> lk(chunk_mutex(c), std::try_to_lock);
   if (!lk.owns_lock()) {
     count(kRunLockSkips);

@@ -262,6 +262,10 @@ class Heap {
   /// the run its source block was just freed from.
   static void forget_current_runs() noexcept;
 
+  /// The calling thread's current run of `class_idx` as its next
+  /// allocation of that class would try it (UINT32_MAX when none).
+  [[nodiscard]] std::uint32_t current_run_of(int class_idx) const noexcept;
+
   /// Largest single allocation this heap can ever satisfy.
   [[nodiscard]] std::uint64_t max_alloc_bytes() const noexcept;
 

@@ -383,14 +383,20 @@ TEST_F(HeapTest, CurrentRunDropsWhenItsSpanIsRetracted) {
   const std::uint64_t base_chunks = pool_->stats().heap.chunk_count;
   pool_->resize(base + 4 * pk::kChunkSize);
 
+  // The retraction must drop T's current run itself, not only make it
+  // fail validation: take_current_run rejects an index past the heap, so
+  // only the cached index shows a missing epoch bump.
+  const int cls = pk::size_class_for(100 + sizeof(pk::AllocHeader));
   std::promise<pk::ObjId> freed;
   std::promise<void> shrunk;
   pk::ObjId again = pk::kNullOid;
+  std::uint32_t cached = 0;
   std::thread t([&] {
     const pk::ObjId o = pool_->alloc_atomic(100, 3);
     pool_->free_atomic(o);
     freed.set_value(o);
     shrunk.get_future().wait();
+    cached = pool_->heap().current_run_of(cls);
     again = pool_->alloc_atomic(100, 3);
   });
   EXPECT_GE(pool_->heap().chunk_index_of(freed.get_future().get().off),
@@ -402,6 +408,9 @@ TEST_F(HeapTest, CurrentRunDropsWhenItsSpanIsRetracted) {
   t.join();
 
   ASSERT_FALSE(again.is_null());
+  EXPECT_EQ(cached, ~0u) << "T still names chunk " << cached
+                         << " of a heap with "
+                         << pool_->stats().heap.chunk_count << " chunks";
   EXPECT_LT(pool_->heap().chunk_index_of(again.off),
             pool_->stats().heap.chunk_count);
   EXPECT_EQ(pool_->type_of(again), 3u);
