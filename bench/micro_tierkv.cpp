@@ -4,21 +4,17 @@
 //
 // Drives the tierkv engine directly (no sockets — micro_kv_service owns
 // the wire path) over a grid of DRAM fraction {5, 25, 100}% of the raw
-// working set x codec {lz, identity} x prefetcher {on, off}, plus a full
-// sequential scan at 25% DRAM.  The promotion lane runs in deterministic
-// mode: a bounded drain (2 promotions per GET) models a lane with finite
-// bandwidth without making the numbers depend on scheduler timing.
-// Per point: hit rate, GET p50/p99, cold-tier compression ratio, the
-// promotion/prefetch counters.  Emits BENCH_tierkv.json.
+// working set x codec {lz, identity}, plus a full sequential scan at 25%
+// DRAM.  Per point: hit rate, GET p50/p99, cold-tier compression ratio,
+// promotions.  Emits BENCH_tierkv.json.
 //
 //   micro_tierkv [--smoke] [--sequences N] [--blocks N] [--value-bytes N]
 //                [--requests N] [--json PATH]
 //
 // --smoke (used from ctest) shrinks the working set and fails the process
-// when, at the 25% DRAM zipfian point,
-//   - the prefetcher does not lift the hit rate by >= 10% relative
-//     (no-collapse floor on starved single/dual-core runners),
-//   - the lz cold tier stores less than 1.5x raw capacity, or
+// when
+//   - the lz cold tier stores less than 1.5x raw capacity at the 25% DRAM
+//     zipfian point, or
 //   - any GET misbehaves (wrong bytes, a lost key, an exception).
 #include <algorithm>
 #include <chrono>
@@ -55,14 +51,11 @@ struct PointResult {
   std::string workload;
   int dram_pct = 0;
   std::string codec;
-  bool prefetch = false;
   double hit_rate = 0;
   double p50_us = 0;
   double p99_us = 0;
   double compression_ratio = 0;
   std::uint64_t promotions = 0;
-  std::uint64_t prefetch_issued = 0;
-  std::uint64_t prefetch_hits = 0;
   std::uint64_t errors = 0;
 };
 
@@ -76,7 +69,7 @@ double percentile(std::vector<double>& v, double p) {
 }
 
 /// Zipfian sampler over sequence ids, fixed seed: every grid point replays
-/// the identical request stream, so prefetch on/off is a true A/B.
+/// the identical request stream, so points differ only in their settings.
 class Zipf {
  public:
   Zipf(int n, double s, std::uint32_t seed) : gen_(seed) {
@@ -119,12 +112,11 @@ std::string block_value(int seq, int blk, int bytes) {
 
 PointResult run_point(api::Runtime& rt, const Config& cfg,
                       const std::string& workload, int dram_pct,
-                      const std::string& codec, bool prefetch, int index) {
+                      const std::string& codec, int index) {
   PointResult out;
   out.workload = workload;
   out.dram_pct = dram_pct;
   out.codec = codec;
-  out.prefetch = prefetch;
 
   const std::uint64_t raw_working_set =
       static_cast<std::uint64_t>(cfg.sequences) *
@@ -152,8 +144,6 @@ PointResult run_point(api::Runtime& rt, const Config& cfg,
   tierkv::TierOptions topts;
   topts.codec = codec;
   topts.dram_bytes = budget;
-  topts.prefetch = prefetch;
-  topts.background_lane = false;  // deterministic: drained inline below
   tierkv::TieredCache tier(map, topts);
 
   for (int s = 0; s < cfg.sequences; ++s)
@@ -181,9 +171,6 @@ PointResult run_point(api::Runtime& rt, const Config& cfg,
                            .count());
       if (!got.has_value() || *got != block_value(seq, b, cfg.value_bytes))
         ++errors;
-      // The finite-bandwidth lane: two promotions per demand access keeps
-      // a well-predicted run ahead of the reader without instant magic.
-      tier.drain_promotions(2);
     }
   };
   if (workload == "zipfian") {
@@ -204,8 +191,6 @@ PointResult run_point(api::Runtime& rt, const Config& cfg,
   out.p99_us = percentile(lat_us, 0.99);
   out.compression_ratio = s1.compression_ratio();
   out.promotions = s1.promotions - s0.promotions;
-  out.prefetch_issued = s1.prefetch_issued - s0.prefetch_issued;
-  out.prefetch_hits = s1.prefetch_hits - s0.prefetch_hits;
   out.errors = errors;
   return out;
 }
@@ -253,43 +238,30 @@ int main(int argc, char** argv) {
   int index = 0;
   std::uint64_t total_errors = 0;
   const auto run = [&](const std::string& workload, int pct,
-                       const std::string& codec, bool prefetch) {
+                       const std::string& codec) {
     const PointResult r =
-        run_point(rt.value(), cfg, workload, pct, codec, prefetch, index++);
-    std::printf("%-7s dram=%3d%% codec=%-8s prefetch=%-3s  hit %.3f  "
+        run_point(rt.value(), cfg, workload, pct, codec, index++);
+    std::printf("%-7s dram=%3d%% codec=%-8s  hit %.3f  "
                 "p50 %6.1f us  p99 %6.1f us  ratio %.2fx  "
-                "(promo %llu, pf %llu/%llu, err %llu)\n",
-                r.workload.c_str(), r.dram_pct, r.codec.c_str(),
-                r.prefetch ? "on" : "off", r.hit_rate, r.p50_us, r.p99_us,
-                r.compression_ratio,
+                "(promo %llu, err %llu)\n",
+                r.workload.c_str(), r.dram_pct, r.codec.c_str(), r.hit_rate,
+                r.p50_us, r.p99_us, r.compression_ratio,
                 static_cast<unsigned long long>(r.promotions),
-                static_cast<unsigned long long>(r.prefetch_hits),
-                static_cast<unsigned long long>(r.prefetch_issued),
                 static_cast<unsigned long long>(r.errors));
     total_errors += r.errors;
     points.push_back(r);
     return r;
   };
 
-  // The headline grid: DRAM fraction x codec x prefetcher, zipfian.
-  PointResult key_on, key_off;  // 25% DRAM, lz — the smoke's A/B pair
+  // The headline grid: DRAM fraction x codec, zipfian.
+  PointResult key;  // 25% DRAM, lz — the smoke's compression point
   for (const int pct : {5, 25, 100})
-    for (const char* codec : {"lz", "identity"})
-      for (const bool prefetch : {true, false}) {
-        const PointResult r = run("zipfian", pct, codec, prefetch);
-        if (pct == 25 && std::strcmp(codec, "lz") == 0)
-          (prefetch ? key_on : key_off) = r;
-      }
-  // The prefetcher's home turf: a cold sequential sweep of everything.
-  for (const bool prefetch : {true, false})
-    run("scan", 25, "lz", prefetch);
-
-  const double gain =
-      key_off.hit_rate > 0 ? key_on.hit_rate / key_off.hit_rate : 0;
-  std::printf("prefetch hit-rate gain at 25%% DRAM (zipfian): %.2fx "
-              "(%.3f -> %.3f); lz cold-tier ratio %.2fx\n",
-              gain, key_off.hit_rate, key_on.hit_rate,
-              key_on.compression_ratio);
+    for (const char* codec : {"lz", "identity"}) {
+      const PointResult r = run("zipfian", pct, codec);
+      if (pct == 25 && std::strcmp(codec, "lz") == 0) key = r;
+    }
+  // A cold sequential sweep of everything: what TinyLFU keeps out.
+  run("scan", 25, "lz");
 
   std::string json = "{\n";
   json += "  \"bench\": \"micro_tierkv\",\n";
@@ -298,24 +270,20 @@ int main(int argc, char** argv) {
   json += "  \"blocks_per_sequence\": " + std::to_string(cfg.blocks) + ",\n";
   json += "  \"value_bytes\": " + std::to_string(cfg.value_bytes) + ",\n";
   json += "  \"zipfian_requests\": " + std::to_string(cfg.requests) + ",\n";
-  json += "  \"prefetch_gain_25pct\": " + std::to_string(gain) + ",\n";
   json += "  \"lz_compression_ratio\": " +
-          std::to_string(key_on.compression_ratio) + ",\n";
+          std::to_string(key.compression_ratio) + ",\n";
   json += "  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
     const PointResult& r = points[i];
     json += "    {\"workload\": \"" + r.workload + "\"" +
             ", \"dram_pct\": " + std::to_string(r.dram_pct) +
             ", \"codec\": \"" + r.codec + "\"" +
-            ", \"prefetch\": " + (r.prefetch ? "true" : "false") +
             ", \"hit_rate\": " + std::to_string(r.hit_rate) +
             ", \"p50_us\": " + std::to_string(r.p50_us) +
             ", \"p99_us\": " + std::to_string(r.p99_us) +
             ", \"compression_ratio\": " +
             std::to_string(r.compression_ratio) +
             ", \"promotions\": " + std::to_string(r.promotions) +
-            ", \"prefetch_issued\": " + std::to_string(r.prefetch_issued) +
-            ", \"prefetch_hits\": " + std::to_string(r.prefetch_hits) +
             ", \"errors\": " + std::to_string(r.errors) + "}" +
             (i + 1 < points.size() ? "," : "") + "\n";
   }
@@ -329,27 +297,15 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(total_errors));
       return 1;
     }
-    // The promotion drain is deterministic, but keep the starved-runner
-    // convention of the other micro smokes: honest floor on real cores, a
-    // no-collapse floor elsewhere.
-    const double floor = hw >= 4 ? 1.10 : 1.02;
-    if (gain < floor) {
-      std::fprintf(stderr,
-                   "FAIL: prefetch hit-rate gain %.2fx < %.2fx floor "
-                   "(hw=%u, %.3f -> %.3f)\n",
-                   gain, floor, hw, key_off.hit_rate, key_on.hit_rate);
-      return 1;
-    }
-    if (key_on.compression_ratio < 1.5) {
+    if (key.compression_ratio < 1.5) {
       std::fprintf(stderr,
                    "FAIL: lz cold-tier compression %.2fx < 1.5x on "
                    "compressible values\n",
-                   key_on.compression_ratio);
+                   key.compression_ratio);
       return 1;
     }
-    std::printf("smoke OK: no errors, prefetch gain %.2fx (floor %.2fx, "
-                "hw=%u), lz ratio %.2fx\n",
-                gain, floor, hw, key_on.compression_ratio);
+    std::printf("smoke OK: no errors, lz ratio %.2fx\n",
+                key.compression_ratio);
   }
   return 0;
 }

@@ -14,6 +14,21 @@
 #define CXLPMEM_HAVE_EXECINFO 1
 #endif
 
+#if defined(__SANITIZE_THREAD__)
+#define CXLPMEM_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define CXLPMEM_TSAN 1
+#endif
+#endif
+
+#ifdef CXLPMEM_TSAN
+// ThreadSanitizer's dynamic-annotation entry points (its runtime defines
+// them): accesses between Begin and End on this thread are not checked.
+extern "C" void AnnotateIgnoreReadsBegin(const char* file, int line);
+extern "C" void AnnotateIgnoreReadsEnd(const char* file, int line);
+#endif
+
 namespace cxlpmem::pmemkit {
 
 namespace {
@@ -55,6 +70,25 @@ const ThreadSlot& thread_slot() noexcept {
     }
   }
   return t_slot;
+}
+
+/// Runs `read`, a read of live pool bytes, hidden from ThreadSanitizer.
+/// The model compares and copies lines of the live mapping while other
+/// threads of the program under test store to them without the model's
+/// lock (heap bitmap words, neighbouring objects on a shared line).  That
+/// is by design: the model samples what the media would see and judges it
+/// by its own line states.  To TSan every such read is a data race, so
+/// every read of the live mapping goes through here.
+template <typename F>
+auto read_live(F&& read) {
+#ifdef CXLPMEM_TSAN
+  AnnotateIgnoreReadsBegin(__FILE__, __LINE__);
+  auto result = read();
+  AnnotateIgnoreReadsEnd(__FILE__, __LINE__);
+  return result;
+#else
+  return read();
+#endif
 }
 
 std::string capture_backtrace() {
@@ -131,7 +165,8 @@ PmemSan::PmemSan(const std::byte* live, std::size_t size,
                  std::string pool_name, bool rules)
     : rules_(rules),
       live_(live),
-      durable_(live, live + size),
+      durable_(read_live(
+          [&] { return std::vector<std::byte>(live, live + size); })),
       lines_((size + kLine - 1) / kLine, 0),
       pool_name_(std::move(pool_name)),
       sink_(rules ? sink_from_env() : nullptr) {}
@@ -157,11 +192,16 @@ void PmemSan::accept(std::uint64_t l, std::uint64_t off, std::uint64_t n) {
   if (fresh)
     std::memcpy(it->second.data(), durable_.data() + l * kLine,
                 line_bytes(l));
-  std::memcpy(it->second.data() + (off - l * kLine), live_ + off, n);
+  read_live([&] {
+    return std::memcpy(it->second.data() + (off - l * kLine), live_ + off, n);
+  });
 }
 
 bool PmemSan::line_matches_baseline(std::uint64_t l) const {
-  return std::memcmp(live_ + l * kLine, baseline(l), line_bytes(l)) == 0;
+  const std::byte* base = baseline(l);
+  return read_live([&] {
+    return std::memcmp(live_ + l * kLine, base, line_bytes(l));
+  }) == 0;
 }
 
 bool PmemSan::covered(const TxCtx& ctx, std::uint64_t off,
@@ -309,8 +349,10 @@ void PmemSan::on_flush(std::uint64_t off, std::uint64_t len) {
 void PmemSan::on_fence() {
   const std::lock_guard<std::mutex> lock(mu_);
   for (const std::uint64_t l : pending_) {
-    std::memcpy(durable_.data() + l * kLine, live_ + l * kLine,
-                line_bytes(l));
+    read_live([&] {
+      return std::memcpy(durable_.data() + l * kLine, live_ + l * kLine,
+                         line_bytes(l));
+    });
     // A line re-stored after its flush keeps Stored: the fence committed
     // its fence-time bytes, but the store still owes a flush.
     auto f = static_cast<std::uint8_t>(lines_[l] & ~(kFlushed | kDirty));
@@ -349,7 +391,9 @@ void PmemSan::remap(const std::byte* live, std::size_t size) {
   durable_.resize(size);
   lines_.resize((size + kLine - 1) / kLine, 0);
   if (size > old) {
-    std::memcpy(durable_.data() + old, live_ + old, size - old);
+    read_live([&] {
+      return std::memcpy(durable_.data() + old, live_ + old, size - old);
+    });
   } else if (size < old) {
     const std::uint64_t lines = lines_.size();
     std::erase_if(pending_, [&](std::uint64_t l) { return l >= lines; });
@@ -411,7 +455,8 @@ void PmemSan::tx_commit_publish(std::uint32_t lane) {
         const std::uint64_t a = std::max(off, l * kLine);
         const std::uint64_t b = std::min(hi, (l + 1) * kLine);
         const char* how = nullptr;
-        if (std::memcmp(live_ + a, baseline(l) + (a - l * kLine), b - a) != 0)
+        const std::byte* base = baseline(l) + (a - l * kLine);
+        if (read_live([&] { return std::memcmp(live_ + a, base, b - a); }) != 0)
           how = state(l) == kPending ? "flushed but not fenced"
                                      : "not flushed";
         else if (claims(l, t).owes != 0)
@@ -464,7 +509,9 @@ std::vector<std::byte> PmemSan::crash_image(CrashPolicy policy,
   const std::lock_guard<std::mutex> lock(mu_);
   if (policy == CrashPolicy::EadrEverythingSurvives) {
     // Caches are inside the persistence domain: media == everything stored.
-    return std::vector<std::byte>(live_, live_ + durable_.size());
+    return read_live([&] {
+      return std::vector<std::byte>(live_, live_ + durable_.size());
+    });
   }
   std::vector<std::byte> img = durable_;
   if (policy == CrashPolicy::RandomEvict) {
@@ -473,7 +520,10 @@ std::vector<std::byte> PmemSan::crash_image(CrashPolicy policy,
     for (std::uint64_t l = 0; l < lines_.size(); ++l) {
       if ((lines_[l] & (kDirty | kFlushed)) == 0) continue;
       if ((mix(seed ^ (0xabcdull + l)) & 1) == 0) continue;
-      std::memcpy(img.data() + l * kLine, live_ + l * kLine, line_bytes(l));
+      read_live([&] {
+        return std::memcpy(img.data() + l * kLine, live_ + l * kLine,
+                           line_bytes(l));
+      });
     }
   }
   return img;

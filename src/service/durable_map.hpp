@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "api/ptr.hpp"
+#include "pmemkit/checksum.hpp"
 #include "pmemkit/evolve.hpp"
 #include "pmemkit/pool.hpp"
 
@@ -41,11 +42,18 @@ class BasicDurableMap {
   struct Root {
     api::p<api::ptr<Entry>> buckets[Buckets];
     api::p<std::uint64_t> count;
+    /// Never read.  Keys moved from FNV-1a to fingerprint64 buckets, and
+    /// this word makes the root larger than the FNV-1a placement's, so a
+    /// pool written under that placement is refused at open instead of
+    /// the map looking its keys up in the wrong chains.
+    api::p<std::uint64_t> placement_guard;
   };
 
   /// Binds to (and on first use roots) the map in `pool`.  Reopening a pool
   /// whose root was created as a different type throws
-  /// PoolError(TypeMismatch) — the usual typed-root contract.
+  /// PoolError(TypeMismatch) — the usual typed-root contract — and one
+  /// whose root is smaller (a map written under the FNV-1a bucket
+  /// placement) throws PoolError(BadAlloc).
   explicit BasicDurableMap(pmemkit::ObjectPool& pool)
       : pool_(&pool),
         root_(static_cast<Root*>(pool.direct(
@@ -157,10 +165,8 @@ class BasicDurableMap {
   }
 
   [[nodiscard]] static std::uint32_t bucket_of(std::string_view key) noexcept {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : key)
-      h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-    return static_cast<std::uint32_t>(h % Buckets);
+    return static_cast<std::uint32_t>(
+        pmemkit::fingerprint64(key.data(), key.size()) % Buckets);
   }
 
   bool erase_in_tx(std::string_view key, std::uint32_t b) {

@@ -32,8 +32,10 @@ namespace cxlpmem::service {
 
 namespace {
 
-/// fnv1a64 — shard routing hash.  Deliberately distinct from the map's
-/// bucket hash modulus, so shard and bucket skew don't correlate.
+/// fnv1a64 — shard routing hash.  The map's buckets must not use FNV-1a
+/// too: an FNV-1a hash's low bits follow from the low bits of its basis and
+/// of the key, so bucket and shard would correlate and each shard would
+/// fill only a fraction of its buckets.  The map buckets by fingerprint64.
 std::uint64_t shard_hash(std::string_view key) noexcept {
   std::uint64_t h = 14695981039346656037ull;
   for (const char c : key)
@@ -138,9 +140,9 @@ struct Shard {
   /// stats reads race the recovery teardown.
   std::optional<api::Pool> pool;
   std::optional<DurableMap> map;
-  /// Declared after `map` so it is destroyed first — the tier's promotion
-  /// lane reads the map until TieredCache's destructor stops it.  Null when
-  /// the tier is disabled: the untiered fast path stays untouched.
+  /// Declared after `map` so it is destroyed first: the tier points at the
+  /// map.  Null when the tier is disabled: the untiered fast path stays
+  /// untouched.
   std::unique_ptr<tierkv::TieredCache> tier;
   mutable std::mutex pool_mu;
   int core = -1;
@@ -179,6 +181,15 @@ std::string quarantine_reply(const Shard& s, const api::Error& cause) {
       api::Error{api::Errc::Unavailable,
                  "shard " + std::to_string(s.index) +
                      " quarantined: " + cause.message});
+}
+
+/// The reply to a request that reaches a shard while it is quarantined:
+/// typed Unavailable, retryable once the shard rejoins.
+std::string recovering_reply(const Shard& s) {
+  return encode_error_reply(
+      api::Error{api::Errc::Unavailable,
+                 "shard " + std::to_string(s.index) +
+                     " quarantined, recovery in progress"});
 }
 
 }  // namespace
@@ -249,8 +260,6 @@ struct Server::Impl {
         out.tier_stats.misses += t.misses;
         out.tier_stats.promotions += t.promotions;
         out.tier_stats.demotions += t.demotions;
-        out.tier_stats.prefetch_hits += t.prefetch_hits;
-        out.tier_stats.prefetch_issued += t.prefetch_issued;
         out.tier_stats.bytes_moved += t.bytes_moved;
         out.tier_stats.raw_bytes += t.raw_bytes;
         out.tier_stats.compressed_bytes += t.compressed_bytes;
@@ -336,8 +345,6 @@ struct Server::Impl {
            "\r\ntier_hit_rate:" + format_fixed3(t.hit_rate()) +
            "\r\ntier_promotions:" + std::to_string(t.promotions) +
            "\r\ntier_demotions:" + std::to_string(t.demotions) +
-           "\r\ntier_prefetch_issued:" + std::to_string(t.prefetch_issued) +
-           "\r\ntier_prefetch_hits:" + std::to_string(t.prefetch_hits) +
            "\r\ntier_bytes_moved:" + std::to_string(t.bytes_moved) +
            "\r\ntier_raw_bytes:" + std::to_string(t.raw_bytes) +
            "\r\ntier_compressed_bytes:" + std::to_string(t.compressed_bytes) +
@@ -361,11 +368,7 @@ struct Server::Impl {
         // A quarantined shard answers from the event thread — its worker
         // is busy recovering and must not grow a queue it cannot drain.
         if (s.quarantined.load(std::memory_order_acquire)) {
-          complete(*conn, seq,
-                   encode_error_reply(api::Error{
-                       api::Errc::Unavailable,
-                       "shard " + std::to_string(s.index) +
-                           " quarantined, recovery in progress"}));
+          complete(*conn, seq, recovering_reply(s));
           return;
         }
         bool full = false;
@@ -571,8 +574,8 @@ struct Server::Impl {
       media = probe.error();
     } else {
       // The whole batch is one unit: one lane, one commit fence amortized
-      // across the burst.  The tier lock spans every unit of the batch, so
-      // the promotion lane never observes a half-applied one.
+      // across the burst.  The tier lock spans every unit of the batch, as
+      // the tier's batch API requires.
       const std::unique_lock<std::mutex> tier_lock =
           s.tier ? s.tier->batch_lock() : std::unique_lock<std::mutex>();
       const api::Result<void> whole =
@@ -627,14 +630,9 @@ struct Server::Impl {
       return;
     // Advisory work: a failed pass (say OutOfSpace scratch allocation)
     // leaves the map intact, so swallow the error and retry after a later
-    // batch when the heap may have drained.  Compaction relocates entries
-    // the tier's promotion lane may concurrently read — hold the tier lock
-    // for the pass.
-    const api::Result<pmemkit::CompactReport> pass = api::wrap([&] {
-      const std::unique_lock<std::mutex> tier_lock =
-          s.tier ? s.tier->batch_lock() : std::unique_lock<std::mutex>();
-      return s.map->compact();
-    });
+    // batch when the heap may have drained.
+    const api::Result<pmemkit::CompactReport> pass =
+        api::wrap([&] { return s.map->compact(); });
     if (!pass.ok()) return;
     s.compactions.fetch_add(1, std::memory_order_relaxed);
     s.compacted_bytes.fetch_add(pass.value().moved_bytes,
@@ -680,12 +678,7 @@ struct Server::Impl {
       const std::lock_guard<std::mutex> lock(s.mu);
       pending.swap(s.q);
     }
-    for (Request& r : pending)
-      complete(*r.conn, r.seq,
-               encode_error_reply(api::Error{
-                   api::Errc::Unavailable,
-                   "shard " + std::to_string(s.index) +
-                       " quarantined, recovery in progress"}));
+    for (Request& r : pending) complete(*r.conn, r.seq, recovering_reply(s));
   }
 
   /// Interruptible backoff: sleeps `ms` on the shard's cv, waking early on
@@ -727,8 +720,8 @@ struct Server::Impl {
   }
 
   /// Tears the shard down under pool_mu (the info thread reads pool
-  /// stats).  Order matters — the tier's promotion lane reads the map, the
-  /// map points into the pool.  Closing the pool also releases its
+  /// stats).  Order matters — the tier points at the map, the map into the
+  /// pool.  Closing the pool also releases its
   /// mapping, so a reopen gets a fresh view of the (possibly repaired)
   /// media.
   void close_shard(Shard& s) {

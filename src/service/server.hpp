@@ -78,8 +78,8 @@ struct ServerOptions {
   /// DRAM cache while every entry's authoritative copy stays a compressed,
   /// fingerprinted block in the shard pool.  The tier is write-through — a
   /// SET's cold block lands inside the batch transaction before the ack,
-  /// so the durability contract is identical to the untiered map — and
-  /// runs tierkv's default prefetcher on the GETs.
+  /// so the durability contract is identical to the untiered map.  A GET
+  /// that misses DRAM promotes the decoded value on the shard's worker.
   bool tier = false;
   /// Total DRAM budget across all shards; 0 = derive from the machine via
   /// the placement advisor (tierkv::derive_dram_budget).

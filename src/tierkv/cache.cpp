@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "api/runtime.hpp"
-#include "api/translate.hpp"
 #include "pmemkit/errors.hpp"
 
 namespace cxlpmem::tierkv {
@@ -46,22 +45,13 @@ void run_alone(TieredCache& tier, pmemkit::ObjectPool& pool, F&& body) {
 TieredCache::TieredCache(service::DurableMap& cold, TierOptions opts)
     : cold_(&cold),
       opts_(std::move(opts)),
-      sketch_(std::max<std::uint64_t>(opts_.dram_bytes / 128, 64)),
-      prefetcher_(opts_.prefetch_opts) {
+      sketch_(std::max<std::uint64_t>(opts_.dram_bytes / 128, 64)) {
   codec_ = find_codec(opts_.codec);
   if (codec_ == nullptr)
     throw std::invalid_argument("tierkv: unknown codec '" + opts_.codec +
                                 "' (registered: identity, lz)");
   if (opts_.dram_bytes == 0)
     throw std::invalid_argument("tierkv: dram_bytes must be non-zero");
-  if (opts_.background_lane)
-    lane_ = std::thread([this] { lane_loop(); });
-}
-
-TieredCache::~TieredCache() { stop(); }
-
-std::string_view TieredCache::codec_name() const noexcept {
-  return codec_->name();
 }
 
 std::uint64_t TieredCache::entry_bytes(std::string_view key,
@@ -73,17 +63,10 @@ std::uint64_t TieredCache::entry_bytes(std::string_view key,
 // ---------------------------------------------------------------------------
 // DRAM tier plumbing (mu_ held throughout)
 
-void TieredCache::observe_access(std::string_view key) {
-  sketch_.record(fnv1a(key));
-  if (opts_.prefetch) enqueue_predictions(prefetcher_.observe(key));
-}
-
-void TieredCache::hot_insert(std::string_view key, std::string_view value,
-                             bool prefetched) {
+void TieredCache::hot_insert(std::string_view key, std::string_view value) {
   auto [it, fresh] = hot_.try_emplace(std::string(key));
   Hot& h = it->second;
   h.value.assign(value);
-  h.prefetched = prefetched;
   h.slot = clock_.acquire();
   if (h.slot >= slot_keys_.size()) slot_keys_.resize(h.slot + 1, nullptr);
   slot_keys_[h.slot] = &it->first;
@@ -95,9 +78,6 @@ void TieredCache::hot_insert(std::string_view key, std::string_view value,
 
 void TieredCache::hot_erase(HotMap::iterator it, bool count_demotion) {
   Hot& h = it->second;
-  // A prefetched entry leaving DRAM untouched is a wasted prediction — the
-  // feedback that throttles over-eager prefixes.
-  if (h.prefetched) prefetcher_.credit(it->first, /*useful=*/false);
   dram_used_ -= entry_bytes(it->first, h.value);
   if (count_demotion) {
     counters_.demotions.fetch_add(1, std::memory_order_relaxed);
@@ -123,21 +103,19 @@ bool TieredCache::ensure_room(std::uint64_t need) {
   return true;
 }
 
-void TieredCache::hot_admit(std::string_view key, std::string_view value,
-                            bool prefetched) {
+void TieredCache::hot_admit(std::string_view key, std::string_view value) {
   const std::uint64_t need = entry_bytes(key, value);
   if (need > opts_.dram_bytes) return;
   // TinyLFU gate: when admission would evict, the candidate must out-earn
-  // the CLOCK victim.  Prefetched promotions skip the gate — a predicted
-  // key has no frequency history yet, that is the point of predicting it.
-  if (!prefetched && dram_used_ + need > opts_.dram_bytes) {
+  // the CLOCK victim.
+  if (dram_used_ + need > opts_.dram_bytes) {
     const std::uint32_t v = clock_.next_victim();
     if (v == ClockRing::kNoSlot) return;
     if (!sketch_.admit(fnv1a(key), fnv1a(*slot_keys_[v]))) return;
     hot_erase(hot_.find(*slot_keys_[v]), /*count_demotion=*/true);
   }
   if (!ensure_room(need)) return;
-  hot_insert(key, value, prefetched);
+  hot_insert(key, value);
 }
 
 // ---------------------------------------------------------------------------
@@ -240,15 +218,10 @@ std::optional<std::string> TieredCache::get_in_batch(std::string_view key) {
     counters_.hits.fetch_add(1, std::memory_order_relaxed);
     return it->value;
   }
-  observe_access(k);
+  sketch_.record(fnv1a(k));
   if (const auto it = hot_.find(k); it != hot_.end()) {
     counters_.hits.fetch_add(1, std::memory_order_relaxed);
     clock_.touch(it->second.slot);
-    if (it->second.prefetched) {
-      counters_.prefetch_hits.fetch_add(1, std::memory_order_relaxed);
-      prefetcher_.credit(k, /*useful=*/true);
-      it->second.prefetched = false;
-    }
     return it->second.value;
   }
   // Unstaged keys are untouched by the open transaction, so this decodes
@@ -256,7 +229,7 @@ std::optional<std::string> TieredCache::get_in_batch(std::string_view key) {
   auto raw = cold_get(k);
   if (!raw) return std::nullopt;
   counters_.misses.fetch_add(1, std::memory_order_relaxed);
-  hot_admit(k, *raw, /*prefetched=*/false);
+  hot_admit(k, *raw);
   if (hot_.count(k) != 0) {
     counters_.promotions.fetch_add(1, std::memory_order_relaxed);
     counters_.bytes_moved.fetch_add(raw->size(), std::memory_order_relaxed);
@@ -283,12 +256,11 @@ void TieredCache::commit_staged() {
     if (it != hot_.end()) {
       dram_used_ -= entry_bytes(op.key, it->second.value);
       it->second.value = std::move(*op.value);
-      it->second.prefetched = false;
       dram_used_ += entry_bytes(op.key, it->second.value);
       clock_.touch(it->second.slot);
       counters_.dram_bytes_used.store(dram_used_, std::memory_order_relaxed);
     } else {
-      hot_admit(op.key, *op.value, /*prefetched=*/false);
+      hot_admit(op.key, *op.value);
     }
   }
   staged_.clear();
@@ -296,96 +268,6 @@ void TieredCache::commit_staged() {
 }
 
 void TieredCache::discard_staged() { staged_.clear(); }
-
-// ---------------------------------------------------------------------------
-// Promotion lane
-
-void TieredCache::enqueue_predictions(std::vector<std::string> keys) {
-  bool queued = false;
-  for (std::string& k : keys) {
-    if (hot_.count(k) != 0) continue;  // already resident
-    promo_q_.push_back(std::move(k));
-    counters_.prefetch_issued.fetch_add(1, std::memory_order_relaxed);
-    queued = true;
-  }
-  // A stalled lane sheds the *oldest* guesses: recent predictions are the
-  // ones demand is about to reach.
-  while (promo_q_.size() > opts_.max_promotion_queue) promo_q_.pop_front();
-  if (queued && lane_.joinable()) promo_cv_.notify_one();
-}
-
-std::size_t TieredCache::promote_one_locked(const std::string& key) {
-  if (hot_.count(key) != 0) return 0;
-  std::optional<std::string> raw;
-  try {
-    raw = cold_get(key);
-  } catch (const pmemkit::Error&) {
-    return 0;  // leave the corrupt block for a demand GET to report
-  }
-  if (!raw) {
-    prefetcher_.credit(key, /*useful=*/false);  // predicted past the run
-    return 0;
-  }
-  hot_admit(key, *raw, /*prefetched=*/true);
-  if (hot_.count(key) == 0) {
-    prefetcher_.credit(key, /*useful=*/false);
-    return 0;
-  }
-  counters_.promotions.fetch_add(1, std::memory_order_relaxed);
-  counters_.bytes_moved.fetch_add(raw->size(), std::memory_order_relaxed);
-  return 1;
-}
-
-std::size_t TieredCache::drain_promotions(std::size_t max) {
-  std::unique_lock<std::mutex> lk(mu_);
-  std::size_t promoted = 0;
-  for (std::size_t processed = 0; processed < max && !promo_q_.empty();
-       ++processed) {
-    const std::string key = std::move(promo_q_.front());
-    promo_q_.pop_front();
-    promoted += promote_one_locked(key);
-  }
-  if (promo_q_.empty()) quiesce_cv_.notify_all();
-  return promoted;
-}
-
-void TieredCache::quiesce() {
-  std::unique_lock<std::mutex> lk(mu_);
-  if (!lane_.joinable()) {
-    while (!promo_q_.empty()) {
-      const std::string key = std::move(promo_q_.front());
-      promo_q_.pop_front();
-      promote_one_locked(key);
-    }
-    return;
-  }
-  quiesce_cv_.wait(lk,
-                   [&] { return promo_q_.empty() && lane_busy_ == 0; });
-}
-
-void TieredCache::lane_loop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  while (true) {
-    promo_cv_.wait(lk, [&] { return stopping_ || !promo_q_.empty(); });
-    if (stopping_) break;
-    const std::string key = std::move(promo_q_.front());
-    promo_q_.pop_front();
-    lane_busy_ = 1;
-    promote_one_locked(key);
-    lane_busy_ = 0;
-    if (promo_q_.empty()) quiesce_cv_.notify_all();
-  }
-}
-
-void TieredCache::stop() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stopping_ = true;
-  }
-  promo_cv_.notify_all();
-  quiesce_cv_.notify_all();
-  if (lane_.joinable()) lane_.join();
-}
 
 // ---------------------------------------------------------------------------
 // Introspection
@@ -437,70 +319,3 @@ std::uint64_t derive_dram_budget(api::Runtime& rt,
 }
 
 }  // namespace cxlpmem::tierkv
-
-// ---------------------------------------------------------------------------
-// api::TieredCache — the Result-based facade
-
-namespace cxlpmem::api {
-
-struct TieredCache::State {
-  Pool pool;
-  service::DurableMap map;
-  tierkv::TieredCache tier;
-
-  State(Pool p, tierkv::TierOptions opts)
-      : pool(std::move(p)), map(pool.pmem()), tier(map, std::move(opts)) {}
-};
-
-TieredCache::TieredCache(std::unique_ptr<State> state)
-    : state_(std::move(state)) {}
-TieredCache::TieredCache(TieredCache&&) noexcept = default;
-TieredCache& TieredCache::operator=(TieredCache&&) noexcept = default;
-TieredCache::~TieredCache() = default;
-
-Result<TieredCache> TieredCache::open(Runtime& rt, std::string_view ns,
-                                      std::string_view layout,
-                                      TierSpec spec) {
-  if (tierkv::find_codec(spec.codec) == nullptr)
-    return Error{Errc::InvalidConfig,
-                 "unknown tier codec '" + spec.codec +
-                     "' (registered: identity, lz)"};
-  auto pool = rt.open_or_create_pool(ns, layout, spec.pool);
-  if (!pool.ok()) return pool.error();
-  tierkv::TierOptions opts;
-  opts.codec = spec.codec;
-  opts.dram_bytes = spec.dram_bytes != 0
-                        ? spec.dram_bytes
-                        : tierkv::derive_dram_budget(
-                              rt, spec.working_set_bytes);
-  opts.prefetch = spec.prefetch;
-  opts.background_lane = spec.background_lane;
-  return wrap([&] {
-    return TieredCache(std::make_unique<State>(std::move(pool).value(),
-                                               std::move(opts)));
-  });
-}
-
-Result<void> TieredCache::put(std::string_view key, std::string_view value) {
-  return wrap([&] { state_->tier.put(key, value); });
-}
-
-Result<std::optional<std::string>> TieredCache::get(std::string_view key) {
-  return wrap([&] { return state_->tier.get(key); });
-}
-
-Result<bool> TieredCache::erase(std::string_view key) {
-  return wrap([&] { return state_->tier.erase(key); });
-}
-
-Result<bool> TieredCache::exists(std::string_view key) {
-  return wrap([&] { return state_->tier.exists(key); });
-}
-
-tierkv::TierStats TieredCache::stats() const { return state_->tier.stats(); }
-
-tierkv::TieredCache& TieredCache::engine() noexcept { return state_->tier; }
-
-Pool& TieredCache::pool() noexcept { return state_->pool; }
-
-}  // namespace cxlpmem::api

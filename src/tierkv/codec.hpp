@@ -26,7 +26,7 @@
 namespace cxlpmem::tierkv {
 
 /// A (de)compressor.  Implementations are stateless and thread-safe —
-/// one instance serves every shard and the promotion lane concurrently.
+/// one instance serves every shard concurrently.
 class Codec {
  public:
   virtual ~Codec() = default;

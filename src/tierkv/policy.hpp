@@ -11,8 +11,8 @@
 //     from flushing the resident hot set.
 //
 //   ClockRing — second-chance eviction over the DRAM tier's slots.  O(1)
-//     amortized, no per-access list splice (an LRU list would serialize the
-//     promotion lane against the owner thread on every hit).
+//     amortized, and a hit only sets a reference bit (an LRU list would
+//     splice a node on every hit).
 //
 // Both are DRAM-only, mechanism-free bookkeeping: the cache decides what a
 // slot means; the ring only picks victims.

@@ -2,9 +2,10 @@
 //
 // One counters struct shared by the cache engine, the service INFO block
 // and bench/micro_tierkv, so the numbers the daemon reports are the numbers
-// the bench plots.  Counters are atomics (the background promotion lane and
-// the owner thread both account), snapshot() flattens them into the plain
-// TierStats value that crosses API boundaries.
+// the bench plots.  The owner thread accounts; counters are atomics so
+// another thread (the server's INFO) can read them without the tier lock.
+// snapshot() flattens them into the plain TierStats value that crosses API
+// boundaries.
 #pragma once
 
 #include <atomic>
@@ -16,10 +17,12 @@ namespace cxlpmem::tierkv {
 struct TierStats {
   std::uint64_t hits = 0;           ///< GETs served from the DRAM tier
   std::uint64_t misses = 0;         ///< GETs that had to decode a cold block
-  std::uint64_t promotions = 0;     ///< cold→DRAM moves (demand + prefetch)
+  std::uint64_t promotions = 0;     ///< cold→DRAM moves on a GET miss
   std::uint64_t demotions = 0;      ///< DRAM entries evicted to cold-only
-  std::uint64_t prefetch_hits = 0;  ///< hits on entries a prefetch promoted
-  std::uint64_t prefetch_issued = 0;  ///< promotion-lane requests enqueued
+  /// Always 0: the tier has no prefetcher.  Kept so readers of the old
+  /// prefetch telemetry still compile (their accuracy reads 0).
+  std::uint64_t prefetch_hits = 0;
+  std::uint64_t prefetch_issued = 0;  ///< always 0, as prefetch_hits
   std::uint64_t bytes_moved = 0;    ///< raw bytes promoted + demoted
   std::uint64_t raw_bytes = 0;      ///< uncompressed bytes in the cold tier
   std::uint64_t compressed_bytes = 0;  ///< what those bytes occupy on media
@@ -50,8 +53,6 @@ struct TierCounters {
   std::atomic<std::uint64_t> misses{0};
   std::atomic<std::uint64_t> promotions{0};
   std::atomic<std::uint64_t> demotions{0};
-  std::atomic<std::uint64_t> prefetch_hits{0};
-  std::atomic<std::uint64_t> prefetch_issued{0};
   std::atomic<std::uint64_t> bytes_moved{0};
   std::atomic<std::uint64_t> raw_bytes{0};
   std::atomic<std::uint64_t> compressed_bytes{0};
@@ -64,8 +65,6 @@ struct TierCounters {
     s.misses = misses.load(std::memory_order_relaxed);
     s.promotions = promotions.load(std::memory_order_relaxed);
     s.demotions = demotions.load(std::memory_order_relaxed);
-    s.prefetch_hits = prefetch_hits.load(std::memory_order_relaxed);
-    s.prefetch_issued = prefetch_issued.load(std::memory_order_relaxed);
     s.bytes_moved = bytes_moved.load(std::memory_order_relaxed);
     s.raw_bytes = raw_bytes.load(std::memory_order_relaxed);
     s.compressed_bytes = compressed_bytes.load(std::memory_order_relaxed);

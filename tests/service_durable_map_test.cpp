@@ -1,7 +1,8 @@
 // service_durable_map_test — the hash map cxlpmemd serves and kv_store
 // demonstrates: basic semantics on a raw pool, reopen persistence, batch
-// composition under one caller-owned transaction, and an exhaustive
-// crash-injection sweep proving every mutation is crash-atomic.
+// composition under one caller-owned transaction, refusal of a pool written
+// under the old bucket placement, and an exhaustive crash-injection sweep
+// proving every mutation is crash-atomic.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -9,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "api/ptr.hpp"
 #include "pmemkit/crash_sim.hpp"
 #include "pmemkit/errors.hpp"
 #include "pmemkit/introspect.hpp"
@@ -135,6 +137,22 @@ TEST_F(ServiceDurableMapTest, ChainWalkTypeChecksEveryNode) {
   expect_type_mismatch([&] { (void)map.get("first"); }, "get");
   expect_type_mismatch([&] { (void)map.exists("first"); }, "exists");
   expect_type_mismatch([&] { (void)map.erase("first"); }, "erase");
+}
+
+// A pool written under the FNV-1a bucket placement holds a root of the same
+// type, one word smaller.  Binding the map to it must fail rather than look
+// the pool's keys up in fingerprint64 buckets, where they are not.
+TEST_F(ServiceDurableMapTest, PoolWithTheFnvPlacementRootIsRefused) {
+  using Root = DurableMap::Root;
+  auto pool = make_pool();
+  (void)pool->root_raw(sizeof(Root::buckets) + sizeof(Root::count),
+                       api::type_number<Root>());
+  try {
+    DurableMap map(*pool);
+    ADD_FAILURE() << "bound a map to the FNV-1a placement's root";
+  } catch (const pmemkit::PoolError& e) {
+    EXPECT_EQ(e.kind(), pmemkit::ErrKind::BadAlloc) << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 // service_server_test — cxlpmemd's engine end to end, in process: an
 // embedded Server driven through the Client library over real loopback
-// sockets.  Covers the command surface, >= 8 concurrent connections,
-// pipelined ordering + read-your-writes, the per-request fallback after a
-// batch aborts, the shard counters across a restart, the error taxonomy
-// over the wire, protocol violations, graceful shutdown (drained
-// transactions, zero busy lanes on reopen) and the teardown race the TSan
-// job hunts.
+// sockets.  Covers the command surface, the spread of each shard map's
+// keys over its buckets, >= 8 concurrent connections, pipelined ordering +
+// read-your-writes, the per-request fallback after a batch aborts, the
+// shard counters across a restart, the error taxonomy over the wire,
+// protocol violations, graceful shutdown (drained transactions, zero busy
+// lanes on reopen) and the teardown race the TSan job hunts.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -25,6 +25,7 @@
 #include "pmemkit/introspect.hpp"
 #include "pmemkit/pool.hpp"
 #include "service/client.hpp"
+#include "service/durable_map.hpp"
 #include "service/server.hpp"
 
 namespace {
@@ -227,6 +228,32 @@ TEST_F(ServiceServerTest, ValuesArePartitionedAcrossShardPools) {
   }
   EXPECT_EQ(total, 64u);
   EXPECT_GE(populated, 2) << "64 keys all hashed into one shard?";
+}
+
+// Every key in a shard has the same router hash (fnv1a64 % 4), so the
+// shard's map must bucket by a hash independent of it.  4096 keys put about
+// 1024 in each shard's 256 buckets, leaving ~251 non-empty; a bucket hash
+// that shares the router's low bits fills only 64.
+TEST_F(ServiceServerTest, ShardMapsSpreadKeysOverTheirBuckets) {
+  start();
+  Client c = connect();
+  for (int i = 0; i < 4096; i += 64) {
+    for (int j = i; j < i + 64; ++j)
+      c.queue_set("key" + std::to_string(j), "v");
+    ASSERT_TRUE(c.flush().ok());
+  }
+  const std::vector<fs::path> paths = server_->pool_paths();
+  server_.reset();
+  ASSERT_EQ(paths.size(), 4u);
+  using Root = service::DurableMap::Root;
+  for (const fs::path& p : paths) {
+    auto pool = pmemkit::ObjectPool::open(p, "cxlpmemd-kv");
+    const auto* root = static_cast<const Root*>(pool->direct(
+        pool->root_raw(sizeof(Root), api::type_number<Root>())));
+    int used = 0;
+    for (const auto& head : root->buckets) used += head.get().is_null() ? 0 : 1;
+    EXPECT_GE(used, 240) << p;
+  }
 }
 
 TEST_F(ServiceServerTest, EightConcurrentConnections) {
@@ -466,9 +493,8 @@ TEST_F(ServiceServerTest, TieredServerServesAndReportsTelemetry) {
   for (const char* field :
        {"tier_dram_budget:", "tier_dram_used:", "tier_dram_entries:",
         "tier_hits:", "tier_misses:", "tier_hit_rate:", "tier_promotions:",
-        "tier_demotions:", "tier_prefetch_issued:", "tier_prefetch_hits:",
-        "tier_bytes_moved:", "tier_raw_bytes:", "tier_compressed_bytes:",
-        "tier_compression_ratio:"})
+        "tier_demotions:", "tier_bytes_moved:", "tier_raw_bytes:",
+        "tier_compressed_bytes:", "tier_compression_ratio:"})
     EXPECT_NE(text.find(field), std::string::npos) << field;
 }
 

@@ -1,8 +1,7 @@
 // tierkv_cache_test — the tiered cache engine over a real durable pool:
-// write-through semantics, DRAM budget/eviction/admission, prefetch-driven
-// promotion, batch staging under caller-owned transactions and under the
-// own-transaction calls, the typed corruption error, and topology-derived
-// sizing.
+// write-through semantics, DRAM budget/eviction/admission, batch staging
+// under caller-owned transactions and under the own-transaction calls, the
+// typed corruption error, and topology-derived sizing.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -58,7 +57,6 @@ class TierkvCacheTest : public ::testing::Test {
   }
 
   tierkv::TieredCache& make_tier(tierkv::TierOptions opts) {
-    opts.background_lane = false;  // deterministic: tests drain explicitly
     tier_ = std::make_unique<tierkv::TieredCache>(*map_, std::move(opts));
     return *tier_;
   }
@@ -139,9 +137,7 @@ TEST_F(TierkvCacheTest, OversizedValuesStayColdOnly) {
 TEST_F(TierkvCacheTest, TinyLfuAdmitsTheFrequentlyAskedKey) {
   // Budget fits ~4 entries; fill DRAM via write-allocate, then hammer one
   // cold key: its frequency must out-earn a victim and earn residency.
-  auto& tier = make_tier({.codec = "lz",
-                          .dram_bytes = 2u << 10,
-                          .prefetch = false});
+  auto& tier = make_tier({.codec = "lz", .dram_bytes = 2u << 10});
   for (int i = 0; i < 16; ++i)
     tier.put("filler" + std::to_string(i), std::string(400, 'f'));
   tier.put("popular", std::string(400, 'p'));
@@ -152,27 +148,6 @@ TEST_F(TierkvCacheTest, TinyLfuAdmitsTheFrequentlyAskedKey) {
   EXPECT_GT(s.hits, hits_before)
       << "a repeatedly-read key never became DRAM-resident";
   EXPECT_GT(s.demotions, 0u);  // admission evicted (and counted) a filler
-}
-
-TEST_F(TierkvCacheTest, PrefetcherPromotesTheRestOfARun) {
-  auto& tier = make_tier({.codec = "lz",
-                          .dram_bytes = 1200,
-                          .prefetch = true});
-  // Load in reverse so the run's head is NOT DRAM-resident afterwards.
-  for (int i = 31; i >= 0; --i)
-    tier.put("seq/b" + std::to_string(i), compressible_value(256));
-  // Reading b0,b1,b2 forms a sequential run -> b3.. get predicted.
-  for (int i = 0; i < 3; ++i)
-    (void)tier.get("seq/b" + std::to_string(i));
-  tierkv::TierStats s = tier.stats();
-  EXPECT_GT(s.prefetch_issued, 0u);
-  // Promote exactly the first prediction, then demand-read it.
-  ASSERT_EQ(tier.drain_promotions(1), 1u);
-  EXPECT_EQ(tier.get("seq/b3").value(), compressible_value(256));
-  s = tier.stats();
-  EXPECT_GE(s.prefetch_hits, 1u);
-  EXPECT_GT(s.promotions, 0u);
-  EXPECT_GT(s.bytes_moved, 0u);
 }
 
 TEST_F(TierkvCacheTest, BatchStagingCommitsOnSuccess) {
@@ -249,33 +224,6 @@ TEST_F(TierkvCacheTest, CorruptColdBlockThrowsCorruptImage) {
   } catch (const cxlpmem::pmemkit::PoolError& e) {
     EXPECT_EQ(e.kind(), cxlpmem::pmemkit::ErrKind::CorruptImage);
   }
-}
-
-TEST_F(TierkvCacheTest, FacadeRoundTripAndTypedErrors) {
-  api::TierSpec spec;
-  spec.pool.size = 16u << 20;
-  spec.dram_bytes = 64u << 10;
-  spec.background_lane = false;
-  auto cache = api::TieredCache::open(*rt_, "pmem2", "facade", spec);
-  ASSERT_TRUE(cache.ok()) << cache.error().to_string();
-  ASSERT_TRUE(cache->put("k", "v").ok());
-  EXPECT_EQ(cache->get("k").value().value(), "v");
-  EXPECT_TRUE(cache->exists("k").value());
-  EXPECT_TRUE(cache->erase("k").value());
-  EXPECT_FALSE(cache->erase("k").value());
-
-  // Corruption surfaces as Errc::PoolCorrupt through the Result channel.
-  service::DurableMap raw(cache->pool().pmem());
-  raw.put("phantom", "garbage bytes, no block header");
-  const auto got = cache->get("phantom");
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.error().code, api::Errc::PoolCorrupt);
-
-  // Unknown codec is an InvalidConfig before any pool is touched.
-  api::TierSpec bad;
-  bad.codec = "zstd";
-  EXPECT_EQ(api::TieredCache::open(*rt_, "pmem2", "facade2", bad).error().code,
-            api::Errc::InvalidConfig);
 }
 
 TEST_F(TierkvCacheTest, DeriveDramBudgetTracksTheMachine) {
