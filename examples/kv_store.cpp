@@ -44,7 +44,15 @@ int main(int argc, char** argv) {
     return 1;
   }
   api::Pool p = std::move(pool).value();
-  service::DurableMap store(p.pmem());
+  // Binding refuses a pool whose root is not this map's (another type, or
+  // a map written under the old FNV-1a bucket placement).
+  auto bound = api::wrap([&] { return service::DurableMap(p.pmem()); });
+  if (!bound) {
+    std::fprintf(stderr, "store on '%s': %s\n", ns.c_str(),
+                 bound.error().to_string().c_str());
+    return 1;
+  }
+  service::DurableMap store = std::move(bound).value();
 
   std::printf("%s store with %llu entries on /mnt/%s (%s)\n",
               fresh ? "created" : "reopened",

@@ -1,6 +1,7 @@
 // pmemkit/checksum.hpp — Fletcher-64 checksum, the same construction PMDK
 // uses for pool headers and log entries, plus a lane-parallel variant for
-// bulk payload data (checkpoint chunk fingerprints).
+// bulk payload data (checkpoint chunk fingerprints) and the splitmix64
+// mixer behind every seeded draw.
 #pragma once
 
 #include <cstddef>
@@ -109,6 +110,17 @@ class Fletcher64 {
   h *= kP3;
   h ^= h >> 32;
   return h == 0 ? 1 : h;
+}
+
+/// splitmix64's output function: a well-mixed 64-bit word per input word.
+/// The deterministic draw behind faultkit's random entries,
+/// RetryingClient's backoff jitter and PmemSan's RandomEvict coin — a pure
+/// function of (seed ^ index), so every seeded schedule replays exactly.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
 }
 
 }  // namespace cxlpmem::pmemkit

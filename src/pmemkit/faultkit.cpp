@@ -11,19 +11,11 @@
 #include <thread>
 #include <utility>
 
+#include "pmemkit/checksum.hpp"
+
 namespace cxlpmem::pmemkit {
 
 namespace {
-
-/// splitmix64 — the deterministic draw behind the random component.  One
-/// output per (seed, site, crossing) triple: the injection decision at a
-/// crossing never depends on what other threads did in between.
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 struct Injector {
   std::mutex mu;
@@ -62,10 +54,16 @@ Injector& injector() {
 }
 
 /// Kinds the random component may draw at a site.  Durable damage
-/// (BitFlip) and partial-effect kinds (ShortWrite) are never drawn
-/// randomly — they are opt-in via explicit entries.
+/// (BitFlip) and partial-effect kinds (ShortWrite, Drop, Partial) are
+/// never drawn randomly — they are opt-in via explicit entries: a random
+/// partial turns a soak into a parser micro-test, and a random drop loses
+/// a request the client then waits out.
 FaultKind random_kind(FaultSite site, std::uint64_t draw) noexcept {
   switch (site) {
+    case FaultSite::Send:
+    case FaultSite::Recv:
+    case FaultSite::Connect:
+      return (draw & 1) != 0 ? FaultKind::Stall : FaultKind::Reset;
     case FaultSite::MapCreate:
     case FaultSite::Resize:
     case FaultSite::Sync:
@@ -84,10 +82,16 @@ FaultKind random_kind(FaultSite site, std::uint64_t draw) noexcept {
 
 // --- DSL ---------------------------------------------------------------------
 
-const char* kSiteNames[kFaultSiteCount] = {"create", "open", "resize", "sync",
-                                           "serve"};
-const char* kKindNames[kFaultKindCount] = {"eio",  "enospc", "short",
-                                           "flip", "corrupt", "stall"};
+const char* kSiteNames[kFaultSiteCount] = {
+    "create", "open", "resize", "sync", "serve", "send", "recv", "connect"};
+const char* kKindNames[kFaultKindCount] = {
+    "eio", "enospc", "short", "flip", "corrupt", "stall", "drop", "partial",
+    "reset"};
+
+bool is_link(FaultSite site) noexcept {
+  return site == FaultSite::Send || site == FaultSite::Recv ||
+         site == FaultSite::Connect;
+}
 
 [[noreturn]] void bad_dsl(std::string_view entry, const char* why) {
   throw std::invalid_argument("faultkit DSL: " + std::string(why) + " in '" +
@@ -111,7 +115,7 @@ std::optional<FaultKind> kind_of(std::string_view name) noexcept {
 bool site_supports(FaultSite site, FaultKind kind) noexcept {
   switch (kind) {
     case FaultKind::Eio:
-      return true;
+      return !is_link(site);
     case FaultKind::Enospc:
       return site == FaultSite::MapCreate || site == FaultSite::Resize ||
              site == FaultSite::Sync;
@@ -120,8 +124,15 @@ bool site_supports(FaultSite site, FaultKind kind) noexcept {
     case FaultKind::BitFlip:
       return site == FaultSite::MapOpen;
     case FaultKind::Corrupt:
-    case FaultKind::Stall:
       return site == FaultSite::Serve;
+    case FaultKind::Stall:
+      return site == FaultSite::Serve || is_link(site);
+    case FaultKind::Drop:
+      return site == FaultSite::Send;
+    case FaultKind::Partial:
+      return site == FaultSite::Send || site == FaultSite::Recv;
+    case FaultKind::Reset:
+      return is_link(site);
   }
   return false;
 }
@@ -137,11 +148,11 @@ std::uint64_t parse_u64(std::string_view s, std::string_view entry,
   return v;
 }
 
+/// random:seed=<s>,rate=<ppm>[,sites=a|b][,stall=<ms>] — one entry, whose
+/// sites must not overlap any earlier entry's.
 void parse_random_entry(std::string_view entry, FaultPlan& plan) {
-  // random:seed=<s>,rate=<ppm>[,sites=a|b][,stall=<ms>]
   std::string_view rest = entry.substr(std::strlen("random:"));
-  plan.random_sites = 0;
-  bool saw_sites = false;
+  RandomFaults r;
   while (!rest.empty()) {
     const std::size_t comma = rest.find(',');
     const std::string_view kv = rest.substr(0, comma);
@@ -152,16 +163,16 @@ void parse_random_entry(std::string_view entry, FaultPlan& plan) {
     const std::string_view key = kv.substr(0, eq);
     const std::string_view val = kv.substr(eq + 1);
     if (key == "seed") {
-      plan.seed = parse_u64(val, entry, "bad seed");
+      r.seed = parse_u64(val, entry, "bad seed");
     } else if (key == "rate") {
-      const std::uint64_t r = parse_u64(val, entry, "bad rate");
-      if (r > 1000000) bad_dsl(entry, "rate above 1000000 ppm");
-      plan.rate_ppm = static_cast<std::uint32_t>(r);
+      const std::uint64_t rate = parse_u64(val, entry, "bad rate");
+      if (rate > 1000000) bad_dsl(entry, "rate above 1000000 ppm");
+      r.rate_ppm = static_cast<std::uint32_t>(rate);
     } else if (key == "stall") {
-      plan.stall_ms =
+      r.stall_ms =
           static_cast<std::uint32_t>(parse_u64(val, entry, "bad stall"));
     } else if (key == "sites") {
-      saw_sites = true;
+      r.sites = 0;
       std::string_view sites = val;
       while (!sites.empty()) {
         const std::size_t bar = sites.find('|');
@@ -170,13 +181,16 @@ void parse_random_entry(std::string_view entry, FaultPlan& plan) {
                                               : sites.substr(bar + 1);
         const std::optional<FaultSite> s = site_of(name);
         if (!s) bad_dsl(entry, "unknown site");
-        plan.random_sites |= 1u << static_cast<int>(*s);
+        r.sites |= 1u << static_cast<int>(*s);
       }
     } else {
       bad_dsl(entry, "unknown key");
     }
   }
-  if (!saw_sites) plan.random_sites = (1u << kFaultSiteCount) - 1;
+  for (const RandomFaults& earlier : plan.random)
+    if ((earlier.sites & r.sites) != 0)
+      bad_dsl(entry, "site already covered by an earlier random entry");
+  plan.random.push_back(r);
 }
 
 }  // namespace
@@ -193,7 +207,6 @@ const char* to_string(FaultKind k) noexcept {
 
 FaultPlan FaultPlan::parse(std::string_view dsl) {
   FaultPlan plan;
-  plan.rate_ppm = 0;
   std::string_view rest = dsl;
   while (!rest.empty()) {
     const std::size_t semi = rest.find(';');
@@ -242,21 +255,21 @@ std::string FaultPlan::to_dsl() const {
            std::to_string(f.at);
     if (f.arg != 0) out += "+" + std::to_string(f.arg);
   }
-  if (rate_ppm != 0) {
+  for (const RandomFaults& r : random) {
     if (!out.empty()) out += ';';
-    out += "random:seed=" + std::to_string(seed) +
-           ",rate=" + std::to_string(rate_ppm);
-    if (random_sites != (1u << kFaultSiteCount) - 1) {
+    out += "random:seed=" + std::to_string(r.seed) +
+           ",rate=" + std::to_string(r.rate_ppm);
+    if (r.sites != kAllFaultSites) {
       out += ",sites=";
-      bool first = true;
+      const char* sep = "";
       for (int i = 0; i < kFaultSiteCount; ++i)
-        if ((random_sites & (1u << i)) != 0) {
-          if (!first) out += '|';
+        if ((r.sites & (1u << i)) != 0) {
+          out += sep;
           out += kSiteNames[i];
-          first = false;
+          sep = "|";
         }
     }
-    out += ",stall=" + std::to_string(stall_ms);
+    out += ",stall=" + std::to_string(r.stall_ms);
   }
   return out;
 }
@@ -272,15 +285,16 @@ void arm_faults(FaultPlan plan) {
   g_armed.store(true, std::memory_order_release);
 }
 
-bool arm_faults_from_env() {
+std::optional<FaultPlan> arm_faults_from_env() {
   const char* dsl = std::getenv("CXLPMEM_FAULTS");
-  if (dsl == nullptr || *dsl == '\0') return false;
+  if (dsl == nullptr || *dsl == '\0') return std::nullopt;
   FaultPlan plan = FaultPlan::parse(dsl);
   if (const char* seed = std::getenv("CXLPMEM_FAULT_SEED");
       seed != nullptr && *seed != '\0')
-    plan.seed = std::strtoull(seed, nullptr, 10);
-  arm_faults(std::move(plan));
-  return true;
+    for (RandomFaults& r : plan.random)
+      r.seed = std::strtoull(seed, nullptr, 10);
+  arm_faults(plan);
+  return plan;
 }
 
 void clear_faults() {
@@ -342,17 +356,17 @@ std::optional<Fault> fault_point(FaultSite site, std::string_view what) {
         break;
       }
     }
-    if (!fired && inj.plan.rate_ppm != 0 &&
-        (inj.plan.random_sites & (1u << si)) != 0) {
+    // The random entry covering this site, if any: one splitmix64 output
+    // per (seed, site, crossing), so the decision at a crossing never
+    // depends on what other threads did in between.
+    for (const RandomFaults& r : inj.plan.random) {
+      if (fired || (r.sites & (1u << si)) == 0) continue;
       const std::uint64_t draw = splitmix64(
-          inj.plan.seed ^ (static_cast<std::uint64_t>(si) << 56) ^ crossing);
-      if (draw % 1000000 < inj.plan.rate_ppm) {
-        Fault f;
-        f.site = site;
-        f.kind = random_kind(site, draw >> 32);
-        f.at = crossing;
-        f.arg = f.kind == FaultKind::Stall ? inj.plan.stall_ms : 0;
-        fired = f;
+          r.seed ^ (static_cast<std::uint64_t>(si) << 56) ^ crossing);
+      if (draw % 1000000 < r.rate_ppm) {
+        const FaultKind kind = random_kind(site, draw >> 32);
+        fired = Fault{site, kind, crossing,
+                      kind == FaultKind::Stall ? r.stall_ms : 0u};
       }
     }
     if (fired) ++inj.stats.injected[static_cast<int>(fired->kind)];
@@ -369,7 +383,10 @@ std::optional<Fault> fault_point(FaultSite site, std::string_view what) {
       return std::nullopt;
     case FaultKind::ShortWrite:
     case FaultKind::BitFlip:
-      return fired;  // the call site applies the partial effect
+    case FaultKind::Drop:
+    case FaultKind::Partial:
+    case FaultKind::Reset:
+      return fired;  // the call site applies the effect
   }
   return std::nullopt;
 }

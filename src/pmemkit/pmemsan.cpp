@@ -7,6 +7,7 @@
 #include <cstring>
 #include <utility>
 
+#include "pmemkit/checksum.hpp"
 #include "pmemkit/errors.hpp"
 
 #if __has_include(<execinfo.h>)
@@ -32,14 +33,6 @@ extern "C" void AnnotateIgnoreReadsEnd(const char* file, int line);
 namespace cxlpmem::pmemkit {
 
 namespace {
-
-/// splitmix64 — deterministic per-line eviction coin.
-std::uint64_t mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// Thread slots for per-thread attribution: bit s of g_slots is held by a
 /// live thread.  A thread claims the lowest free slot on first use and
@@ -519,7 +512,7 @@ std::vector<std::byte> PmemSan::crash_image(CrashPolicy policy,
     // not have reached media; toss a deterministic coin per line.
     for (std::uint64_t l = 0; l < lines_.size(); ++l) {
       if ((lines_[l] & (kDirty | kFlushed)) == 0) continue;
-      if ((mix(seed ^ (0xabcdull + l)) & 1) == 0) continue;
+      if ((splitmix64(seed ^ (0xabcdull + l)) & 1) == 0) continue;
       read_live([&] {
         return std::memcpy(img.data() + l * kLine, live_ + l * kLine,
                            line_bytes(l));

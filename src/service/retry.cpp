@@ -5,18 +5,9 @@
 #include <thread>
 #include <utility>
 
+#include "pmemkit/checksum.hpp"
+
 namespace cxlpmem::service {
-
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 RetryingClient::RetryingClient(std::uint16_t port, std::string host,
                                ClientOptions conn, RetryPolicy policy)
@@ -35,7 +26,7 @@ std::uint32_t RetryingClient::backoff_ms(const RetryPolicy& policy,
   for (std::uint32_t i = 0; i < attempt && ceil < policy.max_backoff_ms; ++i)
     ceil *= 2;
   ceil = std::min<std::uint64_t>(ceil, policy.max_backoff_ms);
-  const std::uint64_t draw = splitmix64(policy.seed ^ draw_index);
+  const std::uint64_t draw = pmemkit::splitmix64(policy.seed ^ draw_index);
   return static_cast<std::uint32_t>(ceil / 2 + (draw % (ceil / 2 + 1)));
 }
 

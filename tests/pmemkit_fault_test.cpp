@@ -56,28 +56,59 @@ TEST_F(FaultTest, ErrnoKindMapsCapacityErrnosToOutOfSpace) {
 
 TEST_F(FaultTest, DslParsesAndRoundTrips) {
   const pk::FaultPlan plan = pk::FaultPlan::parse(
-      "create:eio@2; open:flip@1+64 ;resize:enospc@3;"
-      "random:seed=42,rate=1000,sites=serve|sync,stall=7");
-  ASSERT_EQ(plan.fixed.size(), 3u);
+      "create:eio@2; open:flip@1+64 ;resize:enospc@3;recv:reset@4+4096;"
+      "random:seed=42,rate=1000,sites=serve|sync,stall=7;"
+      "random:seed=9,rate=300,sites=send|recv|connect,stall=5");
+  ASSERT_EQ(plan.fixed.size(), 4u);
   EXPECT_EQ(plan.fixed[0].site, pk::FaultSite::MapCreate);
   EXPECT_EQ(plan.fixed[0].kind, pk::FaultKind::Eio);
   EXPECT_EQ(plan.fixed[0].at, 2u);
   EXPECT_EQ(plan.fixed[1].kind, pk::FaultKind::BitFlip);
   EXPECT_EQ(plan.fixed[1].arg, 64u);
   EXPECT_EQ(plan.fixed[2].kind, pk::FaultKind::Enospc);
-  EXPECT_EQ(plan.seed, 42u);
-  EXPECT_EQ(plan.rate_ppm, 1000u);
-  EXPECT_EQ(plan.stall_ms, 7u);
-  EXPECT_EQ(plan.random_sites,
+  EXPECT_EQ(plan.fixed[3].site, pk::FaultSite::Recv);
+  EXPECT_EQ(plan.fixed[3].kind, pk::FaultKind::Reset);
+  EXPECT_EQ(plan.fixed[3].at, 4u);
+  EXPECT_EQ(plan.fixed[3].arg, 4096u);
+  ASSERT_EQ(plan.random.size(), 2u);
+  EXPECT_EQ(plan.random[0].seed, 42u);
+  EXPECT_EQ(plan.random[0].rate_ppm, 1000u);
+  EXPECT_EQ(plan.random[0].stall_ms, 7u);
+  EXPECT_EQ(plan.random[0].sites,
             (1u << static_cast<int>(pk::FaultSite::Serve)) |
                 (1u << static_cast<int>(pk::FaultSite::Sync)));
+  EXPECT_EQ(plan.random[1].seed, 9u);
+  EXPECT_EQ(plan.random[1].rate_ppm, 300u);
+  EXPECT_EQ(plan.random[1].stall_ms, 5u);
+  EXPECT_EQ(plan.random[1].sites,
+            (1u << static_cast<int>(pk::FaultSite::Send)) |
+                (1u << static_cast<int>(pk::FaultSite::Recv)) |
+                (1u << static_cast<int>(pk::FaultSite::Connect)));
+  // An entry without sites= covers every site.
+  EXPECT_EQ(pk::FaultPlan::parse("random:seed=1,rate=5").random.at(0).sites,
+            pk::kAllFaultSites);
 
   // Normalized inverse: parse(to_dsl()) is the identity on the plan.
   const pk::FaultPlan again = pk::FaultPlan::parse(plan.to_dsl());
   EXPECT_EQ(again.to_dsl(), plan.to_dsl());
   EXPECT_EQ(again.fixed.size(), plan.fixed.size());
-  EXPECT_EQ(again.seed, plan.seed);
-  EXPECT_EQ(again.random_sites, plan.random_sites);
+  ASSERT_EQ(again.random.size(), plan.random.size());
+  for (std::size_t i = 0; i < plan.random.size(); ++i) {
+    EXPECT_EQ(again.random[i].seed, plan.random[i].seed);
+    EXPECT_EQ(again.random[i].rate_ppm, plan.random[i].rate_ppm);
+    EXPECT_EQ(again.random[i].sites, plan.random[i].sites);
+    EXPECT_EQ(again.random[i].stall_ms, plan.random[i].stall_ms);
+  }
+
+  // Random entries split the sites between them: a site two entries name
+  // would have two schedules, so parse refuses it.
+  EXPECT_THROW((void)pk::FaultPlan::parse(
+                   "random:seed=1,rate=5,sites=serve|send;"
+                   "random:seed=2,rate=5,sites=recv|send"),
+               std::invalid_argument);
+  EXPECT_THROW((void)pk::FaultPlan::parse(
+                   "random:seed=1,rate=5;random:seed=2,rate=5,sites=sync"),
+               std::invalid_argument);
 }
 
 TEST_F(FaultTest, DslRejectsMalformedEntries) {
@@ -86,7 +117,7 @@ TEST_F(FaultTest, DslRejectsMalformedEntries) {
   EXPECT_THROW((void)pk::FaultPlan::parse("create:frobnicate@1"),
                std::invalid_argument);
   // Kind/site combinations are validated: flips only tear open-time media,
-  // shorts only truncate creates, stalls only hit the serve loop.
+  // shorts only truncate creates, stalls hit the serve loop and the link.
   EXPECT_THROW((void)pk::FaultPlan::parse("create:flip@1"),
                std::invalid_argument);
   EXPECT_THROW((void)pk::FaultPlan::parse("open:enospc@1"),
@@ -124,9 +155,8 @@ TEST_F(FaultTest, FixedEntryFiresAtItsExactCrossingOnce) {
 TEST_F(FaultTest, RandomScheduleIsSeedDeterministic) {
   const auto run = [](std::uint64_t seed) {
     pk::FaultPlan plan;
-    plan.seed = seed;
-    plan.rate_ppm = 200000;  // 20% per crossing
-    pk::arm_faults(plan);
+    plan.random.push_back(pk::RandomFaults{.seed = seed, .rate_ppm = 200000});
+    pk::arm_faults(plan);  // 20% per crossing
     std::vector<int> fired;
     for (int i = 0; i < 400; ++i) {
       try {

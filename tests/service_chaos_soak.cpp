@@ -3,12 +3,11 @@
 //
 //   service_chaos_soak <path-to-cxlpmemd> <scratch-dir> [seed]
 //
-// 1. start cxlpmemd with the chaos injectors armed via environment:
-//    CXLPMEM_FAULTS  = one deterministic serve-loop corruption (forces a
-//                      quarantine + rejoin) plus a low-rate random stream
-//                      of eio/corrupt/stall on the serve site;
-//    CXLPMEM_NET_FAULTS = low-rate random stall/reset on the daemon's
-//                      sockets (clients see timeouts and dead streams);
+// 1. start cxlpmemd with one fault schedule armed via CXLPMEM_FAULTS:
+//    one deterministic serve-loop corruption (forces a quarantine +
+//    rejoin), a low-rate random stream of eio/corrupt/stall on the serve
+//    site, and a second random entry of stall/reset on the daemon's
+//    sockets (clients see timeouts and dead streams);
 // 2. four writer threads stream unique-key SETs through RetryingClient,
 //    recording every acknowledged key — the retry loop is expected to ride
 //    through Unavailable (quarantine), Busy (shed), Timeout and resets;
@@ -80,16 +79,14 @@ bool spawn_daemon(const std::string& binary, const fs::path& dir, bool chaos,
       // Random media faults stay off the open/create/resize sites so the
       // reopen-with-recovery path itself isn't poisoned — bounded reopen
       // failure is covered deterministically in service_fault_test.
-      const std::string media =
-          "serve:corrupt@5;random:seed=" + std::to_string(g_seed) +
-          ",rate=1500,sites=serve,stall=5";
-      const std::string net =
-          "random:seed=" + std::to_string(g_seed) + ",rate=300,stall=5";
-      ::setenv("CXLPMEM_FAULTS", media.c_str(), 1);
-      ::setenv("CXLPMEM_NET_FAULTS", net.c_str(), 1);
+      const std::string seed = std::to_string(g_seed);
+      const std::string plan =
+          "serve:corrupt@5;random:seed=" + seed +
+          ",rate=1500,sites=serve,stall=5;random:seed=" + seed +
+          ",rate=300,sites=send|recv|connect,stall=5";
+      ::setenv("CXLPMEM_FAULTS", plan.c_str(), 1);
     } else {
       ::unsetenv("CXLPMEM_FAULTS");
-      ::unsetenv("CXLPMEM_NET_FAULTS");
     }
     const std::string dir_s = dir.string();
     ::execl(binary.c_str(), binary.c_str(), "--dir", dir_s.c_str(), "--port",
@@ -224,7 +221,7 @@ int main(int argc, char** argv) {
   }
 
   // Phase 2: power cut mid-load, restart on the same pools with the same
-  // schedule — open-time recovery runs with the injectors armed.
+  // schedule — open-time recovery runs with the faults armed.
   ::kill(d.pid, SIGKILL);
   reap(d);
   if (!spawn_daemon(binary, dir, /*chaos=*/true, d))
@@ -260,7 +257,7 @@ int main(int argc, char** argv) {
       return fail("chaos daemon did not exit cleanly on SIGTERM");
   }
 
-  // Phase 3: the verdict.  A clean daemon (no injectors) serves the same
+  // Phase 3: the verdict.  A clean daemon (no faults) serves the same
   // pools; every acknowledged SET must read back — media lies, link lies
   // and a SIGKILL notwithstanding.
   if (!spawn_daemon(binary, dir, /*chaos=*/false, d))

@@ -16,9 +16,9 @@
 // in-flight transaction to commit, flush replies, close the pools — a
 // restart reports clean shutdown and zero busy lanes.
 //
-// Chaos hooks: CXLPMEM_FAULTS / CXLPMEM_NET_FAULTS (+ CXLPMEM_FAULT_SEED)
-// arm the deterministic media/link fault injectors before the server
-// starts — see pmemkit/faultkit.hpp and service/net_fault.hpp for the DSL.
+// Chaos hook: CXLPMEM_FAULTS (+ CXLPMEM_FAULT_SEED) arms the deterministic
+// media + link fault schedule before the server starts — see
+// pmemkit/faultkit.hpp for the DSL.
 // A shard whose media fails quarantines itself and self-heals (INFO grows
 // a '# Health' section); --max-queue bounds each shard's request queue
 // (overflow answers typed Busy).
@@ -26,12 +26,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
 #include "api/cxlpmem.hpp"
 #include "pmemkit/faultkit.hpp"
-#include "service/net_fault.hpp"
 #include "service/server.hpp"
 
 using namespace cxlpmem;
@@ -74,9 +74,14 @@ void print_usage(std::FILE* to, const char* argv0) {
       "  --version       print the version string and exit\n"
       "  --help          print this help and exit\n"
       "environment:\n"
-      "  CXLPMEM_FAULTS      media-fault schedule DSL (pmemkit/faultkit)\n"
-      "  CXLPMEM_NET_FAULTS  link-fault schedule DSL (service/net_fault)\n"
-      "  CXLPMEM_FAULT_SEED  overrides both schedules' random seed\n",
+      "  CXLPMEM_FAULTS      fault schedule DSL for the media sites\n"
+      "                      (create open resize sync serve) and the link\n"
+      "                      sites (send recv connect), e.g.\n"
+      "                      'serve:corrupt@5;recv:reset@3+4096;\n"
+      "                      random:seed=7,rate=300,sites=send|recv'\n"
+      "                      (pmemkit/faultkit.hpp); the armed plan is\n"
+      "                      echoed on stderr at start-up\n"
+      "  CXLPMEM_FAULT_SEED  overrides every random entry's seed\n",
       argv0);
 }
 
@@ -127,18 +132,22 @@ int main(int argc, char** argv) {
   }
   if (dir.empty()) return usage(argv[0]);
 
-  // Arm the chaos injectors before any pool opens or socket binds, so the
-  // very first media/link operation is already under the schedule.  A
-  // malformed schedule is a fatal config error — a chaos run that silently
-  // runs faultless would report a lie.
+  // Arm the fault schedule before any pool opens or socket binds, so the
+  // very first media/link operation is already under it.  A malformed
+  // schedule is a fatal config error — a chaos run that silently runs
+  // faultless would report a lie; so is the retired link-only variable.
+  if (const char* net = std::getenv("CXLPMEM_NET_FAULTS");
+      net != nullptr && *net != '\0') {
+    std::fprintf(stderr,
+                 "cxlpmemd: CXLPMEM_NET_FAULTS is no longer read; put the "
+                 "link entries (send/recv/connect) into CXLPMEM_FAULTS\n");
+    return 2;
+  }
   try {
-    const bool media = pmemkit::arm_faults_from_env();
-    const bool net = service::arm_net_faults_from_env();
-    if (media || net) {
-      const char* seed = std::getenv("CXLPMEM_FAULT_SEED");
-      std::fprintf(stderr, "cxlpmemd: fault injection armed (media=%d net=%d seed=%s)\n",
-                   media ? 1 : 0, net ? 1 : 0, seed != nullptr ? seed : "0");
-    }
+    if (const std::optional<pmemkit::FaultPlan> plan =
+            pmemkit::arm_faults_from_env())
+      std::fprintf(stderr, "cxlpmemd: fault injection armed: %s\n",
+                   plan->to_dsl().c_str());
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "cxlpmemd: %s\n", e.what());
     return 2;
