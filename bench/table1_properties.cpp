@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "api/runtime_builder.hpp"
 #include "core/core.hpp"
 #include "numakit/numakit.hpp"
 #include "stream/stream.hpp"
@@ -32,9 +33,16 @@ int main() {
   const auto base =
       std::filesystem::temp_directory_path() /
       ("table1-" + std::to_string(::getpid()));
-  auto rt = core::make_setup_one_runtime(base);
-  const auto& machine = rt.runtime->machine();
-  auto* dev = rt.runtime->device(rt.ids.cxl);
+  auto built = api::RuntimeBuilder::setup_one().base_dir(base).build();
+  if (!built.ok()) {
+    std::fprintf(stderr, "table1: %s\n", built.error().to_string().c_str());
+    return 1;
+  }
+  core::Runtime& rt = built->core();
+  const simkit::MemoryId cxl = built->space("pmem2")->memory;
+  const simkit::MemoryId ddr5_socket0 = built->space("pmem0")->memory;
+  const auto& machine = rt.machine();
+  auto* dev = rt.device(cxl);
 
   std::printf(
       "=== Table 1: properties of the (CXL) PMem module, measured ===\n\n");
@@ -49,7 +57,7 @@ int main() {
   // App-Direct on the battery-backed device is durable.
   std::printf("%-12s | %-34s | %-34s\n", "Volatility",
               "volatile usage (system RAM node)",
-              rt.runtime->dax("pmem2").durable()
+              rt.dax("pmem2").durable()
                   ? "non-volatile (battery domain)"
                   : "VOLATILE (no battery!)");
 
@@ -61,7 +69,7 @@ int main() {
 
   // Capacity relative to node DRAM.
   const double dram_gib = static_cast<double>(
-                              machine.memory(rt.ids.ddr5_socket0)
+                              machine.memory(ddr5_socket0)
                                   .capacity_bytes) /
                           (1ull << 30);
   const double cxl_gib =
@@ -81,15 +89,12 @@ int main() {
               "battery once per device, not node");
 
   // Performance: measured model bandwidth vs local DRAM.
-  const double numa_gbs = saturated_gbs(machine, rt.ids.cxl,
-                                        stream::AccessMode::MemoryMode,
-                                        rt.ids.cxl);
-  const double pmem_gbs = saturated_gbs(machine, rt.ids.cxl,
-                                        stream::AccessMode::AppDirect,
-                                        rt.ids.cxl);
-  const double local_gbs = saturated_gbs(machine, rt.ids.ddr5_socket0,
-                                         stream::AccessMode::MemoryMode,
-                                         rt.ids.cxl);
+  const double numa_gbs =
+      saturated_gbs(machine, cxl, stream::AccessMode::MemoryMode, cxl);
+  const double pmem_gbs =
+      saturated_gbs(machine, cxl, stream::AccessMode::AppDirect, cxl);
+  const double local_gbs = saturated_gbs(
+      machine, ddr5_socket0, stream::AccessMode::MemoryMode, cxl);
   char perf_mem[64], perf_pm[64];
   std::snprintf(perf_mem, sizeof(perf_mem),
                 "%.1f GB/s (%.0f%% of local DRAM)", numa_gbs,

@@ -17,7 +17,7 @@ void RuntimeBuilder::fail(Errc code, std::string message) {
 core::Exposure& RuntimeBuilder::exposure_for(simkit::MemoryId m) {
   for (core::Exposure& e : exposures_)
     if (e.memory == m) return e;
-  exposures_.push_back(core::Exposure{.memory = m});
+  exposures_.push_back(core::Exposure{.memory = m, .dax_name = ""});
   return exposures_.back();
 }
 

@@ -27,8 +27,8 @@
 // Memory Mode on non-link-attached memory, ...) and returns Result instead
 // of throwing; the first recorded problem wins.
 //
-// Subsumes core::make_setup_one_runtime / make_setup_two_runtime: the
-// presets produce the identical machines through this one validated path.
+// setup_one()/setup_two() are the one way to build the paper's two
+// machines, validated like any other description.
 #pragma once
 
 #include <cstdint>

@@ -101,49 +101,4 @@ PersistenceDomain Runtime::domain_of(simkit::MemoryId memory) const {
   return classify(machine_.memory(memory), emulated);
 }
 
-SetupOneRuntime make_setup_one_runtime(
-    const std::filesystem::path& base_dir) {
-  SetupOneRuntime out;
-  out.ids = simkit::profiles::make_setup_one();
-
-  std::vector<Exposure> exposures{
-      {.memory = out.ids.ddr5_socket0,
-       .dax_name = "pmem0",
-       .memory_mode = false,
-       .emulated_pmem = true},
-      {.memory = out.ids.ddr5_socket1,
-       .dax_name = "pmem1",
-       .memory_mode = false,
-       .emulated_pmem = true},
-      {.memory = out.ids.cxl,
-       .dax_name = "pmem2",
-       .memory_mode = true,
-       .emulated_pmem = false},
-  };
-  out.runtime = std::make_unique<Runtime>(std::move(out.ids.machine),
-                                          std::move(exposures), base_dir);
-  out.runtime->attach_device(out.ids.cxl, cxlsim::make_fpga_prototype());
-  return out;
-}
-
-SetupTwoRuntime make_setup_two_runtime(
-    const std::filesystem::path& base_dir) {
-  SetupTwoRuntime out;
-  out.ids = simkit::profiles::make_setup_two();
-
-  std::vector<Exposure> exposures{
-      {.memory = out.ids.ddr4_socket0,
-       .dax_name = "pmem0",
-       .memory_mode = false,
-       .emulated_pmem = true},
-      {.memory = out.ids.ddr4_socket1,
-       .dax_name = "pmem1",
-       .memory_mode = false,
-       .emulated_pmem = true},
-  };
-  out.runtime = std::make_unique<Runtime>(std::move(out.ids.machine),
-                                          std::move(exposures), base_dir);
-  return out;
-}
-
 }  // namespace cxlpmem::core

@@ -96,23 +96,4 @@ class Runtime {
   std::map<simkit::MemoryId, std::shared_ptr<cxlsim::Type3Device>> devices_;
 };
 
-/// Setup #1 wired the way the paper runs it: pmem0/pmem1 emulated on the
-/// DDR5 sockets, pmem2 on the battery-backed CXL FPGA (also onlined as NUMA
-/// node 2), FPGA device model attached.
-struct SetupOneRuntime {
-  simkit::profiles::SetupOne ids;  ///< machine ids (machine itself is moved)
-  std::unique_ptr<Runtime> runtime;
-};
-[[nodiscard]] SetupOneRuntime make_setup_one_runtime(
-    const std::filesystem::path& base_dir);
-
-/// Setup #2 wired the way the paper runs it: no CXL device — pmem0/pmem1
-/// emulated on the two DDR4 sockets (Figure 3's local/remote PMem runs).
-struct SetupTwoRuntime {
-  simkit::profiles::SetupTwo ids;  ///< machine ids (machine itself is moved)
-  std::unique_ptr<Runtime> runtime;
-};
-[[nodiscard]] SetupTwoRuntime make_setup_two_runtime(
-    const std::filesystem::path& base_dir);
-
 }  // namespace cxlpmem::core

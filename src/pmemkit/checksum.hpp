@@ -1,12 +1,13 @@
 // pmemkit/checksum.hpp — Fletcher-64 checksum, the same construction PMDK
 // uses for pool headers and log entries, plus a lane-parallel variant for
-// bulk payload data (checkpoint chunk fingerprints) and the splitmix64
-// mixer behind every seeded draw.
+// bulk payload data (checkpoint chunk fingerprints), the splitmix64
+// mixer behind every seeded draw and the FNV-1a key hash.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <string_view>
 
 namespace cxlpmem::pmemkit {
 
@@ -121,6 +122,19 @@ class Fletcher64 {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+/// 64-bit FNV-1a: cxlpmemd's shard router (fnv1a64(key) % shards) and the
+/// tier's TinyLFU sketch.  Routing must stay bit-identical, or existing
+/// shard pools lose their keys.  An FNV-1a hash's low bits follow from the
+/// low bits of the key, so a shard's map must not bucket by it as well:
+/// every key in a shard shares the router's residue.  Maps bucket by
+/// fingerprint64.
+[[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view s) noexcept {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s)
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  return h;
 }
 
 }  // namespace cxlpmem::pmemkit

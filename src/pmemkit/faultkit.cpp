@@ -4,11 +4,11 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "pmemkit/checksum.hpp"
@@ -26,6 +26,8 @@ struct Injector {
   std::uint64_t crossings[kFaultSiteCount] = {};
   FaultStats stats;
   std::vector<FaultSite> trace;
+  std::condition_variable stall_cv;  // stalls sleep here; a clear ends them
+  std::uint64_t clears = 0;          // clear_faults() calls so far
 };
 
 std::atomic<bool> g_armed{false};
@@ -303,6 +305,8 @@ void clear_faults() {
   inj.armed = false;
   inj.plan = FaultPlan{};
   inj.consumed.clear();
+  ++inj.clears;
+  inj.stall_cv.notify_all();
   g_armed.store(false, std::memory_order_release);
 }
 
@@ -339,6 +343,7 @@ std::optional<Fault> fault_point(FaultSite site, std::string_view what) {
 
   Injector& inj = injector();
   std::optional<Fault> fired;
+  std::uint64_t clears = 0;
   {
     const std::lock_guard<std::mutex> lock(inj.mu);
     if (inj.tracing) inj.trace.push_back(site);
@@ -370,6 +375,7 @@ std::optional<Fault> fault_point(FaultSite site, std::string_view what) {
       }
     }
     if (fired) ++inj.stats.injected[static_cast<int>(fired->kind)];
+    clears = inj.clears;
   }
   if (!fired) return std::nullopt;
   switch (fired->kind) {
@@ -377,10 +383,13 @@ std::optional<Fault> fault_point(FaultSite site, std::string_view what) {
     case FaultKind::Enospc:
     case FaultKind::Corrupt:
       throw_injected(fired->kind, site, what);
-    case FaultKind::Stall:
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(fired->arg != 0 ? fired->arg : 20));
+    case FaultKind::Stall: {
+      std::unique_lock<std::mutex> lock(inj.mu);
+      inj.stall_cv.wait_for(
+          lock, std::chrono::milliseconds(fired->arg != 0 ? fired->arg : 20),
+          [&] { return inj.clears != clears; });
       return std::nullopt;
+    }
     case FaultKind::ShortWrite:
     case FaultKind::BitFlip:
     case FaultKind::Drop:

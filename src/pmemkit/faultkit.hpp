@@ -26,15 +26,16 @@
 // Simple kinds (eio / enospc / corrupt) throw a typed PoolError at the
 // site, BEFORE any side effect, so the caller sees exactly the error a
 // failing device would produce and retry-after-clear is clean.  stall
-// sleeps (overload and latency-spike modeling).  The other kinds need the
-// call site's cooperation — fault_point returns them as an action:
-// FaultyResource (the PmemResource decorator below) applies short and
-// flip: a short create materializes a truncated backing store then errors
-// out and cleans up; a flip XORs one byte of the freshly-mapped image
-// ("torn media"), so the open-time checksum path is exercised end to end.
-// A flip is durable corruption by design — recovery is restoring the
-// byte, not retrying.  The socket shims (service/net_fault.hpp) apply
-// drop (report success, send nothing), partial (move 1 byte) and reset
+// sleeps (overload and latency-spike modeling) until its time is up or
+// clear_faults() ends it.  The other kinds need the call site's
+// cooperation — fault_point returns them as an action: FaultyResource
+// (the PmemResource decorator below) applies short and flip: a short
+// create materializes a truncated backing store then errors out and
+// cleans up; a flip XORs one byte of the freshly-mapped image ("torn
+// media"), so the open-time checksum path is exercised end to end.  A
+// flip is durable corruption by design — recovery is restoring the byte,
+// not retrying.  The socket shims (service/net_fault.hpp) apply drop
+// (report success, send nothing), partial (move 1 byte) and reset
 // (ECONNRESET; ECONNREFUSED at connect; with +B the connection dies after
 // exactly B more bytes).
 //
@@ -129,7 +130,9 @@ void arm_faults(FaultPlan plan);
 /// throws, as parse() does — a chaos harness must fail loudly, not run
 /// faultless.
 std::optional<FaultPlan> arm_faults_from_env();
-/// Disarms and drops the plan (stats survive until the next arm).
+/// Disarms and drops the plan (stats survive until the next arm), and
+/// ends every stall in progress: a test can hold a thread in a long stall
+/// until the state it waits for is reached.
 void clear_faults();
 [[nodiscard]] bool faults_armed() noexcept;
 
@@ -154,10 +157,10 @@ void begin_fault_trace();
 
 /// The instrumentation point.  Disarmed: one relaxed load.  Armed: counts
 /// the crossing, consults the plan, and either returns nothing, throws a
-/// typed PoolError (eio / enospc / corrupt), sleeps (stall), or returns a
-/// ShortWrite/BitFlip/Drop/Partial/Reset action for the call site to
-/// apply.  `what` names the operation for the error message
-/// ("/mnt/pmem2/kvshard-0.pool").
+/// typed PoolError (eio / enospc / corrupt), sleeps (stall, cut short by
+/// clear_faults()), or returns a ShortWrite/BitFlip/Drop/Partial/Reset
+/// action for the call site to apply.  `what` names the operation for the
+/// error message ("/mnt/pmem2/kvshard-0.pool").
 std::optional<Fault> fault_point(FaultSite site, std::string_view what);
 
 /// PmemResource decorator: routes map_create/map_open through fault_point

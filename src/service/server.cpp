@@ -18,10 +18,13 @@
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "api/translate.hpp"
 #include "numakit/affinity.hpp"
+#include "pmemkit/checksum.hpp"
 #include "pmemkit/faultkit.hpp"
 #include "service/durable_map.hpp"
 #include "service/net_fault.hpp"
@@ -31,17 +34,6 @@
 namespace cxlpmem::service {
 
 namespace {
-
-/// fnv1a64 — shard routing hash.  The map's buckets must not use FNV-1a
-/// too: an FNV-1a hash's low bits follow from the low bits of its basis and
-/// of the key, so bucket and shard would correlate and each shard would
-/// fill only a fraction of its buckets.  The map buckets by fingerprint64.
-std::uint64_t shard_hash(std::string_view key) noexcept {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : key)
-    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-  return h;
-}
 
 /// Fixed three decimals, locale-proof (std::to_string(double) honours the
 /// C locale's decimal point; the wire format must not).  Unbounded above:
@@ -130,40 +122,37 @@ struct Request {
 };
 
 struct Shard {
-  explicit Shard(int idx) : index(idx) {}
+  Shard(int idx, int core) : index(idx) {
+    info.index = idx;
+    info.core = core;
+  }
 
   const int index;
   /// pool/map/tier are built by open_shard and torn down by close_shard, so
-  /// quarantine recovery can rebuild them in place.  The serving worker
-  /// touches them lock-free (it is the only thread that replaces them, and
-  /// only while quarantined); the info thread takes `pool_mu` because its
-  /// stats reads race the recovery teardown.
+  /// quarantine recovery can rebuild them in place.  Only the shard's
+  /// worker touches them while it runs; start() opens them before it and
+  /// stop() closes them after it.
   std::optional<api::Pool> pool;
   std::optional<DurableMap> map;
   /// Declared after `map` so it is destroyed first: the tier points at the
   /// map.  Null when the tier is disabled: the untiered fast path stays
   /// untouched.
   std::unique_ptr<tierkv::TieredCache> tier;
-  mutable std::mutex pool_mu;
-  int core = -1;
 
   std::mutex mu;
   std::condition_variable cv;
   std::deque<Request> q;
   std::thread worker;
 
-  std::atomic<std::uint64_t> ops{0};
-  std::atomic<std::uint64_t> batches{0};
-  std::atomic<std::uint64_t> keys{0};
-  std::atomic<std::uint64_t> compactions{0};
-  std::atomic<std::uint64_t> compacted_bytes{0};
-
-  // --- health ---
+  /// route() reads this on every request; the worker sets it at health
+  /// transitions.
   std::atomic<bool> quarantined{false};
-  std::atomic<std::uint64_t> quarantines{0};
-  std::atomic<std::uint64_t> rejoins{0};
-  std::atomic<std::uint64_t> reopen_failures{0};
-  std::atomic<std::uint64_t> shed{0};
+
+  /// The worker's published view of the shard (see Impl::publish): INFO
+  /// and Server::info() copy it, and the event thread writes only `shed`.
+  std::mutex info_mu;
+  ShardInfo info;
+  tierkv::TierStats tier_stats;
 };
 
 /// The two Errc values that mean "the media under this shard failed" —
@@ -173,24 +162,18 @@ bool media_failure(api::Errc c) noexcept {
   return c == api::Errc::PoolCorrupt || c == api::Errc::IoFailure;
 }
 
-/// The reply every request on a quarantining shard gets: typed Unavailable
-/// (retryable — the shard is about to attempt recovery) carrying the
-/// original media error for the log-readers.
-std::string quarantine_reply(const Shard& s, const api::Error& cause) {
-  return encode_error_reply(
-      api::Error{api::Errc::Unavailable,
-                 "shard " + std::to_string(s.index) +
-                     " quarantined: " + cause.message});
+/// The reply to a request a quarantined shard cannot serve: typed
+/// Unavailable, retryable once the shard rejoins.  `detail` follows
+/// "shard <i> quarantined": the media error that caused it, or that
+/// recovery is in progress.
+std::string quarantined_reply(const Shard& s, std::string_view detail) {
+  return encode_error_reply(api::Error{
+      api::Errc::Unavailable,
+      "shard " + std::to_string(s.index) + " quarantined" +
+          std::string(detail)});
 }
 
-/// The reply to a request that reaches a shard while it is quarantined:
-/// typed Unavailable, retryable once the shard rejoins.
-std::string recovering_reply(const Shard& s) {
-  return encode_error_reply(
-      api::Error{api::Errc::Unavailable,
-                 "shard " + std::to_string(s.index) +
-                     " quarantined, recovery in progress"});
-}
+constexpr std::string_view kRecovering = ", recovery in progress";
 
 }  // namespace
 
@@ -198,7 +181,6 @@ struct Server::Impl {
   ServerOptions opts;
   api::Runtime* rt = nullptr;  ///< outlives the Server (start() contract)
   std::uint64_t tier_shard_budget = 0;  ///< DRAM budget of each shard tier
-  std::string ns;
   int numa_node = -1;
   std::uint16_t port = 0;
   int listen_fd = -1;
@@ -211,62 +193,36 @@ struct Server::Impl {
   std::map<int, std::shared_ptr<Connection>> conns;  ///< event thread only
 
   std::atomic<bool> stopping{false};
-  std::atomic<bool> stopped{false};
   std::atomic<std::uint64_t> accepted{0};
-  ServerInfo final_info;  ///< snapshot taken by stop() before teardown
 
   ~Impl() { stop(); }
 
   [[nodiscard]] Shard& shard_of(std::string_view key) noexcept {
-    return *shards[shard_hash(key) % shards.size()];
+    return *shards[pmemkit::fnv1a64(key) % shards.size()];
   }
 
+  /// Copies each shard's published snapshot; never touches a pool, map or
+  /// tier, which belong to the shard workers.
   [[nodiscard]] ServerInfo make_info() const {
     ServerInfo out;
-    out.ns = ns;
+    out.ns = opts.ns;
     out.numa_node = numa_node;
     out.connections_accepted = accepted.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-      ShardInfo s;
-      s.index = static_cast<int>(i);
-      s.core = shards[i]->core;
-      s.ops = shards[i]->ops.load(std::memory_order_relaxed);
-      s.batches = shards[i]->batches.load(std::memory_order_relaxed);
-      s.keys = shards[i]->keys.load(std::memory_order_relaxed);
-      s.compactions = shards[i]->compactions.load(std::memory_order_relaxed);
-      s.compacted_bytes =
-          shards[i]->compacted_bytes.load(std::memory_order_relaxed);
-      s.quarantined = shards[i]->quarantined.load(std::memory_order_acquire);
-      s.quarantines = shards[i]->quarantines.load(std::memory_order_relaxed);
-      s.rejoins = shards[i]->rejoins.load(std::memory_order_relaxed);
-      s.reopen_failures =
-          shards[i]->reopen_failures.load(std::memory_order_relaxed);
-      s.shed = shards[i]->shed.load(std::memory_order_relaxed);
-      // pool_mu: the recovery loop tears pool/tier down and rebuilds them
-      // while this (event-thread) read runs.  A quarantined shard simply
-      // reports no pool stats.  O(1) reads only: no heap walk under the
-      // lock the worker's recovery path takes.
-      const std::lock_guard<std::mutex> pool_lock(shards[i]->pool_mu);
-      if (shards[i]->pool) {
-        const pmemkit::ObjectPool& pool = shards[i]->pool->pmem();
-        s.layout_version = pool.layout_version();
-        s.fragmentation = pool.occupancy().fragmentation;
-        s.resizes = pool.resizes();
-      }
-      out.shards.push_back(s);
-      if (shards[i]->tier) {
-        const tierkv::TierStats t = shards[i]->tier->stats();
-        out.tier_stats.hits += t.hits;
-        out.tier_stats.misses += t.misses;
-        out.tier_stats.promotions += t.promotions;
-        out.tier_stats.demotions += t.demotions;
-        out.tier_stats.bytes_moved += t.bytes_moved;
-        out.tier_stats.raw_bytes += t.raw_bytes;
-        out.tier_stats.compressed_bytes += t.compressed_bytes;
-        out.tier_stats.dram_bytes_used += t.dram_bytes_used;
-        out.tier_stats.dram_bytes_budget += t.dram_bytes_budget;
-        out.tier_stats.dram_entries += t.dram_entries;
-      }
+    for (const auto& s : shards) {
+      const std::scoped_lock lock(s->mu, s->info_mu);
+      out.shards.push_back(s->info);
+      out.shards.back().queued = s->q.size();
+      const tierkv::TierStats& t = s->tier_stats;
+      out.tier_stats.hits += t.hits;
+      out.tier_stats.misses += t.misses;
+      out.tier_stats.promotions += t.promotions;
+      out.tier_stats.demotions += t.demotions;
+      out.tier_stats.bytes_moved += t.bytes_moved;
+      out.tier_stats.raw_bytes += t.raw_bytes;
+      out.tier_stats.compressed_bytes += t.compressed_bytes;
+      out.tier_stats.dram_bytes_used += t.dram_bytes_used;
+      out.tier_stats.dram_bytes_budget += t.dram_bytes_budget;
+      out.tier_stats.dram_entries += t.dram_entries;
     }
     out.tier = opts.tier;
     if (opts.tier) out.tier_codec = opts.tier_codec;
@@ -302,7 +258,8 @@ struct Server::Impl {
                    ",keys=" + std::to_string(s.keys) +
                    ",ops=" + std::to_string(s.ops) +
                    ",batches=" + std::to_string(s.batches) +
-                   ",frag=" + format_frag(s.fragmentation) + "\r\n";
+                   ",frag=" + format_frag(s.fragmentation) +
+                   ",queued=" + std::to_string(s.queued) + "\r\n";
     }
     const std::string health =
         "# Health\r\nhealthy_shards:" +
@@ -368,7 +325,7 @@ struct Server::Impl {
         // A quarantined shard answers from the event thread — its worker
         // is busy recovering and must not grow a queue it cannot drain.
         if (s.quarantined.load(std::memory_order_acquire)) {
-          complete(*conn, seq, recovering_reply(s));
+          complete(*conn, seq, quarantined_reply(s, kRecovering));
           return;
         }
         bool full = false;
@@ -384,7 +341,10 @@ struct Server::Impl {
           // Shed, don't queue: bounded memory and a typed, retryable
           // signal beat an unbounded queue that turns overload into
           // latency collapse.
-          s.shed.fetch_add(1, std::memory_order_relaxed);
+          {
+            const std::lock_guard<std::mutex> lock(s.info_mu);
+            ++s.info.shed;
+          }
           complete(*conn, seq,
                    encode_error_reply(api::Error{
                        api::Errc::Busy, "shard " + std::to_string(s.index) +
@@ -528,11 +488,12 @@ struct Server::Impl {
   /// The unit is ONE transaction if and only if any request in it mutates
   /// — reads included, so a SET earlier in the unit is visible to a later
   /// GET — and the tier's staged DRAM effects are committed or discarded
-  /// with it.  `batches` counts commits only.  The caller holds the tier
+  /// with it.  A commit adds one to `commits`.  The caller holds the tier
   /// lock.
   api::Result<void> run_unit(Shard& s, const std::vector<Request>& batch,
                              std::size_t b, std::size_t e,
-                             std::vector<std::string>& replies) {
+                             std::vector<std::string>& replies,
+                             std::uint64_t& commits) {
     const bool mutating = std::any_of(
         batch.begin() + static_cast<std::ptrdiff_t>(b),
         batch.begin() + static_cast<std::ptrdiff_t>(e),
@@ -548,8 +509,7 @@ struct Server::Impl {
       else
         s.tier->discard_staged();
     }
-    if (done.ok() && mutating)
-      s.batches.fetch_add(1, std::memory_order_relaxed);
+    if (done.ok() && mutating) ++commits;
     return done;
   }
 
@@ -561,6 +521,7 @@ struct Server::Impl {
     // failure the rest are answered Unavailable without touching the (now
     // suspect) pool again.
     std::size_t served = 0;
+    std::uint64_t commits = 0;
     std::optional<api::Error> media;
 
     // The serve-site fault point: where an injected device error (or
@@ -579,7 +540,7 @@ struct Server::Impl {
       const std::unique_lock<std::mutex> tier_lock =
           s.tier ? s.tier->batch_lock() : std::unique_lock<std::mutex>();
       const api::Result<void> whole =
-          run_unit(s, batch, 0, batch.size(), replies);
+          run_unit(s, batch, 0, batch.size(), replies, commits);
       if (whole.ok()) {
         served = batch.size();
       } else if (media_failure(whole.error().code)) {
@@ -591,7 +552,7 @@ struct Server::Impl {
         // error, instead of failing its batchmates.
         for (; served < batch.size(); ++served) {
           const api::Result<void> one =
-              run_unit(s, batch, served, served + 1, replies);
+              run_unit(s, batch, served, served + 1, replies, commits);
           if (one.ok()) continue;
           if (media_failure(one.error().code)) {
             media = one.error();
@@ -603,11 +564,13 @@ struct Server::Impl {
     }
     if (media)
       for (std::size_t i = served; i < batch.size(); ++i)
-        replies[i] = quarantine_reply(s, *media);
+        replies[i] = quarantined_reply(s, ": " + media->message);
     // Stats before acks: a client that reads INFO right after its last
     // reply must see this batch counted.
-    s.ops.fetch_add(batch.size(), std::memory_order_relaxed);
-    if (s.map) s.keys.store(s.map->size(), std::memory_order_relaxed);
+    publish(s, [&](ShardInfo& i) {
+      i.ops += batch.size();
+      i.batches += commits;
+    });
     // Acknowledge only now — the transaction carrying every mutation above
     // has committed, so an acked write survives kill -9 from here on.
     for (std::size_t i = 0; i < batch.size(); ++i)
@@ -634,61 +597,81 @@ struct Server::Impl {
     const api::Result<pmemkit::CompactReport> pass =
         api::wrap([&] { return s.map->compact(); });
     if (!pass.ok()) return;
-    s.compactions.fetch_add(1, std::memory_order_relaxed);
-    s.compacted_bytes.fetch_add(pass.value().moved_bytes,
-                                std::memory_order_relaxed);
+    publish(s, [&](ShardInfo& i) {
+      ++i.compactions;
+      i.compacted_bytes += pass.value().moved_bytes;
+    });
   }
 
-  /// Serves batches until stop (returns false) or a media failure demands
-  /// quarantine (returns true).  The LaneSession lives here, not in
-  /// worker_loop, because quarantine recovery closes the pool the lane is
-  /// pinned in.
-  bool serve_shard(Shard& s) {
-    // One pinned undo lane for the serving span: batch commits skip the
-    // lane checkout mutex entirely.
-    const pmemkit::ObjectPool::LaneSession lane(s.pool->pmem());
+  /// Publishes the worker's view of its shard for INFO: applies `bump` to
+  /// the counters, then refreshes the pool and tier figures, which read as
+  /// cleared (and the shard as quarantined) while the shard has no pool.
+  /// Called by the worker only, and by start() before the worker runs.
+  template <typename Bump>
+  void publish(Shard& s, Bump&& bump) {
+    const pmemkit::ObjectPool* pool = s.pool ? &s.pool->pmem() : nullptr;
+    const std::lock_guard<std::mutex> lock(s.info_mu);
+    ShardInfo& i = s.info;
+    bump(i);
+    if (s.map) i.keys = s.map->size();
+    i.quarantined = pool == nullptr;
+    i.layout_version = pool ? pool->layout_version() : 0;
+    i.fragmentation = pool ? pool->occupancy().fragmentation : 0.0;
+    i.resizes = pool ? pool->resizes() : 0;
+    s.tier_stats = s.tier ? s.tier->stats() : tierkv::TierStats{};
+  }
+
+  /// Takes up to max_batch queued requests into `batch`, waiting while the
+  /// queue is empty.  Returns false once stop() has begun and the queue is
+  /// drained.
+  bool next_batch(Shard& s, std::vector<Request>& batch) {
+    std::unique_lock<std::mutex> lock(s.mu);
+    s.cv.wait(lock, [&] {
+      return !s.q.empty() || stopping.load(std::memory_order_acquire);
+    });
+    const auto take = static_cast<std::ptrdiff_t>(
+        std::min(s.q.size(), static_cast<std::size_t>(opts.max_batch)));
+    batch.assign(std::make_move_iterator(s.q.begin()),
+                 std::make_move_iterator(s.q.begin() + take));
+    s.q.erase(s.q.begin(), s.q.begin() + take);
+    return !batch.empty();
+  }
+
+  /// The shard worker, the only thread that touches the shard's pool, map
+  /// and tier while it runs.  It serves batches until stop() has drained
+  /// the queue.  A media failure quarantines the shard and runs recovery;
+  /// while the shard has no pool (recovery gave up, or stop() cut it
+  /// short) every request is answered Unavailable.  The LaneSession pins
+  /// one undo lane whenever the pool is open, from before the first batch
+  /// on, so batch commits skip lane checkout; it goes before recovery
+  /// closes the pool it is pinned in.  (Pinning it only at the first
+  /// batch raised perfbench kv_write's peak RSS by ~1 MiB on a 4-vCPU VM.)
+  void worker_loop(Shard& s) {
+    std::optional<pmemkit::ObjectPool::LaneSession> lane;
     std::vector<Request> batch;
     for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(s.mu);
-        s.cv.wait(lock, [&] {
-          return !s.q.empty() || stopping.load(std::memory_order_acquire);
-        });
-        if (s.q.empty()) return false;  // stopping and fully drained
-        const std::size_t take =
-            std::min(s.q.size(), static_cast<std::size_t>(opts.max_batch));
-        batch.assign(std::make_move_iterator(s.q.begin()),
-                     std::make_move_iterator(s.q.begin() +
-                                             static_cast<std::ptrdiff_t>(take)));
-        s.q.erase(s.q.begin(),
-                  s.q.begin() + static_cast<std::ptrdiff_t>(take));
+      if (s.pool && !lane) lane.emplace(s.pool->pmem());
+      if (!next_batch(s, batch)) return;
+      if (!s.pool) {
+        for (Request& r : batch)
+          complete(*r.conn, r.seq, quarantined_reply(s, kRecovering));
+      } else if (process_batch(s, batch)) {
+        lane.reset();
+        recover_shard(s);
+      } else {
+        maybe_compact(s);
       }
-      const bool quarantine = process_batch(s, batch);
       batch.clear();
-      if (quarantine) return true;
-      maybe_compact(s);
     }
-  }
-
-  /// Answers every queued request with Unavailable (used while the shard
-  /// has no pool: entering quarantine, and permanently quarantined).
-  void drain_unavailable(Shard& s) {
-    std::deque<Request> pending;
-    {
-      const std::lock_guard<std::mutex> lock(s.mu);
-      pending.swap(s.q);
-    }
-    for (Request& r : pending) complete(*r.conn, r.seq, recovering_reply(s));
   }
 
   /// Interruptible backoff: sleeps `ms` on the shard's cv, waking early on
   /// stop().  Returns false when stopping.
   bool backoff_wait(Shard& s, std::uint64_t ms) {
     std::unique_lock<std::mutex> lock(s.mu);
-    s.cv.wait_for(lock, std::chrono::milliseconds(ms), [&] {
+    return !s.cv.wait_for(lock, std::chrono::milliseconds(ms), [&] {
       return stopping.load(std::memory_order_acquire);
     });
-    return !stopping.load(std::memory_order_acquire);
   }
 
   /// Opens (or creates) the shard's pool and builds its map and tier:
@@ -701,7 +684,6 @@ struct Server::Impl {
         rt->open_or_create_pool(opts.ns, "cxlpmemd-kv", spec);
     if (!pool.ok()) return pool.error();
     const api::Result<void> built = api::wrap([&] {
-      const std::lock_guard<std::mutex> pool_lock(s.pool_mu);
       s.pool.emplace(std::move(pool).value());
       s.map.emplace(s.pool->pmem());  // e.g. TypeMismatch on reopen
       if (opts.tier) {
@@ -715,72 +697,50 @@ struct Server::Impl {
       close_shard(s);
       return built.error();
     }
-    s.keys.store(s.map->size(), std::memory_order_relaxed);
     return {};
   }
 
-  /// Tears the shard down under pool_mu (the info thread reads pool
-  /// stats).  Order matters — the tier points at the map, the map into the
-  /// pool.  Closing the pool also releases its
-  /// mapping, so a reopen gets a fresh view of the (possibly repaired)
-  /// media.
+  /// Tears the shard down.  Order matters — the tier points at the map,
+  /// the map into the pool.  Closing the pool also releases its mapping,
+  /// so a reopen gets a fresh view of the (possibly repaired) media.
   void close_shard(Shard& s) {
-    const std::lock_guard<std::mutex> pool_lock(s.pool_mu);
     s.tier.reset();
     s.map.reset();
     s.pool.reset();
   }
 
   /// The self-healing pass: tear the shard's pool down, then try bounded
-  /// reopen-with-recovery attempts with doubling backoff.  Returns true on
-  /// rejoin, false when the attempts are exhausted (or stop() arrived).
-  bool recover_shard(Shard& s) {
-    s.quarantined.store(true, std::memory_order_release);
-    s.quarantines.fetch_add(1, std::memory_order_relaxed);
+  /// reopen-with-recovery attempts with doubling backoff.  The shard is
+  /// left without a pool when the attempts are exhausted (or stop()
+  /// arrived).
+  void recover_shard(Shard& s) {
     close_shard(s);
-    drain_unavailable(s);  // requests that raced the quarantine flag
+    publish(s, [](ShardInfo& i) { ++i.quarantines; });
+    s.quarantined.store(true, std::memory_order_release);
+    // Requests queued before the flag went up are answered now, not held
+    // through the backoff.
+    std::deque<Request> queued;
+    {
+      const std::lock_guard<std::mutex> lock(s.mu);
+      queued.swap(s.q);
+    }
+    for (Request& r : queued)
+      complete(*r.conn, r.seq, quarantined_reply(s, kRecovering));
     for (int attempt = 0; attempt < opts.reopen_attempts; ++attempt) {
       if (!backoff_wait(s, static_cast<std::uint64_t>(opts.reopen_backoff_ms)
                                << attempt))
-        return false;  // stopping — leave the shard down, stop() drains
-      if (!open_shard(s).ok()) {
-        s.reopen_failures.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      s.rejoins.fetch_add(1, std::memory_order_relaxed);
-      s.quarantined.store(false, std::memory_order_release);
-      return true;
-    }
-    return false;
-  }
-
-  /// Terminal state for a shard whose media never came back: answer
-  /// Unavailable until stop().  The rest of the server keeps serving.
-  void drain_quarantined(Shard& s) {
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(s.mu);
-        s.cv.wait(lock, [&] {
-          return !s.q.empty() || stopping.load(std::memory_order_acquire);
-        });
-        if (s.q.empty()) return;  // stopping and fully drained
-      }
-      drain_unavailable(s);
-    }
-  }
-
-  void worker_loop(Shard& s) {
-    while (serve_shard(s)) {
-      if (!recover_shard(s)) {
-        drain_quarantined(s);
+        return;  // stopping — leave the shard down, stop() drains
+      if (open_shard(s).ok()) {
+        publish(s, [](ShardInfo& i) { ++i.rejoins; });
+        s.quarantined.store(false, std::memory_order_release);
         return;
       }
+      publish(s, [](ShardInfo& i) { ++i.reopen_failures; });
     }
   }
 
   void stop() {
-    if (stopped.exchange(true)) return;
-    stopping.store(true, std::memory_order_release);
+    if (stopping.exchange(true)) return;
     // 1. Stop the intake: once the event thread exits, no request can be
     //    enqueued and no byte is read off any socket.
     if (wake_fd >= 0) {
@@ -790,11 +750,15 @@ struct Server::Impl {
     if (event_thread.joinable()) event_thread.join();
     // 2. Drain: workers finish every queued request — each in-flight
     //    transaction runs to commit (or a clean per-op error) and its
-    //    reply is flushed — then exit.
-    for (const auto& s : shards) s->cv.notify_all();
+    //    reply is flushed — then exit.  The queue mutex is taken before
+    //    the notify: a worker between its wait predicate and its wait holds
+    //    it, and would otherwise miss the wakeup and never exit.
+    for (const auto& s : shards) {
+      { const std::lock_guard<std::mutex> lock(s->mu); }
+      s->cv.notify_all();
+    }
     for (const auto& s : shards)
       if (s->worker.joinable()) s->worker.join();
-    final_info = make_info();
     // 3. Close client sockets, then the listen/epoll plumbing.
     conns.clear();
     if (listen_fd >= 0) ::close(listen_fd);
@@ -802,8 +766,9 @@ struct Server::Impl {
     if (wake_fd >= 0) ::close(wake_fd);
     listen_fd = epoll_fd = wake_fd = -1;
     // 4. Close the pools — the clean-shutdown mark lands on media, so a
-    //    reopen reports zero busy lanes and no recovery work.
-    shards.clear();
+    //    reopen reports zero busy lanes and no recovery work.  The shards
+    //    stay, so info() keeps reading their last snapshots.
+    for (const auto& s : shards) close_shard(*s);
   }
 };
 
@@ -817,9 +782,7 @@ int Server::shard_count() const noexcept {
 std::vector<std::filesystem::path> Server::pool_paths() const {
   return impl_->paths;
 }
-ServerInfo Server::info() const {
-  return impl_->stopped.load() ? impl_->final_info : impl_->make_info();
-}
+ServerInfo Server::info() const { return impl_->make_info(); }
 
 api::Result<std::unique_ptr<Server>> Server::start(api::Runtime& rt,
                                                    ServerOptions opts) {
@@ -852,26 +815,24 @@ api::Result<std::unique_ptr<Server>> Server::start(api::Runtime& rt,
   impl->opts = opts;
   impl->rt = &rt;
   impl->tier_shard_budget = tier_shard_budget;
-  impl->ns = opts.ns;
   impl->numa_node = space.value().numa_node;
-  impl->stopped.store(true);  // armed only once the threads exist
-
-  // Shard pools: one file per shard, a disjoint keyspace each.
-  for (int i = 0; i < opts.shards; ++i) {
-    Shard& shard = *impl->shards.emplace_back(std::make_unique<Shard>(i));
-    const api::Result<void> opened = impl->open_shard(shard);
-    if (!opened.ok()) return opened.error();
-    impl->paths.push_back(shard.pool->pmem().path());
-  }
+  impl->stopping.store(true);  // armed only once the threads exist
 
   // Worker placement labels: cores of the namespace's NUMA node (or the
   // nearest node with CPUs — a CXL expander is CPU-less).
   const numakit::NumaTopology& topo = rt.topology();
   const std::vector<simkit::CoreId> cpus = numakit::nearest_cpus(
       topo, topo.node_of_memory(space.value().memory));
-  for (int i = 0; i < opts.shards; ++i)
-    impl->shards[static_cast<std::size_t>(i)]->core =
-        cpus[static_cast<std::size_t>(i) % cpus.size()];
+
+  // Shard pools: one file per shard, a disjoint keyspace each.
+  for (int i = 0; i < opts.shards; ++i) {
+    Shard& shard = *impl->shards.emplace_back(std::make_unique<Shard>(
+        i, cpus[static_cast<std::size_t>(i) % cpus.size()]));
+    const api::Result<void> opened = impl->open_shard(shard);
+    if (!opened.ok()) return opened.error();
+    impl->publish(shard, [](ShardInfo&) {});
+    impl->paths.push_back(shard.pool->pmem().path());
+  }
 
   // Loopback listen socket (ephemeral port when opts.port == 0).
   impl->listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK |
@@ -904,7 +865,7 @@ api::Result<std::unique_ptr<Server>> Server::start(api::Runtime& rt,
   ev.data.fd = impl->wake_fd;
   ::epoll_ctl(impl->epoll_fd, EPOLL_CTL_ADD, impl->wake_fd, &ev);
 
-  impl->stopped.store(false);
+  impl->stopping.store(false);
   for (const auto& s : impl->shards) {
     Shard* shard = s.get();
     Impl* self = impl.get();

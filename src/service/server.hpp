@@ -26,6 +26,12 @@
 // Shards never share mutable pool state — key-hash routing gives each
 // worker a disjoint keyspace and its own pool, so the data path takes no
 // cross-shard lock; the only inter-thread handoff is the request queue.
+// A worker is the only thread that touches its shard's pool, map and tier,
+// and the only one that counts for it: it publishes one ShardInfo (plus
+// its tier's TierStats) under a per-shard mutex when the shard opens,
+// after each batch before the acks, after each compaction pass and at
+// each health transition.  INFO and info() copy those snapshots and never
+// reach into a pool; the event thread adds only its Busy sheds.
 // Workers are labelled with cores of the pool namespace's NUMA node
 // (numakit::nearest_cpus), the same placement rule the checkpoint engine
 // uses.
@@ -117,6 +123,7 @@ struct ShardInfo {
   std::uint64_t rejoins = 0;     ///< successful reopen-with-recovery passes
   std::uint64_t reopen_failures = 0;  ///< failed reopen attempts
   std::uint64_t shed = 0;        ///< requests answered Busy (queue full)
+  std::uint64_t queued = 0;      ///< requests waiting in the shard queue now
 };
 
 struct ServerInfo {
@@ -150,6 +157,7 @@ class Server {
   [[nodiscard]] int shard_count() const noexcept;
   /// Shard pool files, for post-shutdown inspection (pmemkit::inspect).
   [[nodiscard]] std::vector<std::filesystem::path> pool_paths() const;
+  /// Copies the shards' published snapshots; after stop(), their last.
   [[nodiscard]] ServerInfo info() const;
 
  private:

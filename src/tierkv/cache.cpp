@@ -5,27 +5,19 @@
 #include <utility>
 
 #include "api/runtime.hpp"
+#include "pmemkit/checksum.hpp"
 #include "pmemkit/errors.hpp"
 
 namespace cxlpmem::tierkv {
 
 namespace {
 
-std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : s)
-    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-  return h;
-}
+using pmemkit::fnv1a64;
 
 /// Per-entry DRAM overhead beyond key+value bytes: hash-map node, clock
 /// slot, string headers.  An estimate, but a *charged* estimate — the budget
 /// is honest about small entries instead of pretending they are free.
 constexpr std::uint64_t kEntryOverhead = 64;
-
-void add_signed(std::atomic<std::uint64_t>& c, std::int64_t d) noexcept {
-  c.fetch_add(static_cast<std::uint64_t>(d), std::memory_order_relaxed);
-}
 
 /// Runs `tier`'s batch calls in `body` as a batch of one, in their own
 /// transaction on `pool`.  The caller holds the tier lock.
@@ -64,31 +56,25 @@ std::uint64_t TieredCache::entry_bytes(std::string_view key,
 // DRAM tier plumbing (mu_ held throughout)
 
 void TieredCache::hot_insert(std::string_view key, std::string_view value) {
-  auto [it, fresh] = hot_.try_emplace(std::string(key));
+  const auto it = hot_.try_emplace(std::string(key)).first;
   Hot& h = it->second;
   h.value.assign(value);
   h.slot = clock_.acquire();
   if (h.slot >= slot_keys_.size()) slot_keys_.resize(h.slot + 1, nullptr);
   slot_keys_[h.slot] = &it->first;
   dram_used_ += entry_bytes(key, value);
-  counters_.dram_bytes_used.store(dram_used_, std::memory_order_relaxed);
-  counters_.dram_entries.store(hot_.size(), std::memory_order_relaxed);
-  (void)fresh;
 }
 
 void TieredCache::hot_erase(HotMap::iterator it, bool count_demotion) {
   Hot& h = it->second;
   dram_used_ -= entry_bytes(it->first, h.value);
   if (count_demotion) {
-    counters_.demotions.fetch_add(1, std::memory_order_relaxed);
-    counters_.bytes_moved.fetch_add(h.value.size(),
-                                    std::memory_order_relaxed);
+    ++stats_.demotions;
+    stats_.bytes_moved += h.value.size();
   }
   slot_keys_[h.slot] = nullptr;
   clock_.release(h.slot);
   hot_.erase(it);
-  counters_.dram_bytes_used.store(dram_used_, std::memory_order_relaxed);
-  counters_.dram_entries.store(hot_.size(), std::memory_order_relaxed);
 }
 
 // Demotion drops the DRAM copy: every entry is already durable in the
@@ -111,7 +97,7 @@ void TieredCache::hot_admit(std::string_view key, std::string_view value) {
   if (dram_used_ + need > opts_.dram_bytes) {
     const std::uint32_t v = clock_.next_victim();
     if (v == ClockRing::kNoSlot) return;
-    if (!sketch_.admit(fnv1a(key), fnv1a(*slot_keys_[v]))) return;
+    if (!sketch_.admit(fnv1a64(key), fnv1a64(*slot_keys_[v]))) return;
     hot_erase(hot_.find(*slot_keys_[v]), /*count_demotion=*/true);
   }
   if (!ensure_room(need)) return;
@@ -190,7 +176,7 @@ std::unique_lock<std::mutex> TieredCache::batch_lock() {
 
 void TieredCache::put_in_tx(std::string_view key, std::string_view value) {
   const std::string k(key);
-  sketch_.record(fnv1a(k));
+  sketch_.record(fnv1a64(k));
   StagedOp op;
   op.key = k;
   op.value.emplace(value);
@@ -215,12 +201,12 @@ std::optional<std::string> TieredCache::get_in_batch(std::string_view key) {
   for (auto it = staged_.rbegin(); it != staged_.rend(); ++it) {
     if (it->key != k) continue;
     if (!it->value) return std::nullopt;
-    counters_.hits.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.hits;
     return it->value;
   }
-  sketch_.record(fnv1a(k));
+  sketch_.record(fnv1a64(k));
   if (const auto it = hot_.find(k); it != hot_.end()) {
-    counters_.hits.fetch_add(1, std::memory_order_relaxed);
+    ++stats_.hits;
     clock_.touch(it->second.slot);
     return it->second.value;
   }
@@ -228,11 +214,11 @@ std::optional<std::string> TieredCache::get_in_batch(std::string_view key) {
   // committed data — safe to promote even if the batch later aborts.
   auto raw = cold_get(k);
   if (!raw) return std::nullopt;
-  counters_.misses.fetch_add(1, std::memory_order_relaxed);
+  ++stats_.misses;
   hot_admit(k, *raw);
   if (hot_.count(k) != 0) {
-    counters_.promotions.fetch_add(1, std::memory_order_relaxed);
-    counters_.bytes_moved.fetch_add(raw->size(), std::memory_order_relaxed);
+    ++stats_.promotions;
+    stats_.bytes_moved += raw->size();
   }
   return raw;
 }
@@ -246,8 +232,8 @@ bool TieredCache::exists_in_batch(std::string_view key) {
 
 void TieredCache::commit_staged() {
   for (StagedOp& op : staged_) {
-    add_signed(counters_.raw_bytes, op.d_raw);
-    add_signed(counters_.compressed_bytes, op.d_comp);
+    stats_.raw_bytes += static_cast<std::uint64_t>(op.d_raw);
+    stats_.compressed_bytes += static_cast<std::uint64_t>(op.d_comp);
     const auto it = hot_.find(op.key);
     if (!op.value) {
       if (it != hot_.end()) hot_erase(it, /*count_demotion=*/false);
@@ -258,7 +244,6 @@ void TieredCache::commit_staged() {
       it->second.value = std::move(*op.value);
       dram_used_ += entry_bytes(op.key, it->second.value);
       clock_.touch(it->second.slot);
-      counters_.dram_bytes_used.store(dram_used_, std::memory_order_relaxed);
     } else {
       hot_admit(op.key, *op.value);
     }
@@ -273,7 +258,11 @@ void TieredCache::discard_staged() { staged_.clear(); }
 // Introspection
 
 TierStats TieredCache::stats() const {
-  return counters_.snapshot(opts_.dram_bytes);
+  TierStats s = stats_;
+  s.dram_bytes_used = dram_used_;
+  s.dram_bytes_budget = opts_.dram_bytes;
+  s.dram_entries = hot_.size();
+  return s;
 }
 
 std::uint64_t TieredCache::cold_keys() const {

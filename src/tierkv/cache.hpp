@@ -19,8 +19,9 @@
 // starts no thread of its own.  One mutex guards all tier state, and every
 // operation runs through the batch API below: the owner holds the mutex
 // (batch_lock) for a whole batch, and the own-transaction calls are that
-// same path for a batch of one.  stats() reads atomics and takes no lock,
-// so another thread (the server's INFO) may call it at any time.
+// same path for a batch of one.  stats() is the owner's call too, with or
+// without the lock held; another thread reads a copy the owner published
+// (cxlpmemd's INFO does).
 #pragma once
 
 #include <cstdint>
@@ -81,7 +82,7 @@ class TieredCache {
   void commit_staged();
   void discard_staged();
 
-  // --- introspection --------------------------------------------------------
+  // --- introspection (owner thread) -----------------------------------------
   [[nodiscard]] TierStats stats() const;
   [[nodiscard]] std::uint64_t cold_keys() const;
 
@@ -126,7 +127,7 @@ class TieredCache {
   };
   std::vector<StagedOp> staged_;
 
-  TierCounters counters_;
+  TierStats stats_;  ///< the dram_* fields are filled in by stats()
 };
 
 /// DRAM budget from the machine topology instead of a hardcoded byte count:

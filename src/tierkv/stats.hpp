@@ -2,13 +2,11 @@
 //
 // One counters struct shared by the cache engine, the service INFO block
 // and bench/micro_tierkv, so the numbers the daemon reports are the numbers
-// the bench plots.  The owner thread accounts; counters are atomics so
-// another thread (the server's INFO) can read them without the tier lock.
-// snapshot() flattens them into the plain TierStats value that crosses API
-// boundaries.
+// the bench plots.  The cache's owner thread accounts and reads them
+// (TieredCache::stats()); cxlpmemd's shard worker publishes a copy after
+// each batch for INFO.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace cxlpmem::tierkv {
@@ -44,34 +42,6 @@ struct TierStats {
     const std::uint64_t total = hits + misses;
     return total == 0 ? 1.0
                       : static_cast<double>(hits) / static_cast<double>(total);
-  }
-};
-
-/// The live (atomic) counterpart the engine mutates.
-struct TierCounters {
-  std::atomic<std::uint64_t> hits{0};
-  std::atomic<std::uint64_t> misses{0};
-  std::atomic<std::uint64_t> promotions{0};
-  std::atomic<std::uint64_t> demotions{0};
-  std::atomic<std::uint64_t> bytes_moved{0};
-  std::atomic<std::uint64_t> raw_bytes{0};
-  std::atomic<std::uint64_t> compressed_bytes{0};
-  std::atomic<std::uint64_t> dram_bytes_used{0};
-  std::atomic<std::uint64_t> dram_entries{0};
-
-  [[nodiscard]] TierStats snapshot(std::uint64_t dram_budget) const {
-    TierStats s;
-    s.hits = hits.load(std::memory_order_relaxed);
-    s.misses = misses.load(std::memory_order_relaxed);
-    s.promotions = promotions.load(std::memory_order_relaxed);
-    s.demotions = demotions.load(std::memory_order_relaxed);
-    s.bytes_moved = bytes_moved.load(std::memory_order_relaxed);
-    s.raw_bytes = raw_bytes.load(std::memory_order_relaxed);
-    s.compressed_bytes = compressed_bytes.load(std::memory_order_relaxed);
-    s.dram_bytes_used = dram_bytes_used.load(std::memory_order_relaxed);
-    s.dram_entries = dram_entries.load(std::memory_order_relaxed);
-    s.dram_bytes_budget = dram_budget;
-    return s;
   }
 };
 

@@ -157,14 +157,6 @@ TEST_F(BuilderTest, SetupTwoPresetHasNoCxl) {
   EXPECT_EQ(rt->space("pmem2").error().code, api::Errc::UnknownNamespace);
 }
 
-TEST_F(BuilderTest, CoreSetupTwoRuntimeMirrorsThePreset) {
-  auto rt = core::make_setup_two_runtime(dir_);
-  const auto names = rt.runtime->dax_names();
-  EXPECT_EQ(names.size(), 2u);
-  EXPECT_FALSE(rt.runtime->dax("pmem0").durable());
-  EXPECT_FALSE(rt.runtime->dax("pmem1").durable());
-}
-
 TEST(MemoryProfileTest, FoldsLinkLatencyAndCombinedCeiling) {
   auto ids = simkit::profiles::make_setup_one();
   const simkit::MemoryProfile dram =

@@ -72,7 +72,8 @@ TEST_F(ApiPoolTest, OpenWithWrongLayoutIsLayoutMismatch) {
 
 TEST_F(ApiPoolTest, CreateBeyondNamespaceCapacityIsCapacityExceeded) {
   // pmem2 is the 16 GiB FPGA; ask for more than it has.
-  auto pool = rt_->create_pool("pmem2", "big", {.size = 32ull << 30});
+  auto pool = rt_->create_pool("pmem2", "big",
+                               {.file = "big.pool", .size = 32ull << 30});
   ASSERT_FALSE(pool.ok());
   EXPECT_EQ(pool.error().code, api::Errc::CapacityExceeded);
 }
@@ -102,7 +103,8 @@ TEST_F(ApiPoolTest, VolatileDaxRequiresOptIn) {
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error().code, api::Errc::NotPersistent);
 
-  auto allowed = rt->create_pool("vol0", "kv", {.allow_volatile = true});
+  auto allowed = rt->create_pool("vol0", "kv",
+                                 {.file = "kv.pool", .allow_volatile = true});
   EXPECT_TRUE(allowed.ok()) << allowed.error().to_string();
   fs::remove_all(dir2);
 }
@@ -397,7 +399,9 @@ TEST_F(ApiPoolTest, V1PoolMigratesThroughTheFacade) {
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.error().code, api::Errc::PoolCorrupt);
 
-  auto pool = rt_->open_pool("pmem2", "evolve-fixture", {.migrate = true});
+  auto pool = rt_->open_pool(
+      "pmem2", "evolve-fixture",
+      {.file = "evolve-fixture.pool", .migrate = true});
   ASSERT_TRUE(pool.ok()) << pool.error().to_string();
   EXPECT_TRUE(pool->recovered());
   EXPECT_EQ(pool.value().stats().layout_version, pmemkit::kPoolVersion);

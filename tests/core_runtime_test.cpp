@@ -4,8 +4,10 @@
 
 #include <filesystem>
 
+#include "api/runtime_builder.hpp"
 #include "core/core.hpp"
 
+namespace api = cxlpmem::api;
 namespace core = cxlpmem::core;
 namespace cs = cxlpmem::cxlsim;
 namespace profiles = cxlpmem::simkit::profiles;
@@ -22,40 +24,50 @@ class RuntimeTest : public ::testing::Test {
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
+
+  /// The paper's Setup #1, built the one way there is; tests read its core
+  /// runtime.
+  api::Runtime setup_one() {
+    auto rt = api::RuntimeBuilder::setup_one().base_dir(dir_).build();
+    EXPECT_TRUE(rt.ok()) << rt.error().to_string();
+    return std::move(rt).value();
+  }
+
   fs::path dir_;
 };
 
 TEST_F(RuntimeTest, SetupOneRuntimeWiresThePaperConfiguration) {
-  auto rt = core::make_setup_one_runtime(dir_);
+  api::Runtime built = setup_one();
+  core::Runtime& rt = built.core();
+  const auto cxl = built.space("pmem2")->memory;
+  const auto ddr5_socket0 = built.space("pmem0")->memory;
   // Three namespaces, named after Figure 2's mounts.
-  const auto names = rt.runtime->dax_names();
+  const auto names = rt.dax_names();
   EXPECT_EQ(names.size(), 3u);
-  EXPECT_NO_THROW((void)rt.runtime->dax("pmem0"));
-  EXPECT_NO_THROW((void)rt.runtime->dax("pmem1"));
-  EXPECT_NO_THROW((void)rt.runtime->dax("pmem2"));
+  EXPECT_NO_THROW((void)rt.dax("pmem0"));
+  EXPECT_NO_THROW((void)rt.dax("pmem1"));
+  EXPECT_NO_THROW((void)rt.dax("pmem2"));
 
   // pmem0/pmem1 are emulated PMem on DRAM; pmem2 is the real thing.
-  EXPECT_FALSE(rt.runtime->dax("pmem0").durable());
-  EXPECT_FALSE(rt.runtime->dax("pmem1").durable());
-  EXPECT_TRUE(rt.runtime->dax("pmem2").durable());
+  EXPECT_FALSE(rt.dax("pmem0").durable());
+  EXPECT_FALSE(rt.dax("pmem1").durable());
+  EXPECT_TRUE(rt.dax("pmem2").durable());
 
   // The CXL memory is also onlined as NUMA node 2 (numactl --membind=2).
-  EXPECT_EQ(rt.runtime->topology().node_count(), 3);
-  EXPECT_EQ(rt.runtime->node_of_memory(rt.ids.cxl), 2);
+  EXPECT_EQ(rt.topology().node_count(), 3);
+  EXPECT_EQ(rt.node_of_memory(cxl), 2);
 
   // The FPGA device is attached and battery-backed.
-  auto* dev = rt.runtime->device(rt.ids.cxl);
+  auto* dev = rt.device(cxl);
   ASSERT_NE(dev, nullptr);
   EXPECT_TRUE(dev->persistence_domain());
-  EXPECT_EQ(rt.runtime->domain_of(rt.ids.cxl),
-            core::PersistenceDomain::BatteryBackedDevice);
-  EXPECT_EQ(rt.runtime->domain_of(rt.ids.ddr5_socket0),
-            core::PersistenceDomain::EmulatedPmem);
+  EXPECT_EQ(rt.domain_of(cxl), core::PersistenceDomain::BatteryBackedDevice);
+  EXPECT_EQ(rt.domain_of(ddr5_socket0), core::PersistenceDomain::EmulatedPmem);
 }
 
 TEST_F(RuntimeTest, NamespaceLabelLandsInDeviceLsa) {
-  auto rt = core::make_setup_one_runtime(dir_);
-  auto* dev = rt.runtime->device(rt.ids.cxl);
+  api::Runtime rt = setup_one();
+  auto* dev = rt.core().device(rt.space("pmem2")->memory);
   const auto lsa = dev->execute(cs::MboxOpcode::GetLsa, {});
   const std::string label(lsa.payload.begin(), lsa.payload.begin() + 5);
   EXPECT_EQ(label, "pmem2");
@@ -95,8 +107,8 @@ TEST_F(RuntimeTest, DeviceCapacityMismatchRejected) {
 }
 
 TEST_F(RuntimeTest, PoolOnCxlNamespaceEndToEnd) {
-  auto rt = core::make_setup_one_runtime(dir_);
-  auto& pmem2 = rt.runtime->dax("pmem2");
+  api::Runtime rt = setup_one();
+  auto& pmem2 = rt.core().dax("pmem2");
   auto pool = pmem2.create_pool("app.pool", "my-app",
                                 cxlpmem::pmemkit::ObjectPool::min_pool_size());
   // The PMDK programming model carried over: root + tx.
@@ -112,8 +124,8 @@ TEST_F(RuntimeTest, PoolOnCxlNamespaceEndToEnd) {
 }
 
 TEST_F(RuntimeTest, UnknownNamespaceThrows) {
-  auto rt = core::make_setup_one_runtime(dir_);
-  EXPECT_THROW((void)rt.runtime->dax("pmem9"), std::invalid_argument);
+  api::Runtime rt = setup_one();
+  EXPECT_THROW((void)rt.core().dax("pmem9"), std::invalid_argument);
 }
 
 }  // namespace

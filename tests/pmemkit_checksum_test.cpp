@@ -1,5 +1,6 @@
-// Tests for the checksum constructions: fletcher64 (headers/log entries)
-// and fingerprint64 (bulk checkpoint-chunk fingerprints).
+// Tests for the checksum constructions: fletcher64 (headers/log entries),
+// fingerprint64 (bulk checkpoint-chunk fingerprints) and fnv1a64 (shard
+// routing).
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -90,6 +91,14 @@ TEST(Checksum, Fingerprint64SpreadsNearbyInputs) {
     EXPECT_GT(__builtin_popcountll(h ^ prev), 8) << "i=" << i;
     prev = h;
   }
+}
+
+// cxlpmemd routes every key by fnv1a64 % shards, so the hash is part of
+// the on-media contract: a changed value would move keys away from the
+// shard pools that hold them.  Pinned to the FNV-1a reference vectors.
+TEST(Checksum, Fnv1a64MatchesTheReferenceVectors) {
+  EXPECT_EQ(pk::fnv1a64(""), 14695981039346656037ull);
+  EXPECT_EQ(pk::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
 }
 
 }  // namespace

@@ -318,7 +318,9 @@ TEST(CrashSim, EadrKeepsUnflushedStoresAndPreservesAtomicity) {
     const bool pre = r->a == 1 && r->b == 2;
     const bool post = r->a == 100 && r->b == 200;
     ASSERT_TRUE(pre || post) << "torn tx under eADR";
-    if (post) ASSERT_EQ(r->len, 0xBADu) << "eADR lost an executed store";
+    if (post) {
+      ASSERT_EQ(r->len, 0xBADu) << "eADR lost an executed store";
+    }
   };
   pk::CrashSimulator(cfg).run(setup, scenario, verify);
 }

@@ -11,10 +11,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/cxlpmem.hpp"
@@ -150,6 +152,22 @@ TEST_F(FaultTest, FixedEntryFiresAtItsExactCrossingOnce) {
   EXPECT_EQ(st.crossings[static_cast<int>(pk::FaultSite::MapCreate)], 3u);
   EXPECT_EQ(st.injected[static_cast<int>(pk::FaultKind::Eio)], 1u);
   EXPECT_EQ(st.injected_total(), 1u);
+}
+
+// A stall ends early when the faults are cleared, so a test can hold a
+// thread in one until the state it waits for is reached, instead of
+// betting on a fixed sleep.
+TEST_F(FaultTest, ClearFaultsEndsAStallInProgress) {
+  pk::arm_faults(pk::FaultPlan::parse("send:stall@1+60000"));
+  std::thread stalled([] { pk::fault_point(pk::FaultSite::Send, "t"); });
+  while (pk::fault_stats().injected[static_cast<int>(pk::FaultKind::Stall)] ==
+         0)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const auto cleared = std::chrono::steady_clock::now();
+  pk::clear_faults();
+  stalled.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - cleared,
+            std::chrono::seconds(5));
 }
 
 TEST_F(FaultTest, RandomScheduleIsSeedDeterministic) {

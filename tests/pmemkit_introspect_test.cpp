@@ -62,8 +62,12 @@ TEST_F(IntrospectTest, CensusTracksTypes) {
   EXPECT_EQ(type9, 3u);
   // Census usable bytes are at least what was requested.
   for (const auto& row : r.census) {
-    if (row.type_num == 7) EXPECT_GE(row.usable_bytes, 500u);
-    if (row.type_num == 9) EXPECT_GE(row.usable_bytes, 15000u);
+    if (row.type_num == 7) {
+      EXPECT_GE(row.usable_bytes, 500u);
+    }
+    if (row.type_num == 9) {
+      EXPECT_GE(row.usable_bytes, 15000u);
+    }
   }
 }
 

@@ -183,7 +183,9 @@ TEST_P(TxSequenceCrash, RecoversToACommittedPrefix) {
     int blobs = 0;
     for (pk::ObjId o = p.first(42); !o.is_null(); o = p.next(o, 42)) ++blobs;
     ASSERT_LE(blobs, 1) << "leaked blob allocations";
-    if (!r->blob.is_null()) ASSERT_EQ(blobs, 1);
+    if (!r->blob.is_null()) {
+      ASSERT_EQ(blobs, 1);
+    }
   };
 
   const std::size_t points =

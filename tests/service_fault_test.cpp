@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <string>
@@ -202,6 +203,73 @@ TEST_F(ServiceFaultTest, ExhaustedReopensLeaveAPermanentQuarantine) {
   EXPECT_EQ(c.set("doomed", "x").error().code, api::Errc::Unavailable);
   // Graceful stop still works with a shard parked in terminal quarantine.
   server_->stop();
+}
+
+// INFO reads the snapshot each worker publishes, never the pool, so it is
+// safe while quarantine recovery tears the pool down and rebuilds it.  A
+// second thread reads both INFO surfaces in a loop through five
+// quarantine -> rejoin cycles.
+TEST_F(ServiceFaultTest, InfoStaysConsistentThroughQuarantineCycles) {
+  service::ServerOptions opts;
+  opts.shards = 1;
+  opts.reopen_backoff_ms = 1;
+  start(opts);
+  // Each SET below crosses the serve site once per attempt: the first
+  // attempt of each key meets a corrupt image, the retry after the rejoin
+  // is served.
+  constexpr int kCycles = 5;
+  pk::arm_faults(pk::FaultPlan::parse(
+      "serve:corrupt@1;serve:corrupt@3;serve:corrupt@5;serve:corrupt@7;"
+      "serve:corrupt@9"));
+
+  std::atomic<bool> done{false};
+  int reads = 0;
+  std::thread reader([&] {
+    Client c = connect();
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      const service::ServerInfo si = server_->info();
+      ASSERT_EQ(si.shards.size(), 1u);
+      const service::ShardInfo& s = si.shards[0];
+      EXPECT_GE(s.quarantines, last);
+      if (s.quarantined) {
+        EXPECT_EQ(s.layout_version, 0u);
+        EXPECT_EQ(s.fragmentation, 0.0);
+      }
+      last = s.quarantines;
+
+      const auto text = c.info();
+      ASSERT_TRUE(text.ok()) << text.error().to_string();
+      const std::string& t = text.value();
+      const std::string key = "\r\nquarantines_total:";
+      const std::size_t at = t.find(key);
+      ASSERT_NE(at, std::string::npos) << t;
+      const std::uint64_t total = std::stoull(t.substr(at + key.size()));
+      EXPECT_GE(total, last);
+      last = total;
+      const std::size_t line = t.find("\r\nshard0:core=");
+      ASSERT_NE(line, std::string::npos) << t;
+      const std::string shard = t.substr(line + 2, t.find("\r\n", line + 2) -
+                                                       (line + 2));
+      EXPECT_NE(shard.find(",queued="), std::string::npos) << shard;
+      if (shard.find("state=quarantined") != std::string::npos) {
+        EXPECT_NE(shard.find(",frag=0.000,"), std::string::npos) << shard;
+      }
+      ++reads;
+    }
+  });
+
+  Client c = connect();
+  for (int i = 0; i < kCycles; ++i)
+    EXPECT_TRUE(set_until_served(c, "k" + std::to_string(i)));
+  done.store(true);
+  reader.join();
+
+  const service::ShardInfo s = server_->info().shards[0];
+  EXPECT_EQ(s.quarantines, static_cast<std::uint64_t>(kCycles));
+  EXPECT_EQ(s.rejoins, static_cast<std::uint64_t>(kCycles));
+  EXPECT_FALSE(s.quarantined);
+  EXPECT_GT(reads, kCycles);
 }
 
 TEST_F(ServiceFaultTest, FullShardQueueShedsTypedBusy) {

@@ -69,30 +69,39 @@ class ServiceServerTest : public ::testing::Test {
   /// The burst the fallback tests send: SET small, five SETs of
   /// incompressible 4 MB values (the 16 MiB test pool holds only two of
   /// them), then GET small.  Another connection's GET holds the shard
-  /// worker in an injected stall while the burst arrives, so the whole
-  /// burst lands in one batch, which aborts with OutOfSpace and falls back
-  /// to one unit per request.
+  /// worker in an injected stall until all seven requests wait in the
+  /// shard's queue; clearing the faults ends the stall, so the whole burst
+  /// is one batch, which aborts with OutOfSpace and falls back to one unit
+  /// per request.
   std::vector<RespValue> send_out_of_space_burst() {
     const std::vector<std::string>& big = big_values();
-    pmemkit::arm_faults(pmemkit::FaultPlan::parse("serve:stall@1+1000"));
+    pmemkit::arm_faults(pmemkit::FaultPlan::parse("serve:stall@1+60000"));
     std::thread holder([&] { (void)connect().get("hold"); });
-    const auto stalls = [] {
-      return pmemkit::fault_stats()
-          .injected[static_cast<int>(pmemkit::FaultKind::Stall)];
-    };
-    while (stalls() == 0)
+    while (pmemkit::fault_stats()
+               .injected[static_cast<int>(pmemkit::FaultKind::Stall)] == 0)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    Client c = connect();
-    c.queue_set("small", "s");
-    for (std::size_t i = 0; i < big.size(); ++i)
-      c.queue_set("big" + std::to_string(i), big[i]);
-    c.queue_get("small");
-    auto replies = c.flush();
-    holder.join();
+    std::vector<RespValue> replies;
+    std::thread sender([&] {
+      Client c = connect();
+      c.queue_set("small", "s");
+      for (std::size_t i = 0; i < big.size(); ++i)
+        c.queue_set("big" + std::to_string(i), big[i]);
+      c.queue_get("small");
+      auto flushed = c.flush();
+      EXPECT_TRUE(flushed.ok()) << flushed.error().to_string();
+      if (flushed.ok()) replies = std::move(flushed).value();
+    });
+    const std::uint64_t burst = big.size() + 2;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(50);
+    while (server_->info().shards[0].queued < burst &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(server_->info().shards[0].queued, burst);
     pmemkit::clear_faults();
-    EXPECT_TRUE(replies.ok()) << replies.error().to_string();
-    return replies.ok() ? std::move(replies).value()
-                        : std::vector<RespValue>{};
+    sender.join();
+    holder.join();
+    return replies;
   }
 
   /// What the fallback must deliver for that burst: the small SET and the
@@ -195,8 +204,11 @@ TEST_F(ServiceServerTest, BackgroundCompactionTriggersOnChurnedShard) {
   const std::string value(4000, 'x');
   for (int i = 0; i < 400; ++i)
     ASSERT_TRUE(c.set("churn" + std::to_string(i), value).ok());
-  for (int i = 0; i < 400; ++i)
-    if (i % 5 != 0) ASSERT_TRUE(c.del("churn" + std::to_string(i)).ok());
+  for (int i = 0; i < 400; ++i) {
+    if (i % 5 != 0) {
+      ASSERT_TRUE(c.del("churn" + std::to_string(i)).ok());
+    }
+  }
   // One more batch so the worker runs its between-batches sweep after the
   // deletions have landed.
   ASSERT_TRUE(c.set("after", "v").ok());
@@ -541,14 +553,20 @@ TEST_F(ServiceServerTest, TieredPipelinedBurstReadsItsWrites) {
 }
 
 // The registry-churn pattern from the pool tests, lifted to the service:
-// clients hammer the full wire path while the server tears down under
-// them.  Run under TSan in CI; the assertion here is "no crash, no hang,
-// failures surface as clean IoFailure results".
+// clients hammer the full wire path, and another thread reads
+// Server::info(), while the server tears down under them.  Run under TSan
+// in CI; the assertion here is "no crash, no hang, failures surface as
+// clean IoFailure results".
 TEST_F(ServiceServerTest, TeardownRaceWithConcurrentClients) {
   start();
   const std::uint16_t port = server_->port();
   std::atomic<bool> go{false};
+  std::atomic<bool> stopped{false};
   std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    while (!go.load()) std::this_thread::yield();
+    while (!stopped.load()) EXPECT_EQ(server_->info().shards.size(), 4u);
+  });
   for (int t = 0; t < 4; ++t)
     threads.emplace_back([&, t] {
       while (!go.load()) std::this_thread::yield();
@@ -565,6 +583,7 @@ TEST_F(ServiceServerTest, TeardownRaceWithConcurrentClients) {
   go.store(true);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   server_->stop();
+  stopped.store(true);
   for (std::thread& t : threads) t.join();
   // Acked writes stayed durable through the race: reopen and verify the
   // pools are whole.

@@ -89,8 +89,8 @@ TEST_F(BwModelTest, RemoteAccessIsSlowerThanLocal) {
 }
 
 TEST_F(BwModelTest, RemoteAmplificationCostsThroughput) {
-  sk::ModelOptions with{.remote_amplification = 1.08};
-  sk::ModelOptions without{.remote_amplification = 1.0};
+  sk::ModelOptions with{.remote_amplification = 1.08, .latency = {}};
+  sk::ModelOptions without{.remote_amplification = 1.0, .latency = {}};
   const auto specs =
       specs_for(cores(0, 10), s1.ddr5_socket1, sk::kernel_traffic::kCopy);
   const double w = sk::BandwidthModel(s1.machine, with).solve(specs).total_gbs;

@@ -36,7 +36,8 @@ sk::Machine two_socket_machine() {
               .b = s1,
               .peak_tx_gbs = 6,
               .peak_rx_gbs = 6,
-              .latency_ns = 40});
+              .latency_ns = 40,
+              .attached = {}});
   m.add_link({.name = "pcie",
               .kind = sk::LinkKind::PcieCxl,
               .a = s0,
@@ -103,7 +104,8 @@ TEST(Topology, ValidationRejectsBadWiring) {
                            .a = s0,
                            .b = sk::kInvalidId,
                            .peak_tx_gbs = 1,
-                           .peak_rx_gbs = 1}),
+                           .peak_rx_gbs = 1,
+                           .attached = {}}),
                std::invalid_argument);
 }
 

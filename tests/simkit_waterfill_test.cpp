@@ -140,8 +140,9 @@ TEST_P(WaterfillProperty, FeasibilityCapsAndBottlenecks) {
   // I2: per-flow caps respected; rates non-negative.
   for (std::size_t f = 0; f < inst.flows.size(); ++f) {
     EXPECT_GE(a.rates_gbs[f], 0.0);
-    if (inst.flows[f].rate_cap_gbs != sk::kUnbounded)
+    if (inst.flows[f].rate_cap_gbs != sk::kUnbounded) {
       EXPECT_LE(a.rates_gbs[f], inst.flows[f].rate_cap_gbs * (1 + 1e-9));
+    }
   }
 
   // I3: every flow is at its cap or touches a saturated resource.

@@ -42,7 +42,8 @@ class TierkvCacheTest : public ::testing::Test {
     auto rt = api::RuntimeBuilder::setup_one().base_dir(dir_).build();
     ASSERT_TRUE(rt.ok()) << rt.error().to_string();
     rt_ = std::make_unique<api::Runtime>(std::move(rt).value());
-    auto pool = rt_->open_or_create_pool("pmem2", "tier", {.size = 16u << 20});
+    auto pool = rt_->open_or_create_pool(
+        "pmem2", "tier", {.file = "tier.pool", .size = 16u << 20});
     ASSERT_TRUE(pool.ok()) << pool.error().to_string();
     pool_ = std::make_unique<api::Pool>(std::move(pool).value());
     map_ = std::make_unique<service::DurableMap>(pool_->pmem());
