@@ -7,6 +7,7 @@
 
 #include "core/core.hpp"
 #include "numakit/numakit.hpp"
+#include "simkit/profiles.hpp"
 #include "stream/stream.hpp"
 
 using namespace cxlpmem;

@@ -53,6 +53,7 @@
 
 #include "bench_json.hpp"
 #include "core/core.hpp"
+#include "simkit/profiles.hpp"
 
 namespace core = cxlpmem::core;
 namespace profiles = cxlpmem::simkit::profiles;

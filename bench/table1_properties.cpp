@@ -6,7 +6,6 @@
 #include <filesystem>
 
 #include "api/runtime_builder.hpp"
-#include "core/core.hpp"
 #include "numakit/numakit.hpp"
 #include "stream/stream.hpp"
 
@@ -38,11 +37,11 @@ int main() {
     std::fprintf(stderr, "table1: %s\n", built.error().to_string().c_str());
     return 1;
   }
-  core::Runtime& rt = built->core();
-  const simkit::MemoryId cxl = built->space("pmem2")->memory;
-  const simkit::MemoryId ddr5_socket0 = built->space("pmem0")->memory;
+  api::Runtime& rt = *built;
+  const simkit::MemoryId cxl = rt.space("pmem2")->memory;
+  const simkit::MemoryId ddr5_socket0 = rt.space("pmem0")->memory;
   const auto& machine = rt.machine();
-  auto* dev = rt.device(cxl);
+  const auto* dev = rt.device("pmem2");
 
   std::printf(
       "=== Table 1: properties of the (CXL) PMem module, measured ===\n\n");
@@ -57,7 +56,7 @@ int main() {
   // App-Direct on the battery-backed device is durable.
   std::printf("%-12s | %-34s | %-34s\n", "Volatility",
               "volatile usage (system RAM node)",
-              rt.dax("pmem2").durable()
+              rt.space("pmem2")->durable()
                   ? "non-volatile (battery domain)"
                   : "VOLATILE (no battery!)");
 

@@ -21,9 +21,9 @@
 //   auto pool = rt->open_or_create_pool("pmem2", "kv");
 //   auto st = pool->run_tx([&] { /* transactional mutation */ });
 //
-// Layering: api -> core (runtime/namespaces/checkpoints) -> pmemkit
-// (pools/transactions) + cxlsim (device model) + numakit + simkit
-// (machine model).  Exceptions survive only below the facade line, where
+// Layering: api (the Runtime and its builder) -> core (namespaces,
+// checkpoints, migration, placement) -> pmemkit (pools/transactions) +
+// cxlsim (device model) + numakit + simkit (machine model).  Exceptions survive only below the facade line, where
 // the crash simulator needs them (pmemkit::CrashInjected unwinds through
 // everything by design).
 #pragma once

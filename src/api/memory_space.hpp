@@ -35,6 +35,8 @@ struct MemorySpace {
   ExposureKind kind = ExposureKind::DeviceDax;
   simkit::MemoryId memory = simkit::kInvalidId;  ///< backing machine memory
   simkit::MemoryProfile profile;                 ///< backing device profile
+  /// The namespace's one durability answer (core::DaxNamespace::domain():
+  /// an attached device's battery state first, else the machine model).
   cxlpmem::core::PersistenceDomain domain =
       cxlpmem::core::PersistenceDomain::Volatile;
   /// NUMA node this device is *also* onlined as (Memory Mode), or -1.

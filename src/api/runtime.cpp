@@ -34,14 +34,14 @@ pmemkit::PoolOptions options_of(const PoolSpec& spec) {
 
 std::vector<std::string> Runtime::namespaces() const {
   std::vector<std::string> names;
-  names.reserve(spaces_.size());
-  for (const auto& [name, space] : spaces_) names.push_back(name);
+  names.reserve(state_->namespaces.size());
+  for (const auto& [name, entry] : state_->namespaces) names.push_back(name);
   return names;
 }
 
-const MemorySpace* Runtime::find_space(std::string_view name) const {
-  const auto it = spaces_.find(name);
-  return it == spaces_.end() ? nullptr : &it->second;
+Runtime::Namespace* Runtime::find(std::string_view name) const {
+  const auto it = state_->namespaces.find(name);
+  return it == state_->namespaces.end() ? nullptr : &it->second;
 }
 
 std::string Runtime::default_file(std::string_view layout) {
@@ -49,20 +49,22 @@ std::string Runtime::default_file(std::string_view layout) {
 }
 
 Result<MemorySpace> Runtime::space(std::string_view name) const {
-  const MemorySpace* s = find_space(name);
-  if (s == nullptr) return unknown_namespace(name);
-  return *s;
+  const Namespace* entry = find(name);
+  if (entry == nullptr) return unknown_namespace(name);
+  return entry->space;
 }
 
-int Runtime::node_of(std::string_view name) const {
-  const MemorySpace* s = find_space(name);
-  return s == nullptr ? -1 : s->numa_node;
+cxlsim::Type3Device* Runtime::device(std::string_view ns) {
+  const Namespace* entry = find(ns);
+  if (entry == nullptr) return nullptr;
+  const auto it = state_->devices.find(entry->space.memory);
+  return it == state_->devices.end() ? nullptr : it->second.get();
 }
 
-Result<Pool> Runtime::create_pool(std::string_view ns, std::string_view layout,
-                                  PoolSpec spec) {
-  const MemorySpace* s = find_space(ns);
-  if (s == nullptr) return unknown_namespace(ns);
+Result<Pool> Runtime::create_pool(std::string_view ns,
+                                  std::string_view layout, PoolSpec spec) {
+  Namespace* entry = find(ns);
+  if (entry == nullptr) return unknown_namespace(ns);
 
   const std::string file =
       spec.file.empty() ? default_file(layout) : spec.file;
@@ -72,23 +74,24 @@ Result<Pool> Runtime::create_pool(std::string_view ns, std::string_view layout,
   // Everything below may throw (bad file name, capacity, EEXIST -> the
   // PoolExists kind from MappedFile) — keep it all inside wrap().
   return wrap([&] {
-    return Pool(*s, rt_->dax(s->name).create_pool(
-                        file, layout, size, volatile_allowed(spec, *s),
-                        options_of(spec)));
+    return Pool(entry->space,
+                entry->dax.create_pool(file, layout, size,
+                                       volatile_allowed(spec, entry->space),
+                                       options_of(spec)));
   });
 }
 
 Result<Pool> Runtime::open_pool(std::string_view ns, std::string_view layout,
                                 PoolSpec spec) {
-  const MemorySpace* s = find_space(ns);
-  if (s == nullptr) return unknown_namespace(ns);
+  Namespace* entry = find(ns);
+  if (entry == nullptr) return unknown_namespace(ns);
 
   const std::string file =
       spec.file.empty() ? default_file(layout) : spec.file;
   // ENOENT surfaces as the PoolNotFound kind from MappedFile::open.
   return wrap([&] {
-    return Pool(*s,
-                rt_->dax(s->name).open_pool(file, layout, options_of(spec)));
+    return Pool(entry->space,
+                entry->dax.open_pool(file, layout, options_of(spec)));
   });
 }
 
@@ -109,28 +112,27 @@ Result<Pool> Runtime::open_or_create_pool(std::string_view ns,
 
 Result<bool> Runtime::pool_exists(std::string_view ns,
                                   std::string_view file) const {
-  const MemorySpace* s = find_space(ns);
-  if (s == nullptr) return unknown_namespace(ns);
-  return wrap(
-      [&] { return rt_->dax(s->name).pool_exists(std::string(file)); });
+  const Namespace* entry = find(ns);
+  if (entry == nullptr) return unknown_namespace(ns);
+  return wrap([&] { return entry->dax.pool_exists(std::string(file)); });
 }
 
 Result<void> Runtime::remove_pool(std::string_view ns,
                                   std::string_view file) {
-  const MemorySpace* s = find_space(ns);
-  if (s == nullptr) return unknown_namespace(ns);
-  return wrap([&] { rt_->dax(s->name).remove_pool(std::string(file)); });
+  Namespace* entry = find(ns);
+  if (entry == nullptr) return unknown_namespace(ns);
+  return wrap([&] { entry->dax.remove_pool(std::string(file)); });
 }
 
 Result<void> Runtime::resize_pool(Pool& pool, std::uint64_t new_size) {
-  const MemorySpace* s = find_space(pool.space().name);
-  if (s == nullptr) return unknown_namespace(pool.space().name);
-  return wrap([&] { rt_->dax(s->name).resize_pool(pool.pmem(), new_size); });
+  Namespace* entry = find(pool.space().name);
+  if (entry == nullptr) return unknown_namespace(pool.space().name);
+  return wrap([&] { entry->dax.resize_pool(pool.pmem(), new_size); });
 }
 
 Result<std::string> Runtime::namespace_for(simkit::MemoryId memory) const {
-  for (const auto& [name, space] : spaces_)
-    if (space.memory == memory) return name;
+  for (const auto& [name, entry] : state_->namespaces)
+    if (entry.space.memory == memory) return name;
   return Error{Errc::UnknownNamespace,
                "no namespace exposes memory device " +
                    std::to_string(memory)};
@@ -148,20 +150,21 @@ Result<CheckpointStore> Runtime::checkpoint_store(
 Result<CheckpointStore> Runtime::checkpoint_store(
     std::string_view ns, const std::string& file,
     std::uint64_t max_payload_bytes, const CheckpointSpec& spec) {
-  const MemorySpace* s = find_space(ns);
-  if (s == nullptr) return unknown_namespace(ns);
+  Namespace* entry = find(ns);
+  if (entry == nullptr) return unknown_namespace(ns);
   cxlpmem::core::CheckpointOptions options;
   options.chunk_size = spec.chunk_size;
-  options.affinity = numakit::nearest_cpus(
-      rt_->topology(), rt_->topology().node_of_memory(s->memory));
+  const numakit::NumaTopology& topo = state_->topology;
+  options.affinity =
+      numakit::nearest_cpus(topo, topo.node_of_memory(entry->space.memory));
   options.threads =
       spec.threads != 0
           ? spec.threads
           : std::min<int>(4, static_cast<int>(options.affinity.size()));
   return wrap([&] {
     return CheckpointStore(std::make_unique<cxlpmem::core::CheckpointStore>(
-        rt_->dax(s->name), file, max_payload_bytes,
-        volatile_allowed(spec.pool, *s), options_of(spec.pool),
+        entry->dax, file, max_payload_bytes,
+        volatile_allowed(spec.pool, entry->space), options_of(spec.pool),
         std::move(options)));
   });
 }
@@ -170,24 +173,24 @@ Result<MigrationReport> Runtime::migrate_pool(std::string_view src_ns,
                                               std::string_view dst_ns,
                                               const std::string& file,
                                               std::string_view layout) {
-  const MemorySpace* src = find_space(src_ns);
+  Namespace* src = find(src_ns);
   if (src == nullptr) return unknown_namespace(src_ns);
-  const MemorySpace* dst = find_space(dst_ns);
+  Namespace* dst = find(dst_ns);
   if (dst == nullptr) return unknown_namespace(dst_ns);
   return wrap([&] {
-    return cxlpmem::core::migrate_pool(rt_->dax(src->name),
-                                       rt_->dax(dst->name), file, layout);
+    return cxlpmem::core::migrate_pool(src->dax, dst->dax, file, layout);
   });
 }
 
 std::vector<Tier> Runtime::tiers(simkit::SocketId viewpoint_socket) const {
-  return cxlpmem::core::TierAdvisor(rt_->machine(), viewpoint_socket).tiers();
+  return cxlpmem::core::TierAdvisor(state_->machine, viewpoint_socket)
+      .tiers();
 }
 
 Result<PlacementPlan> Runtime::place(std::vector<PlacementRequest> requests,
                                      simkit::SocketId viewpoint_socket) const {
   return wrap([&] {
-    return cxlpmem::core::TierAdvisor(rt_->machine(), viewpoint_socket)
+    return cxlpmem::core::TierAdvisor(state_->machine, viewpoint_socket)
         .plan(std::move(requests));
   });
 }

@@ -9,8 +9,10 @@
 //   auto pool = rt.create_pool("pmem2", "kv");      // CXL-backed
 //   auto pool = rt.create_pool("pmem0", "kv");      // emulated DRAM-PMem
 //
-// Entry points return Result<T>; the underlying core::Runtime remains
-// reachable (core()) for components that still speak the throwing API.
+// Entry points return Result<T>.  The runtime holds the machine, its NUMA
+// view, the attached CXL devices and one entry per namespace: the
+// MemorySpace handed to applications and the DaxNamespace that enforces
+// capacity and durability, both built once by RuntimeBuilder::build().
 #pragma once
 
 #include <cstdint>
@@ -24,9 +26,11 @@
 #include "api/memory_space.hpp"
 #include "api/pool.hpp"
 #include "api/result.hpp"
+#include "core/dax.hpp"
 #include "core/migrate.hpp"
-#include "core/runtime.hpp"
 #include "core/tiering.hpp"
+#include "cxlsim/device.hpp"
+#include "numakit/numa_topology.hpp"
 
 namespace cxlpmem::api {
 
@@ -79,23 +83,26 @@ struct CheckpointSpec {
 
 class Runtime {
  public:
+  // The state stays put when a Runtime moves: the topology points into the
+  // machine, and references from machine() or topology() stay valid.
   Runtime(Runtime&&) = default;
   Runtime& operator=(Runtime&&) = default;
 
   // --- machine & namespaces --------------------------------------------------
   [[nodiscard]] const simkit::Machine& machine() const noexcept {
-    return rt_->machine();
+    return state_->machine;
   }
   /// NUMA view of the machine (numactl -H equivalent).
   [[nodiscard]] const numakit::NumaTopology& topology() const noexcept {
-    return rt_->topology();
+    return state_->topology;
   }
   /// Namespace names, ascending ("pmem0", "pmem1", "pmem2").
   [[nodiscard]] std::vector<std::string> namespaces() const;
   /// The MemorySpace handle behind a namespace name.
   [[nodiscard]] Result<MemorySpace> space(std::string_view name) const;
-  /// NUMA node a namespace's device is onlined as (Memory Mode), or -1.
-  [[nodiscard]] int node_of(std::string_view name) const;
+  /// The modelled CXL device attached behind a namespace (its mailbox,
+  /// LSA and battery state), or nullptr when none is attached.
+  [[nodiscard]] cxlsim::Type3Device* device(std::string_view ns);
   /// The namespace backed by a machine memory device — the bridge from a
   /// PlacementDecision::memory back into pool/checkpoint addressing.
   [[nodiscard]] Result<std::string> namespace_for(
@@ -162,24 +169,28 @@ class Runtime {
       std::vector<PlacementRequest> requests,
       simkit::SocketId viewpoint_socket = 0) const;
 
-  // --- escape hatch ----------------------------------------------------------
-  /// The underlying throwing runtime (device mailboxes, migration, tiering).
-  [[nodiscard]] cxlpmem::core::Runtime& core() noexcept { return *rt_; }
-  [[nodiscard]] const cxlpmem::core::Runtime& core() const noexcept {
-    return *rt_;
-  }
-
  private:
   friend class RuntimeBuilder;
-  Runtime(std::unique_ptr<cxlpmem::core::Runtime> rt,
-          std::map<std::string, MemorySpace, std::less<>> spaces)
-      : rt_(std::move(rt)), spaces_(std::move(spaces)) {}
 
-  [[nodiscard]] const MemorySpace* find_space(std::string_view name) const;
+  /// One namespace: the handle applications see and the namespace that
+  /// enforces capacity and durability for it.
+  struct Namespace {
+    MemorySpace space;
+    cxlpmem::core::DaxNamespace dax;
+  };
+  struct State {
+    simkit::Machine machine;
+    numakit::NumaTopology topology;  ///< points into `machine`
+    std::map<simkit::MemoryId, std::shared_ptr<cxlsim::Type3Device>> devices;
+    std::map<std::string, Namespace, std::less<>> namespaces;
+  };
+
+  explicit Runtime(std::unique_ptr<State> state) : state_(std::move(state)) {}
+
+  [[nodiscard]] Namespace* find(std::string_view name) const;
   [[nodiscard]] static std::string default_file(std::string_view layout);
 
-  std::unique_ptr<cxlpmem::core::Runtime> rt_;
-  std::map<std::string, MemorySpace, std::less<>> spaces_;
+  std::unique_ptr<State> state_;
 };
 
 }  // namespace cxlpmem::api

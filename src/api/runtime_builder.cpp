@@ -1,7 +1,8 @@
 #include "api/runtime_builder.hpp"
 
-#include <map>
+#include <cstdint>
 #include <set>
+#include <utility>
 
 #include "api/translate.hpp"
 #include "cxlsim/fpga_proto.hpp"
@@ -14,11 +15,16 @@ void RuntimeBuilder::fail(Errc code, std::string message) {
   if (!error_) error_ = Error{code, std::move(message)};
 }
 
-core::Exposure& RuntimeBuilder::exposure_for(simkit::MemoryId m) {
-  for (core::Exposure& e : exposures_)
-    if (e.memory == m) return e;
-  exposures_.push_back(core::Exposure{.memory = m, .dax_name = ""});
-  return exposures_.back();
+RuntimeBuilder::Exposure* RuntimeBuilder::selected(const char* modifier) {
+  if (selected_ == simkit::kInvalidId) {
+    fail(Errc::InvalidConfig,
+         std::string(modifier) + "() before select_memory()");
+    return nullptr;
+  }
+  for (Exposure& e : exposures_)
+    if (e.memory == selected_) return &e;
+  return &exposures_.emplace_back(
+      Exposure{.memory = selected_, .dax_name = {}});
 }
 
 RuntimeBuilder& RuntimeBuilder::base_dir(std::filesystem::path dir) {
@@ -29,77 +35,10 @@ RuntimeBuilder& RuntimeBuilder::base_dir(std::filesystem::path dir) {
 RuntimeBuilder& RuntimeBuilder::machine(simkit::Machine m) {
   if (machine_.memory_count() > 0 || machine_.socket_count() > 0) {
     fail(Errc::InvalidConfig,
-         "machine() would discard sockets/memories already described");
+         "machine() would discard the machine already described");
     return *this;
   }
   machine_ = std::move(m);
-  return *this;
-}
-
-RuntimeBuilder& RuntimeBuilder::socket_dram(SocketDramSpec spec) {
-  try {
-    const simkit::SocketId socket =
-        machine_.add_socket(simkit::SocketDesc{.name = spec.name,
-                                               .cores = spec.cores,
-                                               .mlp_lines = spec.mlp_lines,
-                                               .l3_bytes = spec.l3_bytes,
-                                               .base_freq_ghz =
-                                                   spec.base_freq_ghz});
-    selected_ = machine_.add_memory(
-        simkit::MemoryDesc{.name = spec.name + "-dram",
-                           .kind = spec.dram_kind,
-                           .home_socket = socket,
-                           .peak_read_gbs = spec.read_gbs,
-                           .peak_write_gbs = spec.write_gbs,
-                           .idle_latency_ns = spec.idle_latency_ns,
-                           .capacity_bytes = spec.capacity_bytes,
-                           .persistent = false});
-  } catch (const std::exception& e) {
-    fail(Errc::InvalidConfig, e.what());
-  }
-  return *this;
-}
-
-RuntimeBuilder& RuntimeBuilder::upi(UpiSpec spec) {
-  try {
-    machine_.add_link(simkit::LinkDesc{.name = "upi",
-                                       .kind = simkit::LinkKind::Upi,
-                                       .a = spec.a,
-                                       .b = spec.b,
-                                       .peak_tx_gbs = spec.gbs,
-                                       .peak_rx_gbs = spec.gbs,
-                                       .latency_ns = spec.latency_ns,
-                                       .attached = {}});
-  } catch (const std::exception& e) {
-    fail(Errc::InvalidConfig, e.what());
-  }
-  return *this;
-}
-
-RuntimeBuilder& RuntimeBuilder::cxl_expander(CxlExpanderSpec spec) {
-  try {
-    const simkit::MemoryId m = machine_.add_memory(
-        simkit::MemoryDesc{.name = spec.name,
-                           .kind = simkit::MemoryKind::CxlExpander,
-                           .home_socket = simkit::kInvalidId,
-                           .peak_read_gbs = spec.media_read_gbs,
-                           .peak_write_gbs = spec.media_write_gbs,
-                           .peak_combined_gbs = spec.combined_gbs,
-                           .idle_latency_ns = spec.media_latency_ns,
-                           .capacity_bytes = spec.capacity_bytes,
-                           .persistent = spec.persistent});
-    machine_.add_link(simkit::LinkDesc{.name = spec.name + "-link",
-                                       .kind = simkit::LinkKind::PcieCxl,
-                                       .a = spec.attach_socket,
-                                       .b = simkit::kInvalidId,
-                                       .peak_tx_gbs = spec.link_gbs,
-                                       .peak_rx_gbs = spec.link_gbs,
-                                       .latency_ns = spec.link_latency_ns,
-                                       .attached = {m}});
-    selected_ = m;
-  } catch (const std::exception& e) {
-    fail(Errc::InvalidConfig, e.what());
-  }
   return *this;
 }
 
@@ -114,47 +53,37 @@ RuntimeBuilder& RuntimeBuilder::select_memory(simkit::MemoryId m) {
 }
 
 RuntimeBuilder& RuntimeBuilder::as_emulated_pmem(std::string dax_name) {
-  if (selected_ == simkit::kInvalidId) {
-    fail(Errc::InvalidConfig, "as_emulated_pmem() before any memory");
-    return *this;
+  if (Exposure* e = selected("as_emulated_pmem")) {
+    e->dax_name = std::move(dax_name);
+    e->emulated_pmem = true;
   }
-  core::Exposure& e = exposure_for(selected_);
-  e.dax_name = std::move(dax_name);
-  e.emulated_pmem = true;
   return *this;
 }
 
 RuntimeBuilder& RuntimeBuilder::as_dax(std::string dax_name) {
-  if (selected_ == simkit::kInvalidId) {
-    fail(Errc::InvalidConfig, "as_dax() before any memory");
-    return *this;
+  if (Exposure* e = selected("as_dax")) {
+    e->dax_name = std::move(dax_name);
+    e->emulated_pmem = false;
   }
-  core::Exposure& e = exposure_for(selected_);
-  e.dax_name = std::move(dax_name);
-  e.emulated_pmem = false;
   return *this;
 }
 
 RuntimeBuilder& RuntimeBuilder::as_memory_mode() {
-  if (selected_ == simkit::kInvalidId) {
-    fail(Errc::InvalidConfig, "as_memory_mode() before any memory");
-    return *this;
-  }
-  exposure_for(selected_).memory_mode = true;
+  if (Exposure* e = selected("as_memory_mode")) e->memory_mode = true;
   return *this;
 }
 
 RuntimeBuilder& RuntimeBuilder::attach_device(
     std::shared_ptr<cxlsim::Type3Device> device) {
   if (selected_ == simkit::kInvalidId) {
-    fail(Errc::InvalidConfig, "attach_device() before any memory");
+    fail(Errc::InvalidConfig, "attach_device() before select_memory()");
     return *this;
   }
   if (device == nullptr) {
     fail(Errc::InvalidConfig, "attach_device(nullptr)");
     return *this;
   }
-  devices_.emplace_back(selected_, std::move(device));
+  devices_[selected_] = std::move(device);
   return *this;
 }
 
@@ -168,7 +97,7 @@ Result<Runtime> RuntimeBuilder::build() {
 
   // Validate exposures before anything is constructed.
   std::set<std::string> names;
-  for (const core::Exposure& e : exposures_) {
+  for (const Exposure& e : exposures_) {
     const simkit::MemoryDesc& mem = machine_.memory(e.memory);
     if (!e.dax_name.empty() && !names.insert(e.dax_name).second)
       return Error{Errc::DuplicateNamespace,
@@ -200,46 +129,58 @@ Result<Runtime> RuntimeBuilder::build() {
                        std::to_string(mem.capacity_bytes)};
   }
 
-  // Construct.  Residual failures (directory creation, LSA writes) are
-  // translated; the machine moves into the runtime, so grab profiles after.
-  std::unique_ptr<core::Runtime> rt;
-  try {
-    rt = std::make_unique<core::Runtime>(std::move(machine_), exposures_,
-                                         base_dir_);
-  } catch (const std::invalid_argument& e) {
-    return Error{Errc::InvalidConfig, e.what()};
-  } catch (const pmemkit::Error& e) {
-    return translate(e);
-  } catch (const std::filesystem::filesystem_error& e) {
-    return Error{Errc::IoFailure, e.what()};
-  } catch (const std::exception& e) {
-    return Error{Errc::Internal, e.what()};
-  }
-  for (auto& [memory, device] : devices_) {
-    try {
-      rt->attach_device(memory, std::move(device));
-    } catch (const std::exception& e) {
-      // Capacity was pre-checked above; what remains is the device model
-      // itself refusing (mailbox/LSA rejection).
-      return Error{Errc::DeviceFailure, e.what()};
-    }
+  // Each namespace's label lands in its device's LSA, as a real DAX stack
+  // records namespaces in label storage.
+  for (const Exposure& e : exposures_) {
+    const auto dev = devices_.find(e.memory);
+    if (e.dax_name.empty() || dev == devices_.end()) continue;
+    const std::vector<std::uint8_t> label(e.dax_name.begin(),
+                                          e.dax_name.end());
+    if (dev->second->execute(cxlsim::MboxOpcode::SetLsa, label).status !=
+        cxlsim::MboxStatus::Success)
+      return Error{Errc::DeviceFailure,
+                   "device '" + dev->second->config().name +
+                       "' rejected namespace label '" + e.dax_name + "'"};
   }
 
-  std::map<std::string, MemorySpace, std::less<>> spaces;
-  for (const core::Exposure& e : exposures_) {
-    if (e.dax_name.empty()) continue;
-    MemorySpace s;
-    s.name = e.dax_name;
-    s.kind = e.emulated_pmem ? ExposureKind::EmulatedPmem
-                             : ExposureKind::DeviceDax;
-    s.memory = e.memory;
-    s.profile = simkit::profile_of(rt->machine(), e.memory);
-    s.domain = rt->domain_of(e.memory);
-    s.numa_node = e.memory_mode ? rt->node_of_memory(e.memory) : -1;
-    s.mount = rt->dax(e.dax_name).path();
-    spaces.emplace(s.name, std::move(s));
-  }
-  return Runtime(std::move(rt), std::move(spaces));
+  // Construct.  Residual failures (directory creation) are translated.  The
+  // state lives on the heap, so the topology's pointer to the machine
+  // survives moves of the Runtime.
+  auto state = std::make_unique<Runtime::State>();
+  state->machine = std::move(machine_);
+  std::vector<simkit::MemoryId> cpuless;  // exposure order: pmem2 <-> node 2
+  for (const Exposure& e : exposures_)
+    if (e.memory_mode) cpuless.push_back(e.memory);
+  Result<void> built = wrap([&] {
+    state->topology =
+        numakit::NumaTopology::from_machine(state->machine, cpuless);
+    for (const Exposure& e : exposures_) {
+      if (e.dax_name.empty()) continue;
+      const auto dev = devices_.find(e.memory);
+      // The namespace decides its persistence domain, device state first;
+      // the MemorySpace copies that one answer.
+      core::DaxNamespace dax(
+          e.dax_name, base_dir_ / "mnt" / e.dax_name, state->machine,
+          e.memory, e.emulated_pmem,
+          dev == devices_.end() ? nullptr : dev->second.get());
+      MemorySpace space{
+          .name = e.dax_name,
+          .kind = e.emulated_pmem ? ExposureKind::EmulatedPmem
+                                  : ExposureKind::DeviceDax,
+          .memory = e.memory,
+          .profile = simkit::profile_of(state->machine, e.memory),
+          .domain = dax.domain(),
+          .numa_node = e.memory_mode
+                           ? state->topology.node_of_memory(e.memory)
+                           : -1,
+          .mount = dax.path()};
+      state->namespaces.emplace(
+          e.dax_name, Runtime::Namespace{std::move(space), std::move(dax)});
+    }
+  });
+  if (!built.ok()) return built.error();
+  state->devices = std::move(devices_);
+  return Runtime(std::move(state));
 }
 
 RuntimeBuilder RuntimeBuilder::setup_one() {

@@ -1,89 +1,47 @@
-// api/runtime_builder.hpp — RuntimeBuilder: fluent, validated construction
-// of the facade Runtime.
+// api/runtime_builder.hpp — RuntimeBuilder: validated construction of the
+// facade Runtime.
 //
-// Replaces raw Exposure-vector construction.  Two entry styles:
+// Start from the paper's calibrated machines:
 //
-//   // 1. Describe a machine from scratch:
+//   auto rt = RuntimeBuilder::setup_one().base_dir(dir).build();
+//
+// or adopt any simkit::Machine and expose its memories:
+//
+//   auto ids = simkit::profiles::make_setup_one();
 //   auto rt = RuntimeBuilder()
 //                 .base_dir(dir)
-//                 .socket_dram({.name = "ddr5-s0"})   // socket + its DIMM
-//                 .as_emulated_pmem("pmem0")          // ...exposed as PMem
-//                 .socket_dram({.name = "ddr5-s1"})
-//                 .as_emulated_pmem("pmem1")
-//                 .upi()
-//                 .cxl_expander({.name = "cxl-fpga"})
-//                 .as_dax("pmem2")
-//                 .as_memory_mode()
+//                 .machine(std::move(ids.machine))
+//                 .select_memory(ids.ddr5_socket0)
+//                 .as_emulated_pmem("pmem0")          // DRAM posing as PMem
+//                 .select_memory(ids.cxl)
+//                 .as_dax("pmem2")                    // App-Direct
+//                 .as_memory_mode()                   // ...and NUMA node 2
 //                 .attach_device(cxlsim::make_fpga_prototype())
 //                 .build();                           // -> Result<Runtime>
 //
-//   // 2. Start from the paper's calibrated machines:
-//   auto rt = RuntimeBuilder::setup_one().base_dir(dir).build();
-//
 // Exposure modifiers (as_emulated_pmem / as_dax / as_memory_mode /
-// attach_device) apply to the most recently added memory — or to an
-// explicitly chosen one via select_memory().  build() validates the whole
-// description (duplicate namespace names, device/machine capacity mismatch,
-// Memory Mode on non-link-attached memory, ...) and returns Result instead
-// of throwing; the first recorded problem wins.
-//
-// setup_one()/setup_two() are the one way to build the paper's two
-// machines, validated like any other description.
+// attach_device) apply to the memory chosen by select_memory().  build()
+// holds the only copy of every rule — duplicate namespace names, Memory
+// Mode or a device on socket memory, emulated PMem on link memory,
+// device/machine capacity mismatch — and returns Result instead of
+// throwing; the first recorded problem wins.  It also writes each
+// namespace's label into its device's LSA and decides each namespace's
+// persistence domain, once.
 #pragma once
 
-#include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/result.hpp"
 #include "api/runtime.hpp"
-#include "core/runtime.hpp"
 #include "cxlsim/device.hpp"
 #include "simkit/profiles.hpp"
 
 namespace cxlpmem::api {
-
-/// One socket plus the DRAM behind its IMC.  Defaults are the paper's
-/// Setup #1 Sapphire-Rapids socket with one DDR5-4800 DIMM.
-struct SocketDramSpec {
-  std::string name = "socket";
-  int cores = 10;
-  double mlp_lines = simkit::profiles::kSprMlpLines;
-  std::uint64_t l3_bytes = simkit::profiles::kSprL3Bytes;
-  double base_freq_ghz = 2.0;
-  simkit::MemoryKind dram_kind = simkit::MemoryKind::DramDdr5;
-  double read_gbs = simkit::profiles::kDdr5ReadGbs;
-  double write_gbs = simkit::profiles::kDdr5WriteGbs;
-  double idle_latency_ns = simkit::profiles::kDdr5IdleLatencyNs;
-  std::uint64_t capacity_bytes = 64ull << 30;
-};
-
-/// A socket-to-socket interconnect.  Defaults are SPR UPI.
-struct UpiSpec {
-  simkit::SocketId a = 0;
-  simkit::SocketId b = 1;
-  double gbs = simkit::profiles::kSprUpiGbs;
-  double latency_ns = simkit::profiles::kSprUpiLatencyNs;
-};
-
-/// A link-attached CXL Type-3 expander: media + the link carrying CXL.mem.
-/// Defaults are the paper's FPGA prototype behind PCIe Gen5 x16.
-struct CxlExpanderSpec {
-  std::string name = "cxl";
-  simkit::SocketId attach_socket = 0;
-  double media_read_gbs = simkit::profiles::kCxlFpgaReadGbs;
-  double media_write_gbs = simkit::profiles::kCxlFpgaWriteGbs;
-  double media_latency_ns = simkit::profiles::kCxlFpgaIdleLatencyNs;
-  double combined_gbs = simkit::profiles::kCxlFpgaCombinedGbs;
-  double link_gbs = simkit::profiles::kCxlLinkDirGbs;
-  double link_latency_ns = simkit::profiles::kCxlLinkLatencyNs;
-  std::uint64_t capacity_bytes = 16ull << 30;
-  bool persistent = true;  ///< battery-backed persistence domain
-};
 
 class RuntimeBuilder {
  public:
@@ -99,14 +57,9 @@ class RuntimeBuilder {
   /// Directory hosting the namespace mounts (base_dir/mnt/<name>).
   RuntimeBuilder& base_dir(std::filesystem::path dir);
 
-  /// Adopts a prebuilt machine (e.g. a simkit profile).  Memories gain
+  /// Adopts the machine description (e.g. a simkit profile).  Memories gain
   /// exposures via select_memory() + modifiers.
   RuntimeBuilder& machine(simkit::Machine m);
-
-  // --- fluent machine construction -------------------------------------------
-  RuntimeBuilder& socket_dram(SocketDramSpec spec = SocketDramSpec());
-  RuntimeBuilder& upi(UpiSpec spec = UpiSpec());
-  RuntimeBuilder& cxl_expander(CxlExpanderSpec spec = CxlExpanderSpec());
 
   // --- exposure modifiers (apply to the selected memory) ---------------------
   /// Points subsequent modifiers at an existing memory id.
@@ -125,15 +78,23 @@ class RuntimeBuilder {
   [[nodiscard]] Result<Runtime> build();
 
  private:
+  /// How one memory is exposed to software.
+  struct Exposure {
+    simkit::MemoryId memory = simkit::kInvalidId;
+    std::string dax_name;  ///< non-empty: a DAX namespace ("pmem2")
+    bool memory_mode = false;    ///< onlined as a CPU-less NUMA node
+    bool emulated_pmem = false;  ///< socket DRAM posing as PMem
+  };
+
   void fail(Errc code, std::string message);
-  [[nodiscard]] cxlpmem::core::Exposure& exposure_for(simkit::MemoryId m);
+  /// The selected memory's exposure; nullptr (and a recorded error naming
+  /// `modifier`) when nothing is selected.
+  [[nodiscard]] Exposure* selected(const char* modifier);
 
   simkit::Machine machine_;
   std::filesystem::path base_dir_;
-  std::vector<cxlpmem::core::Exposure> exposures_;
-  std::vector<std::pair<simkit::MemoryId,
-                        std::shared_ptr<cxlsim::Type3Device>>>
-      devices_;
+  std::vector<Exposure> exposures_;
+  std::map<simkit::MemoryId, std::shared_ptr<cxlsim::Type3Device>> devices_;
   simkit::MemoryId selected_ = simkit::kInvalidId;
   std::optional<Error> error_;
 };

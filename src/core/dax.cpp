@@ -7,6 +7,7 @@
 #include <cstring>
 #include <utility>
 
+#include "cxlsim/device.hpp"
 #include "pmemkit/faultkit.hpp"
 
 namespace cxlpmem::core {
@@ -39,6 +40,16 @@ void sync_path(const std::filesystem::path& p, bool directory) {
   if (g_sync_observer) g_sync_observer(p);
 }
 
+/// A namespace's one persistence-domain decision: an attached device
+/// answers with its battery state, otherwise the machine description
+/// decides.
+PersistenceDomain domain_of(const simkit::MemoryDesc& mem, bool emulated_pmem,
+                            const cxlsim::Type3Device* device) {
+  if (device == nullptr) return classify(mem, emulated_pmem);
+  return device->persistence_domain() ? PersistenceDomain::BatteryBackedDevice
+                                      : PersistenceDomain::Volatile;
+}
+
 }  // namespace
 
 void set_sync_observer(
@@ -48,11 +59,12 @@ void set_sync_observer(
 
 DaxNamespace::DaxNamespace(std::string name, std::filesystem::path dir,
                            const simkit::Machine& machine,
-                           simkit::MemoryId memory, bool emulated_pmem)
+                           simkit::MemoryId memory, bool emulated_pmem,
+                           const cxlsim::Type3Device* device)
     : name_(std::move(name)),
       dir_(std::move(dir)),
       memory_(memory),
-      domain_(classify(machine.memory(memory), emulated_pmem)),
+      domain_(domain_of(machine.memory(memory), emulated_pmem, device)),
       capacity_(machine.memory(memory).capacity_bytes) {
   std::filesystem::create_directories(dir_);
   rescan_used();

@@ -20,6 +20,10 @@
 #include "pmemkit/pmemkit.hpp"
 #include "simkit/topology.hpp"
 
+namespace cxlpmem::cxlsim {
+class Type3Device;
+}  // namespace cxlpmem::cxlsim
+
 namespace cxlpmem::core {
 
 /// Test seam: `observer` is invoked after every durability fsync the
@@ -36,9 +40,13 @@ class DaxNamespace {
  public:
   /// Binds `dir` (created if absent) to `memory` of `machine`.
   /// `emulated_pmem` marks DRAM-backed namespaces (pmem0/pmem1 style).
+  /// The persistence domain is decided here, once: an attached `device`
+  /// answers with its live battery state, otherwise the machine
+  /// description is classified.
   DaxNamespace(std::string name, std::filesystem::path dir,
                const simkit::Machine& machine, simkit::MemoryId memory,
-               bool emulated_pmem);
+               bool emulated_pmem,
+               const cxlsim::Type3Device* device = nullptr);
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] const std::filesystem::path& path() const noexcept {

@@ -130,34 +130,6 @@ HeapSpan Heap::span_extent(std::uint32_t idx) const noexcept {
   return HeapSpan{spans_[idx].off, spans_[idx].size};
 }
 
-std::uint64_t Heap::span_live_bytes(std::uint32_t idx) const {
-  const Span& s = spans_[idx];
-  std::uint64_t live = 0;
-  for (std::uint32_t c = s.first_chunk; c < s.first_chunk + s.chunk_count;) {
-    const std::lock_guard<std::mutex> lock(chunk_mutex(c));
-    const ChunkDesc& d = *chunk_desc(c);
-    switch (static_cast<ChunkState>(d.state)) {
-      case ChunkState::Run: {
-        const RunHeader* rh = run_header(c);
-        std::uint32_t used = 0;
-        for (const std::uint64_t w : rh->bitmap)
-          used += static_cast<std::uint32_t>(std::popcount(w));
-        live += std::uint64_t{used} * kSizeClasses[d.class_idx];
-        ++c;
-        break;
-      }
-      case ChunkState::HugeHead:
-        live += std::uint64_t{d.span} * kChunkSize;
-        c += std::max<std::uint32_t>(d.span, 1);
-        break;
-      default:
-        ++c;
-        break;
-    }
-  }
-  return live;
-}
-
 bool Heap::span_retractable(std::uint32_t idx) const {
   const Span& s = spans_[idx];
   const auto lock = lock_counted(span_mu_, kSpanContended);
@@ -961,14 +933,6 @@ std::uint64_t Heap::chunk_fill_of(std::uint64_t data_off) const {
     default:
       return 0;
   }
-}
-
-std::uint64_t Heap::max_alloc_bytes() const noexcept {
-  const std::uint32_t n = span_count_.load(std::memory_order_acquire);
-  std::uint32_t widest = 0;
-  for (std::uint32_t i = 0; i < n; ++i)
-    widest = std::max(widest, spans_[i].chunk_count);
-  return std::uint64_t{widest} * kChunkSize - sizeof(AllocHeader);
 }
 
 }  // namespace cxlpmem::pmemkit

@@ -162,9 +162,6 @@ class Heap {
   [[nodiscard]] std::uint32_t span_count() const noexcept;
   [[nodiscard]] HeapSpan span_extent(std::uint32_t idx) const noexcept;
 
-  /// Bytes of live allocations inside span `idx` (0 = retractable).
-  [[nodiscard]] std::uint64_t span_live_bytes(std::uint32_t idx) const;
-
   /// True when span `idx` could be retracted right now: every chunk is
   /// persistently Free and transiently unclaimed.  The shrink path's
   /// pre-flight check, sharing retract_span()'s exact criteria (note an
@@ -265,9 +262,6 @@ class Heap {
   /// The calling thread's current run of `class_idx` as its next
   /// allocation of that class would try it (UINT32_MAX when none).
   [[nodiscard]] std::uint32_t current_run_of(int class_idx) const noexcept;
-
-  /// Largest single allocation this heap can ever satisfy.
-  [[nodiscard]] std::uint64_t max_alloc_bytes() const noexcept;
 
   /// Global index of the chunk holding the allocation at `data_off`, or
   /// UINT32_MAX when outside the heap.  Compaction uses it to group objects

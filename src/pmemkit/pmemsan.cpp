@@ -1,6 +1,7 @@
 #include "pmemkit/pmemsan.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstdlib>
@@ -251,12 +252,8 @@ void PmemSan::deliver(std::vector<SanViolation> found) {
     const std::lock_guard<std::mutex> lock(mu_);
     sink = sink_;
   }
-  for (SanViolation& v : found) {
-    total_.fetch_add(1, std::memory_order_relaxed);
-    rule_counts_[static_cast<std::size_t>(v.rule)].fetch_add(
-        1, std::memory_order_relaxed);
-    if (sink) sink->report(v);  // may throw (ThrowSink) — counters are done
-  }
+  if (!sink) return;
+  for (const SanViolation& v : found) sink->report(v);  // may throw
 }
 
 void PmemSan::on_store(std::uint64_t off, std::uint64_t len,

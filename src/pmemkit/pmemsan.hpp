@@ -47,7 +47,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -226,15 +225,6 @@ class PmemSan {
                      const char* when = "verify()");
   std::size_t close_check() { return verify(16, "pool close"); }
 
-  // --- counters (maintained regardless of sink) ----------------------------
-  [[nodiscard]] std::uint64_t total_violations() const noexcept {
-    return total_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t violations(SanRule r) const noexcept {
-    return rule_counts_[static_cast<std::size_t>(r)].load(
-        std::memory_order_relaxed);
-  }
-
   /// Threads told apart at once; a thread finding none free skips the
   /// per-thread checks rather than share a slot.
   static constexpr unsigned kThreadSlots = 64;
@@ -320,9 +310,6 @@ class PmemSan {
   std::unordered_map<std::uint64_t, Owners> owners_;
   std::array<Thread, kThreadSlots> threads_;
   std::array<TxCtx, kLaneCount> tx_;  ///< per-lane open-transaction context
-
-  std::atomic<std::uint64_t> total_{0};
-  std::array<std::atomic<std::uint64_t>, kSanRuleCount> rule_counts_{};
 };
 
 }  // namespace cxlpmem::pmemkit

@@ -265,11 +265,6 @@ TierStats TieredCache::stats() const {
   return s;
 }
 
-std::uint64_t TieredCache::cold_keys() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return cold_->size();
-}
-
 // ---------------------------------------------------------------------------
 // Topology-derived DRAM budget
 

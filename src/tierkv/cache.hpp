@@ -84,7 +84,6 @@ class TieredCache {
 
   // --- introspection (owner thread) -----------------------------------------
   [[nodiscard]] TierStats stats() const;
-  [[nodiscard]] std::uint64_t cold_keys() const;
 
  private:
   struct Hot {

@@ -247,6 +247,4 @@ const Codec* find_codec(std::string_view name) noexcept {
   return nullptr;
 }
 
-std::vector<std::string_view> codec_names() { return {"identity", "lz"}; }
-
 }  // namespace cxlpmem::tierkv

@@ -21,7 +21,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace cxlpmem::tierkv {
 
@@ -90,8 +89,5 @@ enum class BlockError {
 /// Codec registry: "identity" and "lz".  Unknown names return nullptr.
 /// The returned pointer is a process-lifetime singleton — never freed.
 [[nodiscard]] const Codec* find_codec(std::string_view name) noexcept;
-
-/// Every registered codec name, for --help strings and flag validation.
-[[nodiscard]] std::vector<std::string_view> codec_names();
 
 }  // namespace cxlpmem::tierkv

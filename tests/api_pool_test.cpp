@@ -10,10 +10,14 @@
 #include <vector>
 
 #include "api/cxlpmem.hpp"
+#include "cxlsim/fpga_proto.hpp"
 #include "evolve_fixture.hpp"
 #include "pmemkit/resource.hpp"
+#include "setup_one_machine.hpp"
+#include "temp_path.hpp"
 
 namespace api = cxlpmem::api;
+namespace cs = cxlpmem::cxlsim;
 namespace pmemkit = cxlpmem::pmemkit;
 namespace fs = std::filesystem;
 
@@ -90,11 +94,12 @@ TEST_F(ApiPoolTest, EmulatedPmemNeedsNoVolatileOptIn) {
 TEST_F(ApiPoolTest, VolatileDaxRequiresOptIn) {
   // A DAX namespace on plain socket DRAM (not marked emulated-pmem) is a
   // truly volatile domain: creation must demand allow_volatile.
-  fs::path dir2 = dir_;
-  dir2 += "-volatile";
+  const TempPath dir2("apipool-volatile", "VolatileDaxRequiresOptIn");
+  auto ids = cxlpmem::simkit::profiles::make_setup_one();
   auto rt = api::RuntimeBuilder()
                 .base_dir(dir2)
-                .socket_dram({.name = "s0"})
+                .machine(std::move(ids.machine))
+                .select_memory(ids.ddr5_socket0)
                 .as_dax("vol0")
                 .build();
   ASSERT_TRUE(rt.ok()) << rt.error().to_string();
@@ -106,7 +111,81 @@ TEST_F(ApiPoolTest, VolatileDaxRequiresOptIn) {
   auto allowed = rt->create_pool("vol0", "kv",
                                  {.file = "kv.pool", .allow_volatile = true});
   EXPECT_TRUE(allowed.ok()) << allowed.error().to_string();
-  fs::remove_all(dir2);
+}
+
+// A namespace has one durability answer, and the attached device's battery
+// state decides it: the space, the create gate and the migration report
+// all agree.  Setup #1's CXL memory is listed as persistent, but this
+// device has no battery.
+TEST_F(ApiPoolTest, BatteryLessDeviceMakesCxlNamespaceVolatile) {
+  const TempPath dir2("apipool-nobattery",
+                      "BatteryLessDeviceMakesCxlNamespaceVolatile");
+  auto cfg = cs::fpga_prototype_config();
+  cfg.battery_backed = false;
+  auto ids = cxlpmem::simkit::profiles::make_setup_one();
+  auto rt = api::RuntimeBuilder()
+                .base_dir(dir2)
+                .machine(std::move(ids.machine))
+                .select_memory(ids.ddr5_socket0)
+                .as_emulated_pmem("pmem0")
+                .select_memory(ids.cxl)
+                .as_dax("pmem2")
+                .attach_device(std::make_shared<cs::Type3Device>(cfg))
+                .build();
+  ASSERT_TRUE(rt.ok()) << rt.error().to_string();
+
+  EXPECT_FALSE(rt->space("pmem2")->durable());
+  auto refused = rt->create_pool("pmem2", "kv");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code, api::Errc::NotPersistent);
+
+  ASSERT_TRUE(rt->create_pool("pmem0", "mig", {.file = "mig.pool"}).ok());
+  auto report = rt->migrate_pool("pmem0", "pmem2", "mig.pool", "mig");
+  ASSERT_TRUE(report.ok()) << report.error().to_string();
+  EXPECT_EQ(report->destination_domain, api::PersistenceDomain::Volatile);
+}
+
+// The converse: a battery-backed device makes its namespace durable even
+// where the machine lists the CXL memory as non-persistent.
+TEST_F(ApiPoolTest, BatteryBackedDeviceMakesCxlNamespaceDurable) {
+  const TempPath dir2("apipool-battery",
+                      "BatteryBackedDeviceMakesCxlNamespaceDurable");
+  auto ids = setup_one_with_cxl(
+      [](cxlpmem::simkit::MemoryDesc& m) { m.persistent = false; });
+  auto rt = api::RuntimeBuilder()
+                .base_dir(dir2)
+                .machine(std::move(ids.machine))
+                .select_memory(ids.cxl)
+                .as_dax("pmem2")
+                .attach_device(cs::make_fpga_prototype())
+                .build();
+  ASSERT_TRUE(rt.ok()) << rt.error().to_string();
+
+  EXPECT_TRUE(rt->space("pmem2")->durable());
+  auto pool = rt->create_pool("pmem2", "kv");
+  ASSERT_TRUE(pool.ok()) << pool.error().to_string();
+  EXPECT_TRUE(pool->durable());
+}
+
+// The PMDK programming model carried over to the CXL namespace: root, tx,
+// close, reopen.
+TEST_F(ApiPoolTest, PoolOnCxlNamespaceEndToEnd) {
+  struct R {
+    std::uint64_t x;
+  };
+  {
+    auto pool = rt_->create_pool("pmem2", "my-app");
+    ASSERT_TRUE(pool.ok()) << pool.error().to_string();
+    api::ptr<R> root = pool->root<R>().value();
+    ASSERT_TRUE(pool->run_tx([&] {
+                      pool->pmem().tx_add_range(&root->x, sizeof(root->x));
+                      root->x = 2023;
+                    })
+                    .ok());
+  }
+  auto again = rt_->open_pool("pmem2", "my-app");
+  ASSERT_TRUE(again.ok()) << again.error().to_string();
+  EXPECT_EQ(again->root<R>().value()->x, 2023u);
 }
 
 TEST_F(ApiPoolTest, RemoveAndExistsRoundTrip) {

@@ -13,6 +13,8 @@
 #include <vector>
 
 #include "api/cxlpmem.hpp"
+#include "setup_one_machine.hpp"
+#include "temp_path.hpp"
 
 namespace api = cxlpmem::api;
 namespace pmemkit = cxlpmem::pmemkit;
@@ -241,14 +243,17 @@ TEST_F(ApiServicesTest, MigrationLayoutMismatchFailsBeforeCopying) {
 
 TEST_F(ApiServicesTest, MigrationDestinationCapacityExhaustedIsAnError) {
   // A runtime whose CXL namespace is too small to host the migrated pool.
-  fs::path dir2 = dir_;
-  dir2 += "-tiny";
+  const TempPath dir2("apisvc-tiny",
+                      "MigrationDestinationCapacityExhaustedIsAnError");
+  auto ids = setup_one_with_cxl([](cxlpmem::simkit::MemoryDesc& m) {
+    m.capacity_bytes = 4ull << 20;
+  });
   auto tiny = api::RuntimeBuilder()
                   .base_dir(dir2)
-                  .socket_dram({.name = "s0"})
+                  .machine(std::move(ids.machine))
+                  .select_memory(ids.ddr5_socket0)
                   .as_emulated_pmem("pmem0")
-                  .cxl_expander({.name = "small-cxl",
-                                 .capacity_bytes = 4ull << 20})
+                  .select_memory(ids.cxl)
                   .as_dax("pmem2")
                   .build();
   ASSERT_TRUE(tiny.ok()) << tiny.error().to_string();
@@ -264,7 +269,6 @@ TEST_F(ApiServicesTest, MigrationDestinationCapacityExhaustedIsAnError) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.error().code, api::Errc::CapacityExceeded);
   EXPECT_FALSE(tiny->pool_exists("pmem2", "big.pool").value());
-  fs::remove_all(dir2);
 }
 
 TEST_F(ApiServicesTest, MigrationToVolatileDestinationReportsDowngrade) {

@@ -17,6 +17,7 @@
 
 #include "core/core.hpp"
 #include "pmemkit/crash_hook.hpp"
+#include "simkit/profiles.hpp"
 #include "temp_path.hpp"
 
 namespace core = cxlpmem::core;

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/core.hpp"
+#include "simkit/profiles.hpp"
 
 namespace core = cxlpmem::core;
 namespace pk = cxlpmem::pmemkit;

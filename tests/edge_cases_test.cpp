@@ -9,6 +9,7 @@
 #include "core/core.hpp"
 #include "numakit/numakit.hpp"
 #include "pmemkit/pmemkit.hpp"
+#include "simkit/profiles.hpp"
 #include "streamer/config.hpp"
 
 namespace pk = cxlpmem::pmemkit;

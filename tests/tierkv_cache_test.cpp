@@ -78,15 +78,15 @@ TEST_F(TierkvCacheTest, PutGetEraseWriteThrough) {
   EXPECT_EQ(tier.get("k2").value(), "value-two");
   EXPECT_TRUE(tier.exists("k1"));
   // Write-through: every put is already durable in the cold tier.
-  EXPECT_EQ(tier.cold_keys(), 2u);
+  EXPECT_EQ(map_->size(), 2u);
   tier.put("k1", "value-one-v2");  // overwrite
   EXPECT_EQ(tier.get("k1").value(), "value-one-v2");
-  EXPECT_EQ(tier.cold_keys(), 2u);
+  EXPECT_EQ(map_->size(), 2u);
   EXPECT_TRUE(tier.erase("k1"));
   EXPECT_FALSE(tier.erase("k1"));
   EXPECT_FALSE(tier.exists("k1"));
   EXPECT_FALSE(tier.get("k1").has_value());
-  EXPECT_EQ(tier.cold_keys(), 1u);
+  EXPECT_EQ(map_->size(), 1u);
 }
 
 TEST_F(TierkvCacheTest, UnknownCodecThrowsInvalidArgument) {
@@ -191,7 +191,7 @@ TEST_F(TierkvCacheTest, BatchStagingDiscardsOnAbort) {
   // Neither the DRAM tier nor the cold tier may show the aborted writes.
   EXPECT_EQ(tier.get("k").value(), "committed");
   EXPECT_FALSE(tier.get("ghost").has_value());
-  EXPECT_EQ(tier.cold_keys(), 1u);
+  EXPECT_EQ(map_->size(), 1u);
 }
 
 // The own-transaction put is a batch of one: when its transaction aborts
@@ -210,7 +210,7 @@ TEST_F(TierkvCacheTest, FailedPutLeavesBothTiersUntouched) {
   }
   EXPECT_THROW(tier.put("k", huge), cxlpmem::pmemkit::Error);
   EXPECT_EQ(tier.get("k").value(), "committed");
-  EXPECT_EQ(tier.cold_keys(), 1u);
+  EXPECT_EQ(map_->size(), 1u);
   EXPECT_EQ(tier.stats().raw_bytes, std::string("committed").size());
 }
 
