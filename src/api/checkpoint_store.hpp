@@ -49,13 +49,6 @@ class CheckpointStore {
     return wrap([&] { return impl_->save(payload, mode); });
   }
 
-  /// save() with SaveMode::Full spelled as a verb — the baseline path for
-  /// benches and paranoid callers.
-  [[nodiscard]] Result<SaveStats> save_full(
-      std::span<const std::byte> payload) {
-    return save(payload, SaveMode::Full);
-  }
-
   /// The latest payload as a fresh buffer (empty when nothing was saved).
   [[nodiscard]] Result<std::vector<std::byte>> load() const {
     return wrap([&] { return impl_->load(); });

@@ -67,13 +67,8 @@ class Pool {
   }
 
   // --- online evolution ------------------------------------------------------
-  /// Grows or shrinks the pool in place (pmemkit::ObjectPool::resize
-  /// semantics: grow is usable immediately; shrink refuses with
-  /// Errc::BadArgument while live objects occupy the doomed tail; the
-  /// calling thread must hold no transaction or LaneSession on the pool).
-  [[nodiscard]] Result<void> resize(std::uint64_t new_size) {
-    return wrap([&] { impl_->resize(new_size); });
-  }
+  // Resizing goes through Runtime::resize_pool, which charges the
+  // namespace for the bytes a grow adds.
 
   /// Defragments the heap by relocating the objects owned by `refs` (each
   /// element points at the owning reference slot, which is rewritten inside

@@ -183,14 +183,16 @@ Result<MigrationReport> Runtime::migrate_pool(std::string_view src_ns,
 }
 
 std::vector<Tier> Runtime::tiers(simkit::SocketId viewpoint_socket) const {
-  return cxlpmem::core::TierAdvisor(state_->machine, viewpoint_socket)
+  return cxlpmem::core::TierAdvisor(state_->machine, viewpoint_socket,
+                                    state_->domains)
       .tiers();
 }
 
 Result<PlacementPlan> Runtime::place(std::vector<PlacementRequest> requests,
                                      simkit::SocketId viewpoint_socket) const {
   return wrap([&] {
-    return cxlpmem::core::TierAdvisor(state_->machine, viewpoint_socket)
+    return cxlpmem::core::TierAdvisor(state_->machine, viewpoint_socket,
+                                      state_->domains)
         .plan(std::move(requests));
   });
 }

@@ -123,12 +123,11 @@ class Runtime {
                                          std::string_view file) const;
   [[nodiscard]] Result<void> remove_pool(std::string_view ns,
                                          std::string_view file);
-  /// Capacity-checked live resize: routes through the pool's namespace so a
-  /// grow that would exceed the namespace's remaining bytes comes back as
-  /// Errc::CapacityExceeded *before* anything durable happens, and the
-  /// namespace's used-byte accounting tracks the actual size delta.
-  /// Pool::resize() stays available for callers that only hold the pool —
-  /// it talks straight to the file and skips this accounting.
+  /// The facade's one live resize (pmemkit::ObjectPool::resize semantics),
+  /// routed through the pool's namespace: a grow past the namespace's
+  /// remaining bytes is Errc::CapacityExceeded *before* anything durable
+  /// happens, and the used-byte accounting tracks the actual size delta.
+  /// pool.pmem().resize() is the escape hatch that skips this accounting.
   [[nodiscard]] Result<void> resize_pool(Pool& pool, std::uint64_t new_size);
 
   // --- checkpoint/restart ----------------------------------------------------
@@ -160,7 +159,8 @@ class Runtime {
 
   // --- data placement (hybrid tiering, paper §6) -----------------------------
   /// Every memory device as a placement tier, probed from
-  /// `viewpoint_socket` with the machine's bandwidth model.
+  /// `viewpoint_socket` with the machine's bandwidth model.  A tier is
+  /// durable exactly when its namespace is.
   [[nodiscard]] std::vector<Tier> tiers(
       simkit::SocketId viewpoint_socket = 0) const;
   /// Places requests (hotness-descending) across the tiers, honouring
@@ -183,6 +183,8 @@ class Runtime {
     numakit::NumaTopology topology;  ///< points into `machine`
     std::map<simkit::MemoryId, std::shared_ptr<cxlsim::Type3Device>> devices;
     std::map<std::string, Namespace, std::less<>> namespaces;
+    /// Per memory: its namespace's domain, else classify() (for placement).
+    std::vector<PersistenceDomain> domains;
   };
 
   explicit Runtime(std::unique_ptr<State> state) : state_(std::move(state)) {}

@@ -151,6 +151,9 @@ Result<Runtime> RuntimeBuilder::build() {
   std::vector<simkit::MemoryId> cpuless;  // exposure order: pmem2 <-> node 2
   for (const Exposure& e : exposures_)
     if (e.memory_mode) cpuless.push_back(e.memory);
+  // Placement's durability: classify() unless a namespace decides below.
+  for (simkit::MemoryId m = 0; m < state->machine.memory_count(); ++m)
+    state->domains.push_back(core::classify(state->machine.memory(m)));
   Result<void> built = wrap([&] {
     state->topology =
         numakit::NumaTopology::from_machine(state->machine, cpuless);
@@ -174,6 +177,7 @@ Result<Runtime> RuntimeBuilder::build() {
                            ? state->topology.node_of_memory(e.memory)
                            : -1,
           .mount = dax.path()};
+      state->domains[static_cast<std::size_t>(e.memory)] = dax.domain();
       state->namespaces.emplace(
           e.dax_name, Runtime::Namespace{std::move(space), std::move(dax)});
     }

@@ -1,8 +1,7 @@
 #include "core/tiering.hpp"
 
 #include <algorithm>
-
-#include "core/persist_domain.hpp"
+#include <stdexcept>
 
 namespace cxlpmem::core {
 
@@ -41,8 +40,11 @@ double saturated_gbs(const simkit::Machine& machine,
 }  // namespace
 
 TierAdvisor::TierAdvisor(const simkit::Machine& machine,
-                         simkit::SocketId viewpoint_socket)
+                         simkit::SocketId viewpoint_socket,
+                         const std::vector<PersistenceDomain>& domains)
     : machine_(&machine), viewpoint_(viewpoint_socket) {
+  if (domains.size() != static_cast<std::size_t>(machine.memory_count()))
+    throw std::invalid_argument("TierAdvisor needs one domain per memory");
   for (simkit::MemoryId m = 0; m < machine.memory_count(); ++m) {
     const simkit::MemoryDesc& desc = machine.memory(m);
     Tier t;
@@ -52,7 +54,7 @@ TierAdvisor::TierAdvisor(const simkit::Machine& machine,
         simkit::resolve_route(machine, viewpoint_socket, m).latency_ns;
     t.saturated_gbs = saturated_gbs(machine, viewpoint_socket, m);
     t.capacity_bytes = desc.capacity_bytes;
-    t.durable = core::durable(classify(desc));
+    t.durable = core::durable(domains[static_cast<std::size_t>(m)]);
     tiers_.push_back(std::move(t));
   }
 }

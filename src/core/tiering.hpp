@@ -7,9 +7,10 @@
 // memory"; §6 proposes hybrid DDR/PMem/CXL architectures.  TierAdvisor
 // turns those sentences into an algorithm:
 //
-//   * every exposed memory device becomes a tier with measured properties
-//     (latency, saturated bandwidth via the machine model, capacity,
-//     durability);
+//   * every memory device becomes a tier with measured properties
+//     (latency, saturated bandwidth via the machine model, capacity) and
+//     the durability its caller passes in (api::Runtime: each namespace's
+//     own domain, so a tier is durable exactly when a pool on it is);
 //   * an allocation request carries requirements (bytes, persistence,
 //     access pattern = MLP, read fraction) and a hotness weight;
 //   * place() fills requests in hotness order, scoring each tier by
@@ -28,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/persist_domain.hpp"
 #include "simkit/bwmodel.hpp"
 #include "simkit/topology.hpp"
 
@@ -93,9 +95,11 @@ struct PlacementPlan {
 class TierAdvisor {
  public:
   /// Builds tiers from every memory device of `machine`, probing each with
-  /// the bandwidth model from `viewpoint_socket`.
+  /// the bandwidth model from `viewpoint_socket`.  `domains[m]` is memory
+  /// m's persistence domain (one per memory, else std::invalid_argument).
   TierAdvisor(const simkit::Machine& machine,
-              simkit::SocketId viewpoint_socket);
+              simkit::SocketId viewpoint_socket,
+              const std::vector<PersistenceDomain>& domains);
 
   [[nodiscard]] const std::vector<Tier>& tiers() const noexcept {
     return tiers_;

@@ -5,6 +5,5 @@
 #include "cxlsim/device.hpp"       // IWYU pragma: export
 #include "cxlsim/flit.hpp"         // IWYU pragma: export
 #include "cxlsim/fpga_proto.hpp"   // IWYU pragma: export
-#include "cxlsim/hdm_decoder.hpp"  // IWYU pragma: export
 #include "cxlsim/mailbox.hpp"      // IWYU pragma: export
 #include "cxlsim/transaction.hpp"  // IWYU pragma: export

@@ -18,21 +18,17 @@ namespace cxlpmem::numakit {
 enum class MemBindKind {
   Bind,        ///< all pages on one node (numactl --membind)
   Interleave,  ///< pages striped over a node set (numactl --interleave)
-  Preferred,   ///< one node preferred; identical to Bind while it has room
 };
 
 struct MemBindPolicy {
   MemBindKind kind = MemBindKind::Bind;
-  std::vector<int> nodes;  ///< one node for Bind/Preferred; >=1 for Interleave
+  std::vector<int> nodes;  ///< one node for Bind; >=1 for Interleave
 
   [[nodiscard]] static MemBindPolicy bind(int node) {
     return MemBindPolicy{MemBindKind::Bind, {node}};
   }
   [[nodiscard]] static MemBindPolicy interleave(std::vector<int> nodes) {
     return MemBindPolicy{MemBindKind::Interleave, std::move(nodes)};
-  }
-  [[nodiscard]] static MemBindPolicy preferred(int node) {
-    return MemBindPolicy{MemBindKind::Preferred, {node}};
   }
 };
 
@@ -48,9 +44,8 @@ struct Placement {
   Placement p;
   switch (policy.kind) {
     case MemBindKind::Bind:
-    case MemBindKind::Preferred:
       if (policy.nodes.size() != 1)
-        throw std::invalid_argument("bind/preferred take exactly one node");
+        throw std::invalid_argument("bind takes exactly one node");
       p.shares.emplace_back(topo.memory_of_node(policy.nodes.front()), 1.0);
       break;
     case MemBindKind::Interleave: {

@@ -218,7 +218,8 @@ class Machine {
 /// software: media peaks, load-to-use latency *including* the link for
 /// link-attached devices, and how the device is reached.  This is the
 /// profile a MemorySpace handle carries up through the api facade so pool
-/// users can reason about the backend they were bound to.
+/// users can reason about the backend they were bound to.  Durability is
+/// not part of it: MemorySpace::domain is the namespace's one answer.
 struct MemoryProfile {
   std::string name;
   MemoryKind kind = MemoryKind::DramDdr4;
@@ -228,7 +229,6 @@ struct MemoryProfile {
   double peak_combined_gbs = 0.0;  ///< 0 = no combined ceiling
   double idle_latency_ns = 0.0;    ///< media + link traversal
   std::uint64_t capacity_bytes = 0;
-  bool persistent = false;
 };
 
 /// Builds the profile of memory `m`, folding the first attaching link's
@@ -245,7 +245,6 @@ struct MemoryProfile {
   p.peak_combined_gbs = mem.peak_combined_gbs;
   p.idle_latency_ns = mem.idle_latency_ns;
   p.capacity_bytes = mem.capacity_bytes;
-  p.persistent = mem.persistent;
   if (p.link_attached) {
     const LinkId l = machine.link_of_memory(m);
     if (l != kInvalidId) {

@@ -5,7 +5,13 @@
 // Usage:
 //   streamer [--group=1a|1b|1c|2a|2b|all] [--kernel=copy|scale|add|triad|all]
 //            [--csv=FILE] [--step=N] [--no-validate] [--quick]
-#include <cstring>
+//
+// Each kernel is one paper figure: --kernel=scale is Figure 5, add is
+// Figure 6, copy Figure 7 and triad Figure 8; --kernel also narrows the CSV
+// rows, and --group=G draws only G's panel.
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -59,7 +65,11 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--csv=", 0) == 0) {
       csv_path = arg.substr(6);
     } else if (arg.rfind("--step=", 0) == 0) {
-      options.thread_step = std::stoi(arg.substr(7));
+      const char* last = arg.data() + arg.size();
+      const auto [end, ec] =
+          std::from_chars(arg.data() + 7, last, options.thread_step);
+      if (ec != std::errc() || end != last || options.thread_step < 1)
+        return usage(argv[0]);
     } else if (arg == "--no-validate") {
       options.validate = false;
     } else if (arg == "--quick") {
@@ -71,16 +81,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (group_arg != "all" && !parse_group(group_arg)) return usage(argv[0]);
-  if (kernel_arg != "all" && !parse_kernel(kernel_arg)) return usage(argv[0]);
+  const std::optional<TestGroup> group = parse_group(group_arg);
+  const std::optional<stream::Kernel> kernel = parse_kernel(kernel_arg);
+  if (group_arg != "all" && !group) return usage(argv[0]);
+  if (kernel_arg != "all" && !kernel) return usage(argv[0]);
 
   const Streamer streamer(options);
-  std::vector<Series> series;
-  if (group_arg == "all") {
-    series = streamer.run_all();
-  } else {
-    series = streamer.run_group(*parse_group(group_arg));
-  }
+  std::vector<Series> series =
+      group ? streamer.run_group(*group) : streamer.run_all();
+  if (kernel)
+    std::erase_if(series, [&](const Series& s) { return s.kernel != kernel; });
 
   if (!csv_path.empty()) {
     std::ofstream csv(csv_path);
@@ -92,15 +102,17 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << csv_path << "\n";
   }
 
-  if (kernel_arg == "all") {
-    for (const stream::Kernel k :
-         {stream::Kernel::Scale, stream::Kernel::Add, stream::Kernel::Copy,
-          stream::Kernel::Triad}) {
-      std::cout << "==== " << to_string(k) << " ====\n";
+  for (const stream::Kernel k :
+       {stream::Kernel::Scale, stream::Kernel::Add, stream::Kernel::Copy,
+        stream::Kernel::Triad}) {
+    if (kernel && k != *kernel) continue;
+    std::cout << "==== " << to_string(k) << " ====\n";
+    if (group) {
+      print_panel(std::cout, series, *group, k);
+      std::cout << "\n";
+    } else {
       print_figure(std::cout, series, k);
     }
-  } else {
-    print_figure(std::cout, series, *parse_kernel(kernel_arg));
   }
   return 0;
 }

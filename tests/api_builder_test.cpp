@@ -220,7 +220,6 @@ TEST(MemoryProfileTest, FoldsLinkLatencyAndCombinedCeiling) {
   // The FPGA's soft-IP combined ceiling (16.5) is tighter than the link's.
   EXPECT_DOUBLE_EQ(cxl.peak_combined_gbs,
                    simkit::profiles::kCxlFpgaCombinedGbs);
-  EXPECT_TRUE(cxl.persistent);
 }
 
 }  // namespace

@@ -114,9 +114,9 @@ TEST_F(ApiPoolTest, VolatileDaxRequiresOptIn) {
 }
 
 // A namespace has one durability answer, and the attached device's battery
-// state decides it: the space, the create gate and the migration report
-// all agree.  Setup #1's CXL memory is listed as persistent, but this
-// device has no battery.
+// state decides it: the space, the create gate, the migration report and
+// placement all agree.  Setup #1's CXL memory is listed as persistent, but
+// this device has no battery.
 TEST_F(ApiPoolTest, BatteryLessDeviceMakesCxlNamespaceVolatile) {
   const TempPath dir2("apipool-nobattery",
                       "BatteryLessDeviceMakesCxlNamespaceVolatile");
@@ -143,6 +143,15 @@ TEST_F(ApiPoolTest, BatteryLessDeviceMakesCxlNamespaceVolatile) {
   auto report = rt->migrate_pool("pmem0", "pmem2", "mig.pool", "mig");
   ASSERT_TRUE(report.ok()) << report.error().to_string();
   EXPECT_EQ(report->destination_domain, api::PersistenceDomain::Volatile);
+
+  // No memory of this machine is durable, so durable data fits nowhere.
+  EXPECT_FALSE(rt->tiers().at(ids.cxl).durable);
+  auto plan = rt->place({{.label = "cp",
+                          .bytes = 1ull << 20,
+                          .needs_persistence = true}});
+  ASSERT_TRUE(plan.ok()) << plan.error().to_string();
+  ASSERT_EQ(plan->decisions.size(), 1u);
+  EXPECT_FALSE(plan->decisions[0].satisfied);
 }
 
 // The converse: a battery-backed device makes its namespace durable even
@@ -165,6 +174,7 @@ TEST_F(ApiPoolTest, BatteryBackedDeviceMakesCxlNamespaceDurable) {
   auto pool = rt->create_pool("pmem2", "kv");
   ASSERT_TRUE(pool.ok()) << pool.error().to_string();
   EXPECT_TRUE(pool->durable());
+  EXPECT_TRUE(rt->tiers().at(ids.cxl).durable);
 }
 
 // The PMDK programming model carried over to the CXL namespace: root, tx,
@@ -403,14 +413,14 @@ TEST_F(ApiPoolTest, ResizeThroughFacadeGrowsAndRefusesLiveTailShrink) {
 
   // Grow is usable immediately: the very next allocation lands in the tail.
   const std::uint64_t grown = base + 8 * pmemkit::kChunkSize;
-  ASSERT_TRUE(pool.value().resize(grown).ok());
+  ASSERT_TRUE(rt_->resize_pool(pool.value(), grown).ok());
   EXPECT_EQ(pool.value().stats().pool_size, grown);
   EXPECT_EQ(pool.value().stats().resizes, 1u);
   EXPECT_GT(fill_pool_heap(pool->pmem()), 0);
 
   // Live objects in the doomed tail: shrink comes back as a typed Result
   // error (ShrinkBlocked -> BadArgument), never UB, and changes nothing.
-  auto blocked = pool.value().resize(base);
+  auto blocked = rt_->resize_pool(pool.value(), base);
   ASSERT_FALSE(blocked.ok());
   EXPECT_EQ(blocked.error().code, api::Errc::BadArgument);
   EXPECT_EQ(pool.value().stats().pool_size, grown);

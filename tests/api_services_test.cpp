@@ -108,12 +108,12 @@ TEST_F(ApiServicesTest, CheckpointSpecKnobsDriveTheIncrementalEngine) {
   EXPECT_EQ(st.value().chunks_written, 0u);
   EXPECT_EQ(store->last_save().chunks_written, 0u);
 
-  // One dirty byte: exactly one chunk moves; save_full rewrites all 8.
+  // One dirty byte: exactly one chunk moves; a Full save rewrites all 8.
   p[20000] = std::byte{0x77};
   st = store->save(p);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st.value().chunks_written, 1u);
-  st = store->save_full(p);
+  st = store->save(p, api::SaveMode::Full);
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st.value().chunks_written, 8u);
   EXPECT_TRUE(st.value().full_rewrite);

@@ -9,11 +9,18 @@ namespace profiles = cxlpmem::simkit::profiles;
 
 namespace {
 
+using core::PersistenceDomain;
+
 class TieringTest : public ::testing::Test {
  protected:
+  // Setup #1 as api::Runtime::setup_one() decides it: socket DRAM is not
+  // durable, the battery-backed CXL device is.
   TieringTest()
       : setup_(profiles::make_setup_one()),
-        advisor_(setup_.machine, setup_.socket0) {}
+        advisor_(setup_.machine, setup_.socket0,
+                 {PersistenceDomain::EmulatedPmem,
+                  PersistenceDomain::EmulatedPmem,
+                  PersistenceDomain::BatteryBackedDevice}) {}
 
   profiles::SetupOne setup_;
   core::TierAdvisor advisor_;
@@ -27,6 +34,22 @@ TEST_F(TieringTest, TiersCoverEveryDevice) {
   EXPECT_LT(tiers[1].idle_latency_ns, tiers[2].idle_latency_ns);
   EXPECT_FALSE(tiers[0].durable);
   EXPECT_TRUE(tiers[2].durable);  // battery-backed CXL
+}
+
+TEST_F(TieringTest, DurabilityComesFromTheCallersDomains) {
+  // A battery-less device on the CXL memory: the caller's domain wins over
+  // the machine description, which lists that memory as persistent.
+  const core::TierAdvisor advisor(setup_.machine, setup_.socket0,
+                                  {PersistenceDomain::Volatile,
+                                   PersistenceDomain::Volatile,
+                                   PersistenceDomain::Volatile});
+  EXPECT_FALSE(advisor.tiers()[2].durable);
+  EXPECT_FALSE(advisor.plan({{.label = "cp",
+                              .bytes = 1ull << 20,
+                              .needs_persistence = true}})
+                   .fully_satisfied());
+  EXPECT_THROW(core::TierAdvisor(setup_.machine, setup_.socket0, {}),
+               std::invalid_argument);
 }
 
 TEST_F(TieringTest, HotStreamingDataGoesToLocalDram) {

@@ -76,17 +76,6 @@ TEST(Strings, DomainsAndPolicies) {
   EXPECT_EQ(nk::to_string(nk::AffinityPolicy::Spread), "spread");
 }
 
-// --- membind preferred path ---------------------------------------------------
-
-TEST(MemBind, PreferredBehavesLikeBind) {
-  const auto s = profiles::make_setup_one();
-  const auto topo = nk::NumaTopology::from_machine(s.machine, {s.cxl});
-  const auto bind = nk::resolve_placement(topo, nk::MemBindPolicy::bind(1));
-  const auto pref =
-      nk::resolve_placement(topo, nk::MemBindPolicy::preferred(1));
-  EXPECT_EQ(bind.shares, pref.shares);
-}
-
 // --- oid ordering / typed oid -----------------------------------------------
 
 TEST(Oid, OrderingAndNullness) {
