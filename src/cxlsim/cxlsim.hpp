@@ -1,7 +1,6 @@
 // cxlsim/cxlsim.hpp — umbrella header for the CXL device/fabric model.
 #pragma once
 
-#include "cxlsim/cxl_io.hpp"       // IWYU pragma: export
 #include "cxlsim/device.hpp"       // IWYU pragma: export
 #include "cxlsim/flit.hpp"         // IWYU pragma: export
 #include "cxlsim/fpga_proto.hpp"   // IWYU pragma: export

@@ -9,7 +9,6 @@ namespace cxlpmem::cxlsim {
 
 Type3Device::Type3Device(Type3Config config)
     : config_(std::move(config)),
-      io_(config_.pci_device_id, /*mem_hw_init=*/true),
       persistent_bytes_(config_.persistent_bytes),
       lsa_(config_.lsa_bytes, 0) {
   if (config_.capacity_bytes == 0 || config_.capacity_bytes % 64 != 0)
@@ -32,59 +31,10 @@ std::span<std::byte> Type3Device::media() noexcept {
   return {media_, config_.capacity_bytes};
 }
 
-void Type3Device::mem_write(std::uint64_t dpa,
-                            std::span<const std::uint8_t> data) {
-  if (data.empty() || data.size() > 64)
-    throw std::invalid_argument("CXL.mem access must be 1..64 bytes");
-  if (dpa / 64 != (dpa + data.size() - 1) / 64)
-    throw std::invalid_argument("CXL.mem access crosses a line boundary");
-  if (dpa + data.size() > config_.capacity_bytes)
-    throw std::out_of_range("DPA beyond device capacity");
-  std::memcpy(media_ + dpa, data.data(), data.size());
-}
-
-void Type3Device::mem_read(std::uint64_t dpa,
-                           std::span<std::uint8_t> out) const {
-  if (out.empty() || out.size() > 64)
-    throw std::invalid_argument("CXL.mem access must be 1..64 bytes");
-  if (dpa / 64 != (dpa + out.size() - 1) / 64)
-    throw std::invalid_argument("CXL.mem access crosses a line boundary");
-  if (dpa + out.size() > config_.capacity_bytes)
-    throw std::out_of_range("DPA beyond device capacity");
-  std::memcpy(out.data(), media_ + dpa, out.size());
-}
-
 MboxResult Type3Device::execute(MboxOpcode opcode,
                                 std::span<const std::uint8_t> input) {
   MboxResult res;
   switch (opcode) {
-    case MboxOpcode::GetFwInfo: {
-      res.payload.assign(config_.fw_revision.begin(),
-                         config_.fw_revision.end());
-      break;
-    }
-    case MboxOpcode::IdentifyMemoryDevice: {
-      IdentifyPayload p{};
-      std::memset(p.fw_revision, 0, sizeof(p.fw_revision));
-      std::memcpy(p.fw_revision, config_.fw_revision.data(),
-                  std::min(config_.fw_revision.size(),
-                           sizeof(p.fw_revision) - 1));
-      p.total_capacity_bytes = config_.capacity_bytes;
-      p.persistent_capacity_bytes = persistent_bytes_;
-      p.volatile_capacity_bytes = config_.capacity_bytes - persistent_bytes_;
-      p.lsa_size_bytes = lsa_.size();
-      p.battery_backed = config_.battery_backed ? 1 : 0;
-      res.payload.resize(sizeof(p));
-      std::memcpy(res.payload.data(), &p, sizeof(p));
-      break;
-    }
-    case MboxOpcode::GetPartitionInfo: {
-      PartitionInfoPayload p{config_.capacity_bytes - persistent_bytes_,
-                             persistent_bytes_};
-      res.payload.resize(sizeof(p));
-      std::memcpy(res.payload.data(), &p, sizeof(p));
-      break;
-    }
     case MboxOpcode::SetPartitionInfo: {
       if (input.size() != sizeof(PartitionInfoPayload)) {
         res.status = MboxStatus::InvalidInput;
@@ -109,17 +59,6 @@ MboxResult Type3Device::execute(MboxOpcode opcode,
         break;
       }
       std::memcpy(lsa_.data(), input.data(), input.size());
-      break;
-    }
-    case MboxOpcode::GetHealthInfo: {
-      HealthInfoPayload p{};
-      p.health_status = 0;
-      p.battery_status = config_.battery_backed ? 0 : 2;  // 2 = absent
-      p.battery_charge_pct = config_.battery_backed ? 100 : 0;
-      p.temperature_dc = 420;
-      p.power_on_hours = 1337;
-      res.payload.resize(sizeof(p));
-      std::memcpy(res.payload.data(), &p, sizeof(p));
       break;
     }
     default:

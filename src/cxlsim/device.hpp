@@ -1,10 +1,9 @@
 // cxlsim/device.hpp — a CXL Type-3 (memory expander) endpoint.
 //
 // Combines the pieces a host interacts with:
-//   * CXL.io config space (enumeration; DVSECs)                — cxl_io
-//   * a mailbox (identify / partition / LSA / health)          — mailbox
-//   * device media: byte-addressable storage accessed through
-//     CXL.mem reads/writes at 64-byte granularity
+//   * a mailbox (repartition / LSA)                            — mailbox
+//   * device media: byte-addressable storage the host maps directly
+//     (the HDM-mapped region)
 //   * timing parameters used by the DES and the analytic model
 //
 // The media is backed by a sparse anonymous mapping, so a 16 GiB device
@@ -14,11 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
-#include "cxlsim/cxl_io.hpp"
 #include "cxlsim/mailbox.hpp"
 
 namespace cxlpmem::cxlsim {
@@ -39,28 +37,22 @@ struct DeviceTiming {
 
 struct Type3Config {
   std::string name = "cxl-type3";
-  std::uint16_t pci_device_id = 0x0d93;
   std::uint64_t capacity_bytes = 16ull << 30;
   /// Initial persistent fraction of capacity (partitionable via mailbox).
   std::uint64_t persistent_bytes = 16ull << 30;
   std::uint64_t lsa_bytes = 1ull << 20;
   bool battery_backed = true;
   DeviceTiming timing;
-  std::string fw_revision = "fpga-proto-1.0";
 };
 
-class Type3Device : public MailboxHandler {
+class Type3Device {
  public:
   explicit Type3Device(Type3Config config);
-  ~Type3Device() override;
+  ~Type3Device();
   Type3Device(const Type3Device&) = delete;
   Type3Device& operator=(const Type3Device&) = delete;
 
   [[nodiscard]] const Type3Config& config() const noexcept { return config_; }
-  [[nodiscard]] ConfigSpace& config_space() noexcept { return io_; }
-  [[nodiscard]] const ConfigSpace& config_space() const noexcept {
-    return io_;
-  }
 
   /// Whole-device persistence domain?  True battery-backed devices keep
   /// CXL.mem-written data across power loss (paper §1.4).
@@ -78,22 +70,14 @@ class Type3Device : public MailboxHandler {
     return config_.capacity_bytes - persistent_bytes_;
   }
 
-  // --- CXL.mem data path -----------------------------------------------------
-  /// 64-byte-aligned whole-line access like the real protocol; partial
-  /// access is allowed for convenience but stays within one line.
-  void mem_write(std::uint64_t dpa, std::span<const std::uint8_t> data);
-  void mem_read(std::uint64_t dpa, std::span<std::uint8_t> out) const;
-
   /// Direct media view for the host runtime (the HDM-mapped region).
   [[nodiscard]] std::span<std::byte> media() noexcept;
 
   // --- mailbox -----------------------------------------------------------------
-  MboxResult execute(MboxOpcode opcode,
-                     std::span<const std::uint8_t> input) override;
+  MboxResult execute(MboxOpcode opcode, std::span<const std::uint8_t> input);
 
  private:
   Type3Config config_;
-  ConfigSpace io_;
   std::uint64_t persistent_bytes_;
   std::byte* media_ = nullptr;  ///< sparse anonymous mapping
   std::vector<std::uint8_t> lsa_;

@@ -23,7 +23,6 @@ namespace cxlpmem::cxlsim {
 [[nodiscard]] inline Type3Config fpga_prototype_config() {
   Type3Config c;
   c.name = "agilex7-rtile-cxl";
-  c.pci_device_id = 0x0ddc;
   c.capacity_bytes = 16ull << 30;   // 2 x 8 GB DDR4-1333
   c.persistent_bytes = 16ull << 30; // fully persistent when battery-backed
   c.lsa_bytes = 1ull << 20;
@@ -33,7 +32,6 @@ namespace cxlpmem::cxlsim {
   c.timing.media_latency_ns = 200.0;
   c.timing.controller_combined_gbs = 16.5;
   c.timing.max_tags = 512;
-  c.fw_revision = "rtile-1.1-pmem";
   return c;
 }
 

@@ -1,19 +1,15 @@
 // cxlsim/mailbox.hpp — CXL memory-device mailbox (CXL 2.0 §8.2.8.4).
 //
-// The subset a PMem-oriented host stack needs:
-//   0x0001 GET_FW_INFO              — identification string
-//   0x4000 IDENTIFY_MEMORY_DEVICE   — capacities, persistence
-//   0x4100 GET_PARTITION_INFO       — volatile/persistent split
+// The subset the host stack drives:
 //   0x4101 SET_PARTITION_INFO       — repartition (takes effect immediately
 //                                     in the model; real devices need reset)
 //   0x4200 GET_LSA / 0x4201 SET_LSA — label storage area (namespace labels,
 //                                     what the DAX runtime stores)
-//   0x4300 GET_HEALTH_INFO          — health/battery status
+// Capacities and persistence are read through Type3Device's accessors.
 // Payloads are fixed-layout structs; unknown opcodes return Unsupported.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace cxlpmem::cxlsim {
@@ -22,27 +18,12 @@ enum class MboxStatus : std::uint16_t {
   Success = 0x0000,
   InvalidInput = 0x0002,
   Unsupported = 0x0004,
-  InternalError = 0x0006,
 };
 
 enum class MboxOpcode : std::uint16_t {
-  GetFwInfo = 0x0001,
-  IdentifyMemoryDevice = 0x4000,
-  GetPartitionInfo = 0x4100,
   SetPartitionInfo = 0x4101,
   GetLsa = 0x4200,
   SetLsa = 0x4201,
-  GetHealthInfo = 0x4300,
-};
-
-struct IdentifyPayload {
-  char fw_revision[16];
-  std::uint64_t total_capacity_bytes;
-  std::uint64_t volatile_capacity_bytes;
-  std::uint64_t persistent_capacity_bytes;
-  std::uint64_t lsa_size_bytes;
-  std::uint8_t battery_backed;  ///< the paper's persistence argument
-  std::uint8_t reserved[7];
 };
 
 struct PartitionInfoPayload {
@@ -50,27 +31,9 @@ struct PartitionInfoPayload {
   std::uint64_t persistent_bytes;
 };
 
-struct HealthInfoPayload {
-  std::uint8_t health_status;     ///< 0 = OK
-  std::uint8_t battery_status;    ///< 0 = OK/absent-but-not-needed
-  std::uint8_t battery_charge_pct;
-  std::uint8_t reserved;
-  std::uint32_t temperature_dc;   ///< deci-celsius
-  std::uint64_t power_on_hours;
-};
-
 struct MboxResult {
   MboxStatus status = MboxStatus::Success;
   std::vector<std::uint8_t> payload;
-};
-
-/// Interface the device implements; kept separate so tests can drive the
-/// mailbox without a full device.
-class MailboxHandler {
- public:
-  virtual ~MailboxHandler() = default;
-  virtual MboxResult execute(MboxOpcode opcode,
-                             std::span<const std::uint8_t> input) = 0;
 };
 
 }  // namespace cxlpmem::cxlsim

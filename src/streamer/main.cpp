@@ -9,7 +9,6 @@
 // Each kernel is one paper figure: --kernel=scale is Figure 5, add is
 // Figure 6, copy Figure 7 and triad Figure 8; --kernel also narrows the CSV
 // rows, and --group=G draws only G's panel.
-#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <fstream>
@@ -55,6 +54,8 @@ int main(int argc, char** argv) {
   std::string kernel_arg = "all";
   std::string csv_path;
   RunnerOptions options;
+  bool quick = false;
+  bool step_given = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -70,16 +71,20 @@ int main(int argc, char** argv) {
           std::from_chars(arg.data() + 7, last, options.thread_step);
       if (ec != std::errc() || end != last || options.thread_step < 1)
         return usage(argv[0]);
+      step_given = true;
     } else if (arg == "--no-validate") {
       options.validate = false;
     } else if (arg == "--quick") {
       options.bench.verify_elements = 1u << 18;
       options.bench.ntimes = 1;
-      options.thread_step = std::max(options.thread_step, 2);
+      quick = true;
     } else {
       return usage(argv[0]);
     }
   }
+  // --quick thins the sweep to every second thread count unless --step,
+  // before or after it, names the step.
+  if (quick && !step_given) options.thread_step = 2;
 
   const std::optional<TestGroup> group = parse_group(group_arg);
   const std::optional<stream::Kernel> kernel = parse_kernel(kernel_arg);

@@ -100,6 +100,22 @@ TEST_F(BuilderTest, DeviceCapacityMismatchIsRejected) {
   EXPECT_EQ(rt.error().code, api::Errc::CapacityMismatch);
 }
 
+TEST_F(BuilderTest, LabelTooLargeForDeviceLsaIsRejected) {
+  auto cfg = cs::fpga_prototype_config();
+  cfg.lsa_bytes = 4;  // cannot hold the 5-byte label "pmem2"
+  auto ids = simkit::profiles::make_setup_one();
+  auto rt = api::RuntimeBuilder()
+                .base_dir(dir_)
+                .machine(std::move(ids.machine))
+                .select_memory(ids.cxl)
+                .as_dax("pmem2")
+                .attach_device(std::make_shared<cs::Type3Device>(cfg))
+                .build();
+  ASSERT_FALSE(rt.ok());
+  EXPECT_EQ(rt.error().code, api::Errc::DeviceFailure);
+  EXPECT_FALSE(fs::exists(dir_));  // refused before anything was created
+}
+
 TEST_F(BuilderTest, DeviceOnSocketMemoryIsRejected) {
   auto ids = simkit::profiles::make_setup_one();
   auto rt = api::RuntimeBuilder()

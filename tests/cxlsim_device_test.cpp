@@ -1,5 +1,5 @@
-// Tests for the Type-3 device: CXL.mem data path, mailbox command set,
-// partitioning, the FPGA prototype profile and multi-headed exposure.
+// Tests for the Type-3 device: the mailbox's repartition and LSA commands,
+// the FPGA prototype profile and multi-headed exposure.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,49 +16,6 @@ cs::Type3Config small_config() {
   c.persistent_bytes = 1 << 20;
   c.lsa_bytes = 4096;
   return c;
-}
-
-TEST(Device, MemReadWriteRoundTrip) {
-  cs::Type3Device dev(small_config());
-  std::array<std::uint8_t, 64> line{};
-  for (int i = 0; i < 64; ++i) line[i] = static_cast<std::uint8_t>(i);
-  dev.mem_write(128, line);
-  std::array<std::uint8_t, 64> out{};
-  dev.mem_read(128, out);
-  EXPECT_EQ(line, out);
-}
-
-TEST(Device, AccessValidation) {
-  cs::Type3Device dev(small_config());
-  std::array<std::uint8_t, 64> buf{};
-  // Crossing a line boundary.
-  EXPECT_THROW(dev.mem_write(32, buf), std::invalid_argument);
-  // Beyond capacity.
-  EXPECT_THROW(dev.mem_write(1 << 20, std::span(buf.data(), 64)),
-               std::out_of_range);
-  // Empty and oversized.
-  EXPECT_THROW(dev.mem_read(0, std::span(buf.data(), std::size_t{0})),
-               std::invalid_argument);
-}
-
-TEST(Device, MediaViewAliasesMemPath) {
-  cs::Type3Device dev(small_config());
-  std::array<std::uint8_t, 8> word{1, 2, 3, 4, 5, 6, 7, 8};
-  dev.mem_write(0, word);
-  EXPECT_EQ(std::memcmp(dev.media().data(), word.data(), 8), 0);
-}
-
-TEST(Device, IdentifyReportsGeometry) {
-  cs::Type3Device dev(small_config());
-  const auto res = dev.execute(cs::MboxOpcode::IdentifyMemoryDevice, {});
-  ASSERT_EQ(res.status, cs::MboxStatus::Success);
-  cs::IdentifyPayload p{};
-  ASSERT_EQ(res.payload.size(), sizeof(p));
-  std::memcpy(&p, res.payload.data(), sizeof(p));
-  EXPECT_EQ(p.total_capacity_bytes, 1u << 20);
-  EXPECT_EQ(p.persistent_capacity_bytes, 1u << 20);
-  EXPECT_EQ(p.volatile_capacity_bytes, 0u);
-  EXPECT_EQ(p.battery_backed, 1);
 }
 
 TEST(Device, PartitioningMovesCapacity) {
@@ -93,24 +50,6 @@ TEST(Device, LsaStoresLabels) {
             cs::MboxStatus::InvalidInput);
 }
 
-TEST(Device, HealthReportsBattery) {
-  cs::Type3Device dev(small_config());
-  const auto res = dev.execute(cs::MboxOpcode::GetHealthInfo, {});
-  ASSERT_EQ(res.status, cs::MboxStatus::Success);
-  cs::HealthInfoPayload p{};
-  std::memcpy(&p, res.payload.data(), sizeof(p));
-  EXPECT_EQ(p.battery_status, 0);
-  EXPECT_EQ(p.battery_charge_pct, 100);
-
-  auto cfg = small_config();
-  cfg.battery_backed = false;
-  cs::Type3Device no_battery(cfg);
-  const auto res2 = no_battery.execute(cs::MboxOpcode::GetHealthInfo, {});
-  std::memcpy(&p, res2.payload.data(), sizeof(p));
-  EXPECT_EQ(p.battery_status, 2);  // absent
-  EXPECT_FALSE(no_battery.persistence_domain());
-}
-
 TEST(Device, UnknownOpcodeIsUnsupported) {
   cs::Type3Device dev(small_config());
   EXPECT_EQ(dev.execute(static_cast<cs::MboxOpcode>(0x9999), {}).status,
@@ -124,8 +63,11 @@ TEST(FpgaPrototype, MatchesPaperGeometry) {
   EXPECT_GT(cfg.timing.controller_combined_gbs, 0.0);
   auto dev = cs::make_fpga_prototype();
   EXPECT_TRUE(dev->persistence_domain());
-  EXPECT_TRUE(dev->config_space().cxl_capabilities() &
-              cs::kCapMemCapable);
+
+  auto no_battery_cfg = cfg;
+  no_battery_cfg.battery_backed = false;
+  const cs::Type3Device no_battery(no_battery_cfg);
+  EXPECT_FALSE(no_battery.persistence_domain());
 }
 
 TEST(MultiHeaded, HeadsShareTheSameMedia) {

@@ -22,10 +22,12 @@
 // A shard whose media fails quarantines itself and self-heals (INFO grows
 // a '# Health' section); --max-queue bounds each shard's request queue
 // (overflow answers typed Busy).
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -90,6 +92,15 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Reads all of `text` as a whole number into `out`; false when it is not
+/// one or does not fit T.
+template <typename T>
+bool parse_number(const char* text, T& out) {
+  const char* last = text + std::strlen(text);
+  const auto [end, ec] = std::from_chars(text, last, out);
+  return ec == std::errc() && end == last;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -108,26 +119,35 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (val == nullptr) return usage(argv[0]);
+    // A number must be whole and fit its field: a typo must not quietly
+    // become another port, the minimum pool size or "feature off".
+    bool ok = true;
     if (arg == "--dir") dir = val;
-    else if (arg == "--port") opts.port = static_cast<std::uint16_t>(std::atoi(val));
-    else if (arg == "--shards") opts.shards = std::atoi(val);
+    else if (arg == "--port") ok = parse_number(val, opts.port);
+    else if (arg == "--shards") ok = parse_number(val, opts.shards);
     else if (arg == "--ns") opts.ns = val;
-    else if (arg == "--pool-mb")
-      opts.pool_size_bytes = static_cast<std::uint64_t>(std::atoll(val)) << 20;
-    else if (arg == "--max-batch") opts.max_batch = std::atoi(val);
-    else if (arg == "--compact-above")
-      opts.compact_above = std::atoi(val) / 100.0;
-    else if (arg == "--tier-dram-bytes") {
+    else if (arg == "--pool-mb") {
+      std::uint64_t mb = 0;
+      ok = parse_number(val, mb) && mb > 0 &&
+           mb <= std::numeric_limits<std::uint64_t>::max() >> 20;
+      opts.pool_size_bytes = mb << 20;
+    } else if (arg == "--max-batch") ok = parse_number(val, opts.max_batch);
+    else if (arg == "--compact-above") {
+      int pct = 0;
+      ok = parse_number(val, pct);
+      opts.compact_above = pct / 100.0;
+    } else if (arg == "--tier-dram-bytes") {
       opts.tier = true;
-      opts.tier_dram_bytes = static_cast<std::uint64_t>(std::atoll(val));
+      ok = parse_number(val, opts.tier_dram_bytes);
     } else if (arg == "--tier-codec") {
       opts.tier = true;
       opts.tier_codec = val;
     } else if (arg == "--max-queue") {
-      opts.max_queue = std::atoi(val);
+      ok = parse_number(val, opts.max_queue);
     } else if (arg == "--reopen-attempts") {
-      opts.reopen_attempts = std::atoi(val);
+      ok = parse_number(val, opts.reopen_attempts);
     } else return usage(argv[0]);
+    if (!ok) return usage(argv[0]);
     ++i;
   }
   if (dir.empty()) return usage(argv[0]);
