@@ -44,8 +44,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   api::Pool p = std::move(pool).value();
-  // Binding refuses a pool whose root is not this map's (another type, or
-  // a map written under the old FNV-1a bucket placement).
+  // Binding refuses a pool whose root is not this map's: another type, or
+  // a map of another bucket layout (an older build's 256 buckets or FNV-1a
+  // placement), which must be recreated.
   auto bound = api::wrap([&] { return service::DurableMap(p.pmem()); });
   if (!bound) {
     std::fprintf(stderr, "store on '%s': %s\n", ns.c_str(),

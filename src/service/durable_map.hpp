@@ -9,6 +9,11 @@
 // batch into one commit — acknowledge after run_tx returns and every
 // acknowledged write is durable.
 //
+// The default 4093 buckets (prime, so `fingerprint64 % Buckets` uses every
+// hash bit) keep a cxlpmemd shard's chains short: 10,000 keys average ~2.4
+// per chain, where 256 buckets held ~39, and every node a walk passes costs
+// a checked dereference.
+//
 // The map operates on a pmemkit::ObjectPool& (non-owning) rather than an
 // api::Pool so the crash simulator — which hands scenarios a raw pool —
 // can sweep it directly; api::Pool callers pass pool.pmem().
@@ -29,7 +34,7 @@
 
 namespace cxlpmem::service {
 
-template <std::uint32_t Buckets = 256>
+template <std::uint32_t Buckets = 4093>
 class BasicDurableMap {
  public:
   struct Entry {
@@ -49,15 +54,14 @@ class BasicDurableMap {
     api::p<std::uint64_t> placement_guard;
   };
 
-  /// Binds to (and on first use roots) the map in `pool`.  Reopening a pool
-  /// whose root was created as a different type throws
-  /// PoolError(TypeMismatch) — the usual typed-root contract — and one
-  /// whose root is smaller (a map written under the FNV-1a bucket
-  /// placement) throws PoolError(BadAlloc).
+  /// Binds to (and on first use roots) the map in `pool`.  A pool whose
+  /// root is not this map's — a map with another bucket count (every map
+  /// pool written while the default was 256), one written under the FNV-1a
+  /// placement, or another type — throws PoolError with root_raw's kind
+  /// (BadAlloc for a smaller root, TypeMismatch for another type) and a
+  /// message saying the pool must be recreated.
   explicit BasicDurableMap(pmemkit::ObjectPool& pool)
-      : pool_(&pool),
-        root_(static_cast<Root*>(pool.direct(
-            pool.root_raw(sizeof(Root), api::type_number<Root>())))) {}
+      : pool_(&pool), root_(bind_root(pool)) {}
 
   [[nodiscard]] pmemkit::ObjectPool& pool() noexcept { return *pool_; }
   [[nodiscard]] static constexpr std::uint32_t bucket_count() noexcept {
@@ -90,26 +94,14 @@ class BasicDurableMap {
     root_->count += 1;
   }
 
-  // Chain walks resolve each node once (registry lookup, chunk lock, type
-  // and liveness check) and follow `next` through the resolved pointer.
-
   [[nodiscard]] std::optional<std::string> get(std::string_view key) const {
-    for (api::ptr<Entry> e = root_->buckets[bucket_of(key)]; e;) {
-      const Entry* d = e.get();
-      if (key_of(d) == key)
-        return std::string(payload(d) + d->key_len, d->value_len);
-      e = d->next;
-    }
-    return std::nullopt;
+    const Entry* d = find(key, bucket_of(key)).entry;
+    if (d == nullptr) return std::nullopt;
+    return std::string(payload(d) + d->key_len, d->value_len);
   }
 
   [[nodiscard]] bool exists(std::string_view key) const {
-    for (api::ptr<Entry> e = root_->buckets[bucket_of(key)]; e;) {
-      const Entry* d = e.get();
-      if (key_of(d) == key) return true;
-      e = d->next;
-    }
-    return false;
+    return find(key, bucket_of(key)).entry != nullptr;
   }
 
   /// Crash-atomic removal in its own transaction.
@@ -135,7 +127,7 @@ class BasicDurableMap {
     static_assert(sizeof(api::p<api::ptr<Entry>>) == sizeof(pmemkit::ObjId),
                   "ptr slots must be exactly ObjIds for defrag rewriting");
     std::vector<pmemkit::ObjId*> refs;
-    refs.reserve(Buckets + root_->count);
+    refs.reserve(root_->count);  // one slot links to each entry
     for (std::uint32_t b = 0; b < Buckets; ++b) {
       auto* link = &root_->buckets[b];
       while (!link->get().is_null()) {
@@ -169,20 +161,51 @@ class BasicDurableMap {
         pmemkit::fingerprint64(key.data(), key.size()) % Buckets);
   }
 
-  bool erase_in_tx(std::string_view key, std::uint32_t b) {
+  static Root* bind_root(pmemkit::ObjectPool& pool) {
+    try {
+      return static_cast<Root*>(pool.direct(
+          pool.root_raw(sizeof(Root), api::type_number<Root>())));
+    } catch (const pmemkit::PoolError& e) {
+      if (e.kind() != pmemkit::ErrKind::BadAlloc &&
+          e.kind() != pmemkit::ErrKind::TypeMismatch)
+        throw;
+      throw pmemkit::PoolError(
+          e.kind(), "durable map: " + std::string(e.what()) +
+                        ": the pool was written with a different bucket "
+                        "layout than this build's " +
+                        std::to_string(Buckets) +
+                        " buckets and must be recreated");
+    }
+  }
+
+  /// A key's place in its chain: the slot linking to its entry (the
+  /// bucket head or the previous entry's `next`) and the entry, or the
+  /// chain's null tail slot and nullptr when the key is absent.
+  struct Slot {
+    api::p<api::ptr<Entry>>* link;
+    Entry* entry;
+  };
+
+  /// The one chain walk.  Each node is resolved once through ptr::get()
+  /// (registry lookup, chunk lock, type and liveness check) and `next` is
+  /// followed through the resolved pointer.
+  [[nodiscard]] Slot find(std::string_view key, std::uint32_t b) const {
     api::p<api::ptr<Entry>>* link = &root_->buckets[b];
-    while (!link->get().is_null()) {
-      const api::ptr<Entry> e = *link;
-      Entry* d = e.get();
-      if (key_of(d) == key) {
-        *link = d->next;             // snapshot-on-write unlink
-        pool_->tx_free(e.oid());     // freed at commit; survives an abort
-        root_->count -= 1;
-        return true;
-      }
+    while (Entry* d = link->get().get()) {
+      if (key_of(d) == key) return {link, d};
       link = &d->next;
     }
-    return false;
+    return {link, nullptr};
+  }
+
+  bool erase_in_tx(std::string_view key, std::uint32_t b) {
+    const Slot s = find(key, b);
+    if (s.entry == nullptr) return false;
+    const pmemkit::ObjId oid = s.link->get().oid();
+    *s.link = s.entry->next;  // snapshot-on-write unlink
+    pool_->tx_free(oid);      // freed at commit; survives an abort
+    root_->count -= 1;
+    return true;
   }
 
   pmemkit::ObjectPool* pool_;
@@ -191,5 +214,10 @@ class BasicDurableMap {
 
 /// The default instantiation the example and the daemon share.
 using DurableMap = BasicDurableMap<>;
+
+// 4093 heads + count + guard + the allocation header fit the 64 KiB size
+// class, so the root takes one run chunk, as 256 buckets did.
+static_assert(sizeof(DurableMap::Root) + sizeof(pmemkit::AllocHeader) <=
+              64 * 1024);
 
 }  // namespace cxlpmem::service

@@ -685,7 +685,7 @@ struct Server::Impl {
     if (!pool.ok()) return pool.error();
     const api::Result<void> built = api::wrap([&] {
       s.pool.emplace(std::move(pool).value());
-      s.map.emplace(s.pool->pmem());  // e.g. TypeMismatch on reopen
+      s.map.emplace(s.pool->pmem());  // refuses another bucket layout
       if (opts.tier) {
         tierkv::TierOptions to;
         to.codec = opts.tier_codec;

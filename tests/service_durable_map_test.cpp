@@ -1,16 +1,19 @@
 // service_durable_map_test — the hash map cxlpmemd serves and kv_store
 // demonstrates: basic semantics on a raw pool, reopen persistence, batch
 // composition under one caller-owned transaction, refusal of a pool written
-// under the old bucket placement, and an exhaustive crash-injection sweep
-// proving every mutation is crash-atomic.
+// under another bucket placement or layout, chain length under one shard's
+// load, and an exhaustive crash-injection sweep proving every mutation is
+// crash-atomic.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
 
 #include "api/ptr.hpp"
+#include "pmemkit/checksum.hpp"
 #include "pmemkit/crash_sim.hpp"
 #include "pmemkit/errors.hpp"
 #include "pmemkit/introspect.hpp"
@@ -153,6 +156,74 @@ TEST_F(ServiceDurableMapTest, PoolWithTheFnvPlacementRootIsRefused) {
   } catch (const pmemkit::PoolError& e) {
     EXPECT_EQ(e.kind(), pmemkit::ErrKind::BadAlloc) << e.what();
   }
+}
+
+// Every map pool written while the default was 256 buckets holds a root
+// smaller than this build's; a pool written by a map with more buckets holds
+// one of another type.  Either way binding is refused with a message that
+// names the cause, and the pool keeps its keys for a build that reads them.
+TEST_F(ServiceDurableMapTest, PoolWithAnotherBucketLayoutIsRefused) {
+  using OldMap = service::BasicDurableMap<256>;
+  const auto expect_refused = [](const auto& bind, pmemkit::ErrKind kind) {
+    try {
+      bind();
+      ADD_FAILURE() << "bound a map to a root of another bucket layout";
+    } catch (const pmemkit::PoolError& e) {
+      EXPECT_EQ(e.kind(), kind) << e.what();
+      const std::string what = e.what();
+      EXPECT_NE(what.find("different bucket layout"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("must be recreated"), std::string::npos) << what;
+    }
+  };
+  {
+    auto pool = make_pool();
+    OldMap(*pool).put("alpha", "1");
+  }
+  auto pool = pmemkit::ObjectPool::open(path_, "dmap-test");
+  expect_refused([&] { DurableMap map(*pool); }, pmemkit::ErrKind::BadAlloc);
+  EXPECT_EQ(OldMap(*pool).get("alpha").value(), "1");
+
+  pool.reset();
+  fs::remove(path_);
+  pool = make_pool();
+  DurableMap(*pool).put("beta", "2");
+  expect_refused([&] { OldMap map(*pool); }, pmemkit::ErrKind::TypeMismatch);
+}
+
+// One kv_write shard's load: 10,000 distinct keys that all route to one
+// shard (fnv1a64 % 4 == 0), in the benchmark's "w<conn>:<id>" form.  Spread
+// over 4093 buckets the chains average ~2.4 keys; placement is a fixed hash,
+// so the longest chain is a fixed number, and 12 bounds it with room to
+// spare.  256 buckets (~39 per chain) or a placement that used a fraction
+// of the buckets would exceed it.
+TEST_F(ServiceDurableMapTest, OneShardsKeysKeepChainsShort) {
+  auto pool = make_pool();
+  DurableMap map(*pool);
+  constexpr std::uint64_t kKeys = 10000;
+  for (int conn = 0; map.size() < kKeys; ++conn)
+    for (int id = 0; id < 10000 && map.size() < kKeys; ++id) {
+      const std::string key =
+          "w" + std::to_string(conn) + ":" + std::to_string(id);
+      if (pmemkit::fnv1a64(key) % 4 == 0) map.put(key, "v");
+    }
+
+  using Root = DurableMap::Root;
+  const auto* root = static_cast<const Root*>(
+      pool->direct(pool->root_raw(sizeof(Root), api::type_number<Root>())));
+  std::uint64_t walked = 0;
+  int longest = 0;
+  for (const auto& head : root->buckets) {
+    int n = 0;
+    for (const auto* e = head.get().get(); e != nullptr;
+         e = e->next.get().get())
+      ++n;
+    walked += static_cast<std::uint64_t>(n);
+    longest = std::max(longest, n);
+  }
+  EXPECT_EQ(walked, kKeys);
+  EXPECT_LE(longest, 12) << "over " << DurableMap::bucket_count()
+                         << " buckets";
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 // sockets.  Covers the command surface, the spread of each shard map's
 // keys over its buckets, >= 8 concurrent connections, pipelined ordering +
 // read-your-writes, the per-request fallback after a batch aborts, the
-// shard counters across a restart, the error taxonomy over the wire,
-// protocol violations, graceful shutdown (drained transactions, zero busy
+// shard counters across a restart, the refusal of a data dir written
+// under another map layout, the error taxonomy over the wire, protocol
+// violations, graceful shutdown (drained transactions, zero busy
 // lanes on reopen) and the teardown race the TSan job hunts.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -14,6 +15,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -244,8 +246,10 @@ TEST_F(ServiceServerTest, ValuesArePartitionedAcrossShardPools) {
 
 // Every key in a shard has the same router hash (fnv1a64 % 4), so the
 // shard's map must bucket by a hash independent of it.  4096 keys put about
-// 1024 in each shard's 256 buckets, leaving ~251 non-empty; a bucket hash
-// that shares the router's low bits fills only 64.
+// n = 1024 in each shard; thrown uniformly into B buckets they leave
+// B(1 - (1 - 1/B)^n) non-empty (~906 of 4093, ~251 of 256).  A placement
+// that reaches a quarter of the buckets, as one sharing the router's low
+// bits did, fills far less than 95% of that.
 TEST_F(ServiceServerTest, ShardMapsSpreadKeysOverTheirBuckets) {
   start();
   Client c = connect();
@@ -258,14 +262,38 @@ TEST_F(ServiceServerTest, ShardMapsSpreadKeysOverTheirBuckets) {
   server_.reset();
   ASSERT_EQ(paths.size(), 4u);
   using Root = service::DurableMap::Root;
+  const double buckets = service::DurableMap::bucket_count();
   for (const fs::path& p : paths) {
     auto pool = pmemkit::ObjectPool::open(p, "cxlpmemd-kv");
     const auto* root = static_cast<const Root*>(pool->direct(
         pool->root_raw(sizeof(Root), api::type_number<Root>())));
     int used = 0;
     for (const auto& head : root->buckets) used += head.get().is_null() ? 0 : 1;
-    EXPECT_GE(used, 240) << p;
+    const double keys = static_cast<double>(root->count);
+    const double uniform = buckets * (1 - std::pow(1 - 1 / buckets, keys));
+    EXPECT_GE(used, 0.95 * uniform) << p << ": " << keys << " keys";
   }
+}
+
+// A data dir written while the map had 256 buckets holds shard pools whose
+// root is smaller than this build's.  start() must fail with the map's
+// refusal, not serve an empty map in place of the old keys.
+TEST_F(ServiceServerTest, StartRefusesAShardPoolOfAnotherBucketLayout) {
+  {
+    api::PoolSpec spec;
+    spec.file = "kvshard-0.pool";
+    spec.size = 16ull << 20;
+    auto pool = rt_->create_pool("pmem2", "cxlpmemd-kv", spec);
+    ASSERT_TRUE(pool.ok()) << pool.error().to_string();
+    service::BasicDurableMap<256>(pool.value().pmem()).put("city", "zurich");
+  }
+  service::ServerOptions opts;
+  opts.pool_size_bytes = 16ull << 20;
+  auto server = service::Server::start(*rt_, opts);
+  ASSERT_FALSE(server.ok()) << "served a shard pool of another layout";
+  EXPECT_NE(server.error().message.find("different bucket layout"),
+            std::string::npos)
+      << server.error().to_string();
 }
 
 TEST_F(ServiceServerTest, EightConcurrentConnections) {
