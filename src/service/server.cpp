@@ -15,10 +15,10 @@
 #include <condition_variable>
 #include <cstring>
 #include <deque>
-#include <iterator>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <utility>
 
@@ -96,29 +96,95 @@ struct Connection {
 
   std::mutex mu;
   std::uint64_t next_to_send = 0;
-  std::map<std::uint64_t, std::string> done;
+  /// Reply slots: slot i belongs to seq next_to_send + i, and an empty
+  /// slot is a reply not produced yet (no RESP reply is empty).
+  std::deque<std::string> done;
   bool dead = false;
 };
 
 /// Sequenced reply delivery: stash, then flush the contiguous prefix.
 void complete(Connection& c, std::uint64_t seq, std::string reply) {
   const std::lock_guard<std::mutex> lock(c.mu);
-  c.done.emplace(seq, std::move(reply));
+  const std::size_t slot = seq - c.next_to_send;
+  if (slot >= c.done.size()) c.done.resize(slot + 1);
+  c.done[slot] = std::move(reply);
   std::string out;
-  auto it = c.done.begin();
-  while (it != c.done.end() && it->first == c.next_to_send) {
-    out += it->second;
-    it = c.done.erase(it);
+  while (!c.done.empty() && !c.done.front().empty()) {
+    if (out.empty())
+      out = std::move(c.done.front());
+    else
+      out += c.done.front();
+    c.done.pop_front();
     ++c.next_to_send;
   }
   if (out.empty() || c.dead) return;
   if (!send_all(c.fd, out)) c.dead = true;
 }
 
-struct Request {
-  std::shared_ptr<Connection> conn;
-  std::uint64_t seq = 0;
-  Command cmd;
+/// One event round's keyed requests for one shard: every key and value
+/// copied into one byte buffer, plus one entry per request.  The event
+/// thread fills it during a round and hands it over after the round; the
+/// worker runs it, empties it and returns it through the shard's spare
+/// list for the event thread to refill, so no key, value or queue block is
+/// allocated on one thread and freed on the other.
+struct Parcel {
+  struct Entry {
+    Connection* conn;  ///< kept alive by `conn_refs`
+    std::uint64_t seq;
+    Verb verb;
+    std::size_t offset;  ///< of the key in `bytes`; the value follows it
+    std::size_t key_bytes;
+    std::size_t value_bytes;
+  };
+
+  void add(const std::shared_ptr<Connection>& conn, std::uint64_t seq,
+           const Command& cmd) {
+    if (conn_refs.empty() || conn_refs.back() != conn)
+      conn_refs.push_back(conn);
+    entries.push_back(Entry{conn.get(), seq, cmd.verb, bytes.size(),
+                            cmd.key.size(), cmd.value.size()});
+    bytes += cmd.key;
+    bytes += cmd.value;
+  }
+
+  [[nodiscard]] std::string_view key(const Entry& e) const {
+    return std::string_view(bytes).substr(e.offset, e.key_bytes);
+  }
+  [[nodiscard]] std::string_view value(const Entry& e) const {
+    return std::string_view(bytes).substr(e.offset + e.key_bytes,
+                                          e.value_bytes);
+  }
+
+  /// Empties the parcel and keeps its capacity.
+  void clear() {
+    bytes.clear();
+    entries.clear();
+    conn_refs.clear();
+  }
+
+  std::string bytes;
+  std::vector<Entry> entries;
+  /// One reference per run of entries from the same connection (a round
+  /// parses one connection's frames at a time).
+  std::vector<std::shared_ptr<Connection>> conn_refs;
+};
+
+/// A parcel whose buffer grew past this (a multi-MB SET) is freed once
+/// served rather than kept for reuse.
+constexpr std::size_t kParcelKeepBytes = 1u << 20;
+/// Emptied parcels a shard keeps for reuse; the worker frees any beyond.
+/// Under perfbench kv_write (4-vCPU VM) a take holds 1.6 parcels on
+/// average and more than 8 in 0.3% of takes.
+constexpr std::size_t kSpareParcels = 8;
+
+/// A request as the worker runs it: a parcel entry resolved to views of
+/// the parcel's bytes.
+struct Op {
+  Connection* conn;
+  std::uint64_t seq;
+  Verb verb;
+  std::string_view key;
+  std::string_view value;
 };
 
 struct Shard {
@@ -139,14 +205,24 @@ struct Shard {
   /// untouched.
   std::unique_ptr<tierkv::TieredCache> tier;
 
+  /// The hand-off between the event thread and the worker.  `q` holds
+  /// the parcels handed over and not yet taken, oldest first.  `queued`
+  /// counts the requests handed over whose batch has not started: the
+  /// event thread adds each parcel's entries as it hands it over, and the
+  /// worker subtracts each batch as it starts it and each request it
+  /// answers Unavailable unserved.  route() sheds against it.
+  /// `spare` holds emptied parcels on their way back to the event thread.
+  /// `quarantined` is set by the worker at health transitions; while it
+  /// is set, hand_off() answers the shard's parcels itself.
   std::mutex mu;
   std::condition_variable cv;
-  std::deque<Request> q;
+  std::vector<std::unique_ptr<Parcel>> q;
+  std::atomic<std::uint64_t> queued{0};
+  std::vector<std::unique_ptr<Parcel>> spare;
+  bool quarantined = false;
   std::thread worker;
-
-  /// route() reads this on every request; the worker sets it at health
-  /// transitions.
-  std::atomic<bool> quarantined{false};
+  /// The parcel this event round fills; event thread only.
+  std::unique_ptr<Parcel> filling = std::make_unique<Parcel>();
 
   /// The worker's published view of the shard (see Impl::publish): INFO
   /// and Server::info() copy it, and the event thread writes only `shed`.
@@ -209,9 +285,9 @@ struct Server::Impl {
     out.numa_node = numa_node;
     out.connections_accepted = accepted.load(std::memory_order_relaxed);
     for (const auto& s : shards) {
-      const std::scoped_lock lock(s->mu, s->info_mu);
+      const std::lock_guard<std::mutex> lock(s->info_mu);
       out.shards.push_back(s->info);
-      out.shards.back().queued = s->q.size();
+      out.shards.back().queued = s->queued.load(std::memory_order_relaxed);
       const tierkv::TierStats& t = s->tier_stats;
       out.tier_stats.hits += t.hits;
       out.tier_stats.misses += t.misses;
@@ -309,8 +385,11 @@ struct Server::Impl {
            format_fixed3(t.compression_ratio()) + "\r\n";
   }
 
+  /// Answers PING and INFO here; appends a keyed request to its shard's
+  /// parcel for this round, or sheds it with Busy when the shard's
+  /// `queued` requests plus those already in the parcel reach max_queue.
   void route(const std::shared_ptr<Connection>& conn, std::uint64_t seq,
-             Command cmd) {
+             const Command& cmd) {
     switch (cmd.verb) {
       case Verb::Ping:
         complete(*conn, seq,
@@ -322,22 +401,10 @@ struct Server::Impl {
         return;
       default: {
         Shard& s = shard_of(cmd.key);
-        // A quarantined shard answers from the event thread — its worker
-        // is busy recovering and must not grow a queue it cannot drain.
-        if (s.quarantined.load(std::memory_order_acquire)) {
-          complete(*conn, seq, quarantined_reply(s, kRecovering));
-          return;
-        }
-        bool full = false;
-        {
-          const std::lock_guard<std::mutex> lock(s.mu);
-          if (opts.max_queue > 0 &&
-              s.q.size() >= static_cast<std::size_t>(opts.max_queue))
-            full = true;
-          else
-            s.q.push_back(Request{conn, seq, std::move(cmd)});
-        }
-        if (full) {
+        Parcel& p = *s.filling;
+        if (opts.max_queue > 0 &&
+            s.queued.load(std::memory_order_relaxed) + p.entries.size() >=
+                static_cast<std::uint64_t>(opts.max_queue)) {
           // Shed, don't queue: bounded memory and a typed, retryable
           // signal beat an unbounded queue that turns overload into
           // latency collapse.
@@ -351,9 +418,47 @@ struct Server::Impl {
                                             " queue full, retry later"}));
           return;
         }
-        s.cv.notify_one();
+        p.add(conn, seq, cmd);
         return;
       }
+    }
+  }
+
+  /// Ends an event round: hands each shard the parcel the round filled,
+  /// with one lock acquisition and at most one wakeup (the worker waits
+  /// only on an empty queue, and takes the whole queue).  A shard that is
+  /// quarantined by then gets nothing: its worker may sit in a reopen
+  /// backoff and would hold the requests through it, so they are answered
+  /// Unavailable here.  recover_shard raises the flag under `mu` in the
+  /// same step that takes what is queued, so no parcel lands behind that
+  /// sweep.
+  void hand_off() {
+    for (const auto& sp : shards) {
+      Shard& s = *sp;
+      if (s.filling->entries.empty()) continue;
+      bool quarantined = false, wake = false;
+      {
+        const std::lock_guard<std::mutex> lock(s.mu);
+        quarantined = s.quarantined;
+        if (!quarantined) {
+          wake = s.q.empty();
+          s.queued.fetch_add(s.filling->entries.size(),
+                             std::memory_order_relaxed);
+          s.q.push_back(std::move(s.filling));
+          if (!s.spare.empty()) {
+            s.filling = std::move(s.spare.back());
+            s.spare.pop_back();
+          }
+        }
+      }
+      if (quarantined) {
+        for (const Parcel::Entry& e : s.filling->entries)
+          complete(*e.conn, e.seq, quarantined_reply(s, kRecovering));
+        s.filling->clear();
+        continue;
+      }
+      if (!s.filling) s.filling = std::make_unique<Parcel>();
+      if (wake) s.cv.notify_one();
     }
   }
 
@@ -381,26 +486,31 @@ struct Server::Impl {
     conns.erase(fd);  // fd closes once queued requests drop their refs
   }
 
-  /// Reads everything available, then parses and routes complete frames.
-  /// Returns false when the connection must close (EOF, error, malformed).
+  /// Reads what one recv returns (more only while a recv fills the whole
+  /// buffer), then parses and routes the complete frames.  Epoll is
+  /// level-triggered, so bytes still in the socket are reported again next
+  /// round.  Returns false when the connection must close (EOF, error,
+  /// malformed); frames read before an EOF are still served.
   bool handle_readable(const std::shared_ptr<Connection>& conn) {
     char buf[64 * 1024];
+    bool open = true;
     for (;;) {
       const ssize_t n = net_recv(conn->fd, buf, sizeof(buf), 0);
       if (n > 0) {
         conn->parser.feed(std::string_view(buf, static_cast<std::size_t>(n)));
+        if (static_cast<std::size_t>(n) < sizeof(buf)) break;
         continue;
       }
-      if (n == 0) return false;  // orderly EOF
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      return false;
+      if (n < 0 && errno == EINTR) continue;
+      // Orderly EOF or a dead socket closes; EAGAIN is a drained one.
+      open = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+      break;
     }
     RespValue frame;
     for (;;) {
       switch (conn->parser.next(frame)) {
         case RespParser::Status::NeedMore:
-          return true;
+          return open;
         case RespParser::Status::Malformed:
           // Report once, then drop the connection: a malformed RESP stream
           // has no resync point.
@@ -410,11 +520,11 @@ struct Server::Impl {
           return false;
         case RespParser::Status::Value: {
           const std::uint64_t seq = conn->next_seq++;
-          api::Result<Command> cmd = parse_command(frame);
+          const api::Result<Command> cmd = parse_command(frame);
           if (!cmd.ok())
             complete(*conn, seq, encode_error_reply(cmd.error()));
           else
-            route(conn, seq, std::move(cmd).value());
+            route(conn, seq, cmd.value());
           break;
         }
       }
@@ -448,34 +558,35 @@ struct Server::Impl {
             !handle_readable(it->second))
           close_conn(fd);
       }
+      hand_off();
     }
   }
 
-  /// Executes one command inside the open unit (see run_unit).  With the
-  /// tier on, every command goes through the tier's batch calls, whose
+  /// Executes one request inside the open unit (see run_unit).  With the
+  /// tier on, every request goes through the tier's batch calls, whose
   /// lock the caller holds.
-  std::string exec(Shard& s, const Command& cmd) {
+  std::string exec(Shard& s, const Op& op) {
     tierkv::TieredCache* t = s.tier.get();
-    switch (cmd.verb) {
+    switch (op.verb) {
       case Verb::Get: {
         const std::optional<std::string> v =
-            t ? t->get_in_batch(cmd.key) : s.map->get(cmd.key);
+            t ? t->get_in_batch(op.key) : s.map->get(op.key);
         return v.has_value() ? encode_bulk(*v) : encode_null_bulk();
       }
       case Verb::Set:
         if (t)
-          t->put_in_tx(cmd.key, cmd.value);
+          t->put_in_tx(op.key, op.value);
         else
-          s.map->put_in_tx(cmd.key, cmd.value);
+          s.map->put_in_tx(op.key, op.value);
         return encode_simple("OK");
       case Verb::Del: {
         const bool erased =
-            t ? t->erase_in_tx(cmd.key) : s.map->erase_in_tx(cmd.key);
+            t ? t->erase_in_tx(op.key) : s.map->erase_in_tx(op.key);
         return encode_integer(erased ? 1 : 0);
       }
       case Verb::Exists: {
         const bool found =
-            t ? t->exists_in_batch(cmd.key) : s.map->exists(cmd.key);
+            t ? t->exists_in_batch(op.key) : s.map->exists(op.key);
         return encode_integer(found ? 1 : 0);
       }
       default:
@@ -490,16 +601,16 @@ struct Server::Impl {
   /// GET — and the tier's staged DRAM effects are committed or discarded
   /// with it.  A commit adds one to `commits`.  The caller holds the tier
   /// lock.
-  api::Result<void> run_unit(Shard& s, const std::vector<Request>& batch,
+  api::Result<void> run_unit(Shard& s, std::span<const Op> batch,
                              std::size_t b, std::size_t e,
                              std::vector<std::string>& replies,
                              std::uint64_t& commits) {
-    const bool mutating = std::any_of(
-        batch.begin() + static_cast<std::ptrdiff_t>(b),
-        batch.begin() + static_cast<std::ptrdiff_t>(e),
-        [](const Request& r) { return mutates(r.cmd.verb); });
+    const bool mutating =
+        std::any_of(batch.begin() + static_cast<std::ptrdiff_t>(b),
+                    batch.begin() + static_cast<std::ptrdiff_t>(e),
+                    [](const Op& op) { return mutates(op.verb); });
     const auto body = [&] {
-      for (std::size_t i = b; i < e; ++i) replies[i] = exec(s, batch[i].cmd);
+      for (std::size_t i = b; i < e; ++i) replies[i] = exec(s, batch[i]);
     };
     const api::Result<void> done =
         mutating ? s.pool->run_tx(body) : api::wrap(body);
@@ -515,7 +626,7 @@ struct Server::Impl {
 
   /// Runs one batch and answers every request in it.  Returns true when
   /// the shard surfaced a media failure and must quarantine.
-  bool process_batch(Shard& s, std::vector<Request>& batch) {
+  bool process_batch(Shard& s, std::span<const Op> batch) {
     std::vector<std::string> replies(batch.size());
     // Requests before `served` keep their replies.  After the first media
     // failure the rest are answered Unavailable without touching the (now
@@ -621,47 +732,70 @@ struct Server::Impl {
     s.tier_stats = s.tier ? s.tier->stats() : tierkv::TierStats{};
   }
 
-  /// Takes up to max_batch queued requests into `batch`, waiting while the
-  /// queue is empty.  Returns false once stop() has begun and the queue is
-  /// drained.
-  bool next_batch(Shard& s, std::vector<Request>& batch) {
+  /// Returns the parcels the worker emptied to the spare list, then takes
+  /// every queued parcel into `taken`, waiting while none is queued.
+  /// Returns false once stop() has begun and the queue is drained.
+  bool next_parcels(Shard& s, std::vector<std::unique_ptr<Parcel>>& taken) {
     std::unique_lock<std::mutex> lock(s.mu);
+    for (std::unique_ptr<Parcel>& p : taken)
+      if (p && s.spare.size() < kSpareParcels) s.spare.push_back(std::move(p));
+    taken.clear();
     s.cv.wait(lock, [&] {
       return !s.q.empty() || stopping.load(std::memory_order_acquire);
     });
-    const auto take = static_cast<std::ptrdiff_t>(
-        std::min(s.q.size(), static_cast<std::size_t>(opts.max_batch)));
-    batch.assign(std::make_move_iterator(s.q.begin()),
-                 std::make_move_iterator(s.q.begin() + take));
-    s.q.erase(s.q.begin(), s.q.begin() + take);
-    return !batch.empty();
+    taken.swap(s.q);
+    return !taken.empty();
   }
 
   /// The shard worker, the only thread that touches the shard's pool, map
-  /// and tier while it runs.  It serves batches until stop() has drained
-  /// the queue.  A media failure quarantines the shard and runs recovery;
-  /// while the shard has no pool (recovery gave up, or stop() cut it
-  /// short) every request is answered Unavailable.  The LaneSession pins
-  /// one undo lane whenever the pool is open, from before the first batch
-  /// on, so batch commits skip lane checkout; it goes before recovery
-  /// closes the pool it is pinned in.  (Pinning it only at the first
-  /// batch raised perfbench kv_write's peak RSS by ~1 MiB on a 4-vCPU VM.)
+  /// and tier while it runs.  It takes the queued parcels and runs their
+  /// requests, in order, as batches of up to max_batch (a batch may span
+  /// parcels) until stop() has drained the queue.  A media failure
+  /// quarantines the shard and runs recovery; every request the failed
+  /// batch left untouched is answered Unavailable first, and so is every
+  /// request while the shard has no pool (recovery gave up, or stop() cut
+  /// it short).  The LaneSession pins one undo lane whenever the pool is
+  /// open, from before the first batch on, so batch commits skip lane
+  /// checkout; it goes before recovery closes the pool it is pinned in.
+  /// (Pinning it only at the first batch raised perfbench kv_write's peak
+  /// RSS by ~1 MiB on a 4-vCPU VM.)
   void worker_loop(Shard& s) {
     std::optional<pmemkit::ObjectPool::LaneSession> lane;
-    std::vector<Request> batch;
+    std::vector<std::unique_ptr<Parcel>> taken;
+    std::vector<Op> ops;
     for (;;) {
       if (s.pool && !lane) lane.emplace(s.pool->pmem());
-      if (!next_batch(s, batch)) return;
-      if (!s.pool) {
-        for (Request& r : batch)
-          complete(*r.conn, r.seq, quarantined_reply(s, kRecovering));
-      } else if (process_batch(s, batch)) {
+      if (!next_parcels(s, taken)) return;
+      ops.clear();
+      for (const auto& p : taken)
+        for (const Parcel::Entry& e : p->entries)
+          ops.push_back(Op{e.conn, e.seq, e.verb, p->key(e), p->value(e)});
+      std::size_t done = 0;
+      bool media = false;
+      while (s.pool && !media && done < ops.size()) {
+        const std::size_t n = std::min(
+            ops.size() - done, static_cast<std::size_t>(opts.max_batch));
+        s.queued.fetch_sub(n, std::memory_order_relaxed);
+        media = process_batch(s, std::span<const Op>(ops).subspan(done, n));
+        done += n;
+        if (!media) maybe_compact(s);
+      }
+      s.queued.fetch_sub(ops.size() - done, std::memory_order_relaxed);
+      for (; done < ops.size(); ++done)
+        complete(*ops[done].conn, ops[done].seq,
+                 quarantined_reply(s, kRecovering));
+      // Emptied, the parcels drop their connection references; the next
+      // next_parcels returns them to the spare list.
+      for (std::unique_ptr<Parcel>& p : taken) {
+        if (p->bytes.capacity() > kParcelKeepBytes)
+          p.reset();
+        else
+          p->clear();
+      }
+      if (media) {
         lane.reset();
         recover_shard(s);
-      } else {
-        maybe_compact(s);
       }
-      batch.clear();
     }
   }
 
@@ -716,23 +850,28 @@ struct Server::Impl {
   void recover_shard(Shard& s) {
     close_shard(s);
     publish(s, [](ShardInfo& i) { ++i.quarantines; });
-    s.quarantined.store(true, std::memory_order_release);
-    // Requests queued before the flag went up are answered now, not held
-    // through the backoff.
-    std::deque<Request> queued;
+    // From here on hand_off answers the shard's parcels itself; the ones
+    // already handed over are answered now, not held through the backoff.
+    std::vector<std::unique_ptr<Parcel>> queued;
     {
       const std::lock_guard<std::mutex> lock(s.mu);
+      s.quarantined = true;
       queued.swap(s.q);
     }
-    for (Request& r : queued)
-      complete(*r.conn, r.seq, quarantined_reply(s, kRecovering));
+    for (const auto& p : queued) {
+      s.queued.fetch_sub(p->entries.size(), std::memory_order_relaxed);
+      for (const Parcel::Entry& e : p->entries)
+        complete(*e.conn, e.seq, quarantined_reply(s, kRecovering));
+    }
+    queued.clear();
     for (int attempt = 0; attempt < opts.reopen_attempts; ++attempt) {
       if (!backoff_wait(s, static_cast<std::uint64_t>(opts.reopen_backoff_ms)
                                << attempt))
         return;  // stopping — leave the shard down, stop() drains
       if (open_shard(s).ok()) {
         publish(s, [](ShardInfo& i) { ++i.rejoins; });
-        s.quarantined.store(false, std::memory_order_release);
+        const std::lock_guard<std::mutex> lock(s.mu);
+        s.quarantined = false;
         return;
       }
       publish(s, [](ShardInfo& i) { ++i.reopen_failures; });

@@ -7,25 +7,49 @@
 //   ------------------          ----------------------------------
 //   accept connections          own ONE pool file (kvshard-<i>.pool)
 //   read + parse RESP           own a disjoint keyspace (hash routing)
-//   route keyed commands  --->  drain queue in request order
-//   answer PING/INFO            run each batch as ONE unit
-//                               (LaneSession: one pinned lane, one
-//                                commit fence per burst of SETs)
+//   route keyed commands        take every queued parcel, run its
+//     into per-shard parcels      requests in order as batches of
+//   after each round: one         <= max_batch, each ONE unit
+//     hand-off per shard  --->  (LaneSession: one pinned lane, one
+//   answer PING/INFO             commit fence per burst of SETs)
 //                               reply only after the commit  ----+
 //                                                                |
 //          per-connection sequencer (responses in request order) +--> socket
 //
+// How a request reaches its worker: the event thread makes one recv per
+// readable socket per round (another only while a recv fills the whole
+// 64 KiB buffer; epoll is level-triggered, so bytes left in the socket
+// are reported again next round).  Each keyed request it parses is
+// copied into its shard's parcel for the round: one byte buffer holding
+// the keys and values, plus an entry {connection, seq, verb, offsets} per
+// request.  After the round, each non-empty parcel is handed over with
+// one lock acquisition and at most one wakeup.  The shard queue is a FIFO
+// of parcels plus a request count: INFO `queued=` is the number of
+// requests handed to the shard whose batch has not started, and
+// max_queue sheds against it plus the round's own parcel, so a shard
+// holds at most max_queue + max_batch requests.  The worker takes every
+// queued parcel at once; at its next take it returns the emptied parcels
+// to a per-shard spare list (up to 8) that the event thread refills, so
+// no key, value or queue block is allocated on one thread and freed on
+// the other (a parcel whose buffer grew past 1 MiB is freed instead).
+// The copy into the parcel is one more than the parsed command's own:
+// cheap next to what it saves for small values, but SETs of 64 KiB and
+// more wait longer for it than they did with a per-request hand-off.
+// Replies go through the connection's sequencer: a ring of reply slots
+// indexed by seq - next_to_send, flushed as a contiguous prefix.
+//
 // How a batch runs: every request executes inside a unit, and a unit is
 // one transaction if and only if any of its requests mutates (a read-only
-// burst commits nothing).  The whole batch is tried as one unit first; if
-// it aborts for a reason other than the media, each request reruns as its
-// own unit, so one poisoned request (say, OutOfSpace) fails alone.  With
-// the tier on, the tier's lock spans the whole batch and its staged DRAM
-// effects are committed or discarded with each unit.
+// burst commits nothing).  A batch may span parcels.  The whole batch is
+// tried as one unit first; if it aborts for a reason other than the media,
+// each request reruns as its own unit, so one poisoned request (say,
+// OutOfSpace) fails alone.  With the tier on, the tier's lock spans the
+// whole batch and its staged DRAM effects are committed or discarded with
+// each unit.
 //
 // Shards never share mutable pool state — key-hash routing gives each
 // worker a disjoint keyspace and its own pool, so the data path takes no
-// cross-shard lock; the only inter-thread handoff is the request queue.
+// cross-shard lock; the only inter-thread handoff is the parcel queue.
 // A worker is the only thread that touches its shard's pool, map and tier,
 // and the only one that counts for it: it publishes one ShardInfo (plus
 // its tier's TierStats) under a per-shard mutex when the shard opens,
@@ -47,7 +71,10 @@
 // that surfaces a media failure (PoolCorrupt/IoFailure) quarantines its
 // keyspace (typed Unavailable replies, visible in INFO "# Health"), runs
 // bounded reopen-with-recovery attempts with doubling backoff, and rejoins
-// on success; a full shard queue answers typed Busy (overload shedding).
+// on success.  Requests the failed batch left untouched, and those queued
+// when the shard quarantined, are answered Unavailable before the backoff;
+// while it lasts, the event thread answers the shard's parcels itself.  A
+// full shard queue answers typed Busy (overload shedding).
 // Both codes are retryable — service::RetryingClient rides through them.
 #pragma once
 
@@ -91,7 +118,7 @@ struct ServerOptions {
   /// the placement advisor (tierkv::derive_dram_budget).
   std::uint64_t tier_dram_bytes = 0;
   std::string tier_codec = "lz";  ///< cold-block codec: "lz" | "identity"
-  /// Overload shedding: a shard whose request queue reaches this depth
+  /// Overload shedding: a shard whose queued requests reach this count
   /// answers Errc::Busy instead of queueing — bounded memory, bounded
   /// latency, and a typed signal the client's retry loop understands.
   /// <= 0 disables shedding (the pre-fault-tolerance behavior).
@@ -123,7 +150,7 @@ struct ShardInfo {
   std::uint64_t rejoins = 0;     ///< successful reopen-with-recovery passes
   std::uint64_t reopen_failures = 0;  ///< failed reopen attempts
   std::uint64_t shed = 0;        ///< requests answered Busy (queue full)
-  std::uint64_t queued = 0;      ///< requests waiting in the shard queue now
+  std::uint64_t queued = 0;      ///< requests handed over, batch not started
 };
 
 struct ServerInfo {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -205,6 +206,58 @@ TEST_F(ServiceFaultTest, ExhaustedReopensLeaveAPermanentQuarantine) {
   server_->stop();
 }
 
+// A shard in reopen backoff answers at once.  Requests routed to it after
+// the quarantine began are answered Unavailable by the event thread; none
+// may land in the shard's queue behind the sweep that answered what was
+// queued, where it would wait out the backoff (and then be served).  The
+// first reopen fails, so the shard stays down for 500 + 1000 ms.
+TEST_F(ServiceFaultTest, ShardInBackoffAnswersEveryRequestAtOnce) {
+  service::ServerOptions opts;
+  opts.shards = 1;
+  opts.reopen_backoff_ms = 500;
+  start(opts);
+  pk::arm_faults(pk::FaultPlan::parse("serve:corrupt@1;open:eio@1"));
+  Client c = connect();
+  ASSERT_EQ(c.set("poison", "v").error().code, api::Errc::Unavailable);
+  // Park the shard in its backoff: the worker publishes the quarantine
+  // just before it sweeps the queue and starts the first 500 ms wait.
+  while (!server_->info().shards[0].quarantined)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  const auto parked = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  constexpr int kClients = 4, kSets = 32;
+  std::vector<std::vector<RespValue>> replies(kClients);
+  std::vector<std::chrono::steady_clock::time_point> answered(kClients);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i)
+    clients.emplace_back([&, i] {
+      Client cl = connect();
+      for (int k = 0; k < kSets; ++k)
+        cl.queue_set("c" + std::to_string(i) + ":" + std::to_string(k), "v");
+      auto got = cl.flush();
+      answered[i] = std::chrono::steady_clock::now();
+      ASSERT_TRUE(got.ok()) << got.error().to_string();
+      replies[i] = std::move(got).value();
+    });
+  for (std::thread& t : clients) t.join();
+
+  for (int i = 0; i < kClients; ++i) {
+    ASSERT_EQ(replies[i].size(), static_cast<std::size_t>(kSets));
+    for (const RespValue& r : replies[i]) {
+      ASSERT_EQ(r.type, RespValue::Type::Error) << "client " << i << ": served";
+      EXPECT_EQ(service::decode_error_reply(r.text).code,
+                api::Errc::Unavailable)
+          << r.text;
+    }
+    EXPECT_LT(answered[i] - parked, std::chrono::milliseconds(500))
+        << "client " << i << " waited out the backoff";
+  }
+  const std::string info = c.info().value();
+  EXPECT_NE(info.find("state=quarantined"), std::string::npos) << info;
+  EXPECT_NE(info.find(",queued=0\r\n"), std::string::npos) << info;
+}
+
 // INFO reads the snapshot each worker publishes, never the pool, so it is
 // safe while quarantine recovery tears the pool down and rebuilds it.  A
 // second thread reads both INFO surfaces in a loop through five
@@ -307,6 +360,73 @@ TEST_F(ServiceFaultTest, FullShardQueueShedsTypedBusy) {
   const std::string info = c.info().value();
   EXPECT_NE(info.find("busy_shed_total:" + std::to_string(busy)),
             std::string::npos);
+}
+
+// The worker takes every queued parcel at once but runs it max_batch
+// requests at a time, and the requests whose batch has not started still
+// count against max_queue.  Eight SETs go in and the first batch of two
+// stalls, so six still count; of a second burst of sixteen only two fit
+// under max_queue 8, and the rest shed while the backlog is stuck.
+TEST_F(ServiceFaultTest, StalledBacklogLargerThanABatchStillSheds) {
+  constexpr int kMaxBatch = 2, kMaxQueue = 8, kBacklog = 8, kOverflow = 16;
+  service::ServerOptions opts;
+  opts.shards = 1;
+  opts.max_batch = kMaxBatch;
+  opts.max_queue = kMaxQueue;
+  start(opts);
+  pk::arm_faults(pk::FaultPlan::parse("serve:stall@1+60000"));
+
+  const auto burst = [&](const std::string& prefix, int n, int& ok,
+                         int& busy) {
+    Client c = connect();
+    for (int i = 0; i < n; ++i) c.queue_set(prefix + std::to_string(i), "v");
+    const auto replies = c.flush();
+    ASSERT_TRUE(replies.ok()) << replies.error().to_string();
+    for (const RespValue& r : replies.value()) {
+      if (r.type != RespValue::Type::Error) {
+        ++ok;
+        continue;
+      }
+      EXPECT_EQ(service::decode_error_reply(r.text).code, api::Errc::Busy)
+          << r.text;
+      ++busy;
+    }
+  };
+  const auto wait_until = [](const auto& done) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(3);
+    while (!done() && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+
+  int backlog_ok = 0, backlog_busy = 0, over_ok = 0, over_busy = 0;
+  std::thread backlog(
+      [&] { burst("backlog", kBacklog, backlog_ok, backlog_busy); });
+  // The first batch stalls; the most it can hold is max_batch.
+  const std::uint64_t at_least = kBacklog - kMaxBatch;
+  wait_until([&] {
+    return pk::fault_stats().injected[static_cast<int>(pk::FaultKind::Stall)] ==
+               1 &&
+           server_->info().shards[0].queued >= at_least;
+  });
+  const std::uint64_t waiting = server_->info().shards[0].queued;
+  EXPECT_GE(waiting, at_least) << "the taken backlog stopped counting";
+  std::thread overflow(
+      [&] { burst("overflow", kOverflow, over_ok, over_busy); });
+  const std::uint64_t fit =
+      kMaxQueue - std::min<std::uint64_t>(waiting, kMaxQueue);
+  wait_until(
+      [&] { return server_->info().shards[0].shed >= kOverflow - fit; });
+  const service::ShardInfo stuck = server_->info().shards[0];
+  pk::clear_faults();
+  backlog.join();
+  overflow.join();
+
+  EXPECT_EQ(backlog_ok, kBacklog);
+  EXPECT_EQ(static_cast<std::uint64_t>(over_ok), fit);
+  EXPECT_EQ(over_busy, kOverflow - over_ok);
+  EXPECT_EQ(stuck.shed, static_cast<std::uint64_t>(over_busy));
+  EXPECT_EQ(stuck.queued, static_cast<std::uint64_t>(kMaxQueue));
 }
 
 }  // namespace

@@ -2,13 +2,17 @@
 // embedded Server driven through the Client library over real loopback
 // sockets.  Covers the command surface, the spread of each shard map's
 // keys over its buckets, >= 8 concurrent connections, pipelined ordering +
-// read-your-writes, the per-request fallback after a batch aborts, the
+// read-your-writes (also across connections, shards and batch boundaries),
+// frames that arrive a byte at a time or precede an EOF, the per-request
+// fallback after a batch aborts (its 4 MB values span many reads), the
 // shard counters across a restart, the refusal of a data dir written
 // under another map layout, the error taxonomy over the wire, protocol
 // violations, graceful shutdown (drained transactions, zero busy
 // lanes on reopen) and the teardown race the TSan job hunts.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -18,11 +22,13 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "api/cxlpmem.hpp"
+#include "pmemkit/checksum.hpp"
 #include "pmemkit/faultkit.hpp"
 #include "pmemkit/introspect.hpp"
 #include "pmemkit/pool.hpp"
@@ -66,6 +72,37 @@ class ServiceServerTest : public ::testing::Test {
     auto c = Client::connect(server_->port());
     EXPECT_TRUE(c.ok());
     return std::move(c).value();
+  }
+
+  /// A plain blocking loopback socket to the server (TCP_NODELAY, 5 s
+  /// receive deadline), for byte streams the Client cannot produce.
+  int connect_raw() {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    struct timeval deadline = {5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof(deadline));
+    struct sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(server_->port());
+    EXPECT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    return fd;
+  }
+
+  /// Appends everything the server sends to `got` until it closes or the
+  /// receive deadline ends.  Returns true only for the server's EOF.
+  static bool read_until_eof(int fd, std::string& got) {
+    char buf[512];
+    for (;;) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n == 0) return true;
+      if (n < 0) return false;
+      got.append(buf, static_cast<std::size_t>(n));
+    }
   }
 
   /// The burst the fallback tests send: SET small, five SETs of
@@ -351,6 +388,157 @@ TEST_F(ServiceServerTest, PipelinedBurstKeepsOrderAndReadsItsWrites) {
   EXPECT_GE(batches, 1u);
 }
 
+// max_batch 3 cuts each shard's share of an event round into several
+// batches, and a batch may span the parcels of several rounds.  Four
+// connections pipeline all five verbs, interleaved, over keys on every
+// shard: each must get its replies in request order with the values a
+// sequential model of its own keys predicts, and INFO must count every
+// keyed request exactly once.
+TEST_F(ServiceServerTest, RepliesKeepOrderAcrossConnectionsShardsAndBatches) {
+  service::ServerOptions opts;
+  opts.max_batch = 3;
+  start(opts);
+  constexpr int kConns = 4, kRequests = 200, kKeys = 12;
+  const auto key = [](int conn, std::uint64_t k) {
+    return "c" + std::to_string(conn) + ":k" + std::to_string(k);
+  };
+  for (int c = 0; c < kConns; ++c) {
+    std::vector<bool> shard_hit(4, false);
+    for (int k = 0; k < kKeys; ++k)
+      shard_hit[pmemkit::fnv1a64(key(c, static_cast<std::uint64_t>(k))) % 4] =
+          true;
+    ASSERT_EQ(std::count(shard_hit.begin(), shard_hit.end(), true), 4)
+        << "connection " << c << "'s keys miss a shard";
+  }
+
+  std::atomic<int> keyed{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConns; ++c)
+    threads.emplace_back([&, c] {
+      Client cl = connect();
+      std::map<std::string, std::string> model;
+      std::vector<RespValue> want;
+      const auto expect = [&](RespValue::Type type, std::string text,
+                              std::int64_t integer = 0) {
+        RespValue v;
+        v.type = type;
+        v.text = std::move(text);
+        v.integer = integer;
+        want.push_back(std::move(v));
+      };
+      std::uint64_t x =
+          0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(c + 1);
+      for (int i = 0; i < kRequests; ++i) {
+        x ^= x << 13;  // xorshift64
+        x ^= x >> 7;
+        x ^= x << 17;
+        const std::string k = key(c, x % kKeys);
+        const std::uint64_t verb = (x >> 32) % 10;
+        if (verb < 4) {
+          const std::string v = "v" + std::to_string(c) + "." +
+                                std::to_string(i) +
+                                std::string((x >> 40) % 300, 'x');
+          cl.queue_set(k, v);
+          model[k] = v;
+          expect(RespValue::Type::Simple, "OK");
+        } else if (verb < 6) {
+          cl.queue_get(k);
+          const auto it = model.find(k);
+          if (it == model.end())
+            expect(RespValue::Type::Null, "");
+          else
+            expect(RespValue::Type::Bulk, it->second);
+        } else if (verb == 6) {
+          cl.queue({"DEL", k});
+          expect(RespValue::Type::Integer, "", model.erase(k));
+        } else if (verb < 9) {
+          cl.queue({"EXISTS", k});
+          expect(RespValue::Type::Integer, "", model.count(k));
+        } else {
+          const std::string msg = "p" + std::to_string(i);
+          cl.queue({"PING", msg});
+          expect(RespValue::Type::Bulk, msg);
+        }
+        if (verb < 9) keyed.fetch_add(1);
+      }
+      const auto got = cl.flush();
+      ASSERT_TRUE(got.ok()) << got.error().to_string();
+      ASSERT_EQ(got.value().size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const RespValue& g = got.value()[i];
+        EXPECT_EQ(g.type, want[i].type) << "conn " << c << " reply " << i;
+        EXPECT_EQ(g.text, want[i].text) << "conn " << c << " reply " << i;
+        EXPECT_EQ(g.integer, want[i].integer)
+            << "conn " << c << " reply " << i;
+      }
+    });
+  for (std::thread& t : threads) t.join();
+
+  const std::string info = connect().info().value();
+  EXPECT_NE(info.find("\r\nops:" + std::to_string(keyed.load()) + "\r\n"),
+            std::string::npos)
+      << keyed.load() << " keyed requests sent\n" << info;
+}
+
+// The event thread reads once per readable socket per round, so a frame
+// may arrive in any number of pieces.  One sent a byte at a time is
+// answered exactly once, and correctly.
+TEST_F(ServiceServerTest, FrameSentOneByteAtATimeIsAnsweredOnce) {
+  start();
+  const int fd = connect_raw();
+  const std::string frame =
+      service::encode_command({"SET", "trickle", "one-byte-at-a-time"});
+  for (const char byte : frame) {
+    ASSERT_EQ(::send(fd, &byte, 1, 0), 1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::string got;
+  char buf[64];
+  while (got.size() < 5) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    got.append(buf, static_cast<std::size_t>(n));
+  }
+  EXPECT_EQ(got, "+OK\r\n");
+  struct pollfd p = {fd, POLLIN, 0};
+  EXPECT_EQ(::poll(&p, 1, 200), 0) << "a second reply arrived";
+  ::close(fd);
+  EXPECT_EQ(connect().get("trickle").value().value(), "one-byte-at-a-time");
+}
+
+// A client may send its last request and close at once: the request is
+// still served, and the server closes its side.  One client half-closes
+// and reads its reply, then the server's EOF; another closes outright,
+// and its SET must still land.
+TEST_F(ServiceServerTest, RequestBeforeEofIsServedAndTheServerCloses) {
+  start();
+  const int half = connect_raw();
+  const std::string set_half = service::encode_command({"SET", "half", "h"});
+  ASSERT_EQ(::send(half, set_half.data(), set_half.size(), 0),
+            static_cast<ssize_t>(set_half.size()));
+  ASSERT_EQ(::shutdown(half, SHUT_WR), 0);
+  std::string reply;
+  EXPECT_TRUE(read_until_eof(half, reply)) << "the server did not close";
+  EXPECT_EQ(reply, "+OK\r\n");
+  ::close(half);
+
+  const int gone = connect_raw();
+  const std::string set_gone = service::encode_command({"SET", "gone", "g"});
+  ASSERT_EQ(::send(gone, set_gone.data(), set_gone.size(), 0),
+            static_cast<ssize_t>(set_gone.size()));
+  ::close(gone);
+
+  Client c = connect();
+  EXPECT_EQ(c.get("half").value(), std::optional<std::string>("h"));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  std::optional<std::string> v;
+  while (!(v = c.get("gone").value()) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(v, std::optional<std::string>("g"));
+}
+
 // A batch that aborts on OutOfSpace reruns each request as its own unit:
 // the requests that fit still commit, the rest fail alone.
 TEST_F(ServiceServerTest, PerRequestFallbackIsolatesOutOfSpace) {
@@ -428,25 +616,12 @@ TEST_F(ServiceServerTest, MalformedStreamGetsErrorThenClose) {
   // A raw socket, because the Client cannot be coaxed into sending a
   // malformed frame: a hostile bulk header must draw one protocol error
   // and then EOF.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  struct sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(server_->port());
-  ASSERT_EQ(::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
+  const int fd = connect_raw();
   const std::string evil = "$999999999999\r\n";
   ASSERT_EQ(::send(fd, evil.data(), evil.size(), 0),
             static_cast<ssize_t>(evil.size()));
   std::string got;
-  char buf[512];
-  for (;;) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;  // server closed after reporting
-    got.append(buf, static_cast<std::size_t>(n));
-  }
+  EXPECT_TRUE(read_until_eof(fd, got)) << "the server did not close";
   ::close(fd);
   ASSERT_FALSE(got.empty());
   EXPECT_EQ(got[0], '-');
