@@ -46,11 +46,6 @@ std::string format_fixed3(double v) {
   return std::to_string(milli / 1000) + "." + frac;
 }
 
-/// Fragmentation ratio as "0.042" — a proper ratio, clamped to [0, 1].
-std::string format_frag(double f) {
-  return format_fixed3(f < 0 ? 0 : (f > 1 ? 1 : f));
-}
-
 /// Writes all of `bytes` to a nonblocking socket, polling through short
 /// stalls.  Bounded: a client that stops reading for ~5s is declared dead
 /// rather than wedging a shard worker forever.
@@ -212,14 +207,11 @@ struct Shard {
   /// worker subtracts each batch as it starts it and each request it
   /// answers Unavailable unserved.  route() sheds against it.
   /// `spare` holds emptied parcels on their way back to the event thread.
-  /// `quarantined` is set by the worker at health transitions; while it
-  /// is set, hand_off() answers the shard's parcels itself.
   std::mutex mu;
   std::condition_variable cv;
   std::vector<std::unique_ptr<Parcel>> q;
   std::atomic<std::uint64_t> queued{0};
   std::vector<std::unique_ptr<Parcel>> spare;
-  bool quarantined = false;
   std::thread worker;
   /// The parcel this event round fills; event thread only.
   std::unique_ptr<Parcel> filling = std::make_unique<Parcel>();
@@ -240,8 +232,8 @@ bool media_failure(api::Errc c) noexcept {
 
 /// The reply to a request a quarantined shard cannot serve: typed
 /// Unavailable, retryable once the shard rejoins.  `detail` follows
-/// "shard <i> quarantined": the media error that caused it, or that
-/// recovery is in progress.
+/// "shard <i> quarantined": the media error that caused it, or whether
+/// reopen tries remain.
 std::string quarantined_reply(const Shard& s, std::string_view detail) {
   return encode_error_reply(api::Error{
       api::Errc::Unavailable,
@@ -250,6 +242,7 @@ std::string quarantined_reply(const Shard& s, std::string_view detail) {
 }
 
 constexpr std::string_view kRecovering = ", recovery in progress";
+constexpr std::string_view kGaveUp = ", reopen attempts exhausted";
 
 }  // namespace
 
@@ -334,7 +327,7 @@ struct Server::Impl {
                    ",keys=" + std::to_string(s.keys) +
                    ",ops=" + std::to_string(s.ops) +
                    ",batches=" + std::to_string(s.batches) +
-                   ",frag=" + format_frag(s.fragmentation) +
+                   ",frag=" + format_fixed3(s.fragmentation) +
                    ",queued=" + std::to_string(s.queued) + "\r\n";
     }
     const std::string health =
@@ -355,7 +348,7 @@ struct Server::Impl {
            "\r\n# Stats\r\nops:" + std::to_string(ops) +
            "\r\nbatches:" + std::to_string(batches) +
            "\r\nconnections_accepted:" + std::to_string(i.connections_accepted) +
-           "\r\nfragmentation:" + format_frag(worst_frag) +
+           "\r\nfragmentation:" + format_fixed3(worst_frag) +
            "\r\nresizes:" + std::to_string(resizes) +
            "\r\ncompactions:" + std::to_string(compactions) +
            "\r\ncompacted_bytes:" + std::to_string(compacted) +
@@ -426,36 +419,23 @@ struct Server::Impl {
 
   /// Ends an event round: hands each shard the parcel the round filled,
   /// with one lock acquisition and at most one wakeup (the worker waits
-  /// only on an empty queue, and takes the whole queue).  A shard that is
-  /// quarantined by then gets nothing: its worker may sit in a reopen
-  /// backoff and would hold the requests through it, so they are answered
-  /// Unavailable here.  recover_shard raises the flag under `mu` in the
-  /// same step that takes what is queued, so no parcel lands behind that
-  /// sweep.
+  /// only on an empty queue, and takes the whole queue).  A quarantined
+  /// shard's parcels go the same way: its worker answers them.
   void hand_off() {
     for (const auto& sp : shards) {
       Shard& s = *sp;
       if (s.filling->entries.empty()) continue;
-      bool quarantined = false, wake = false;
+      bool wake = false;
       {
         const std::lock_guard<std::mutex> lock(s.mu);
-        quarantined = s.quarantined;
-        if (!quarantined) {
-          wake = s.q.empty();
-          s.queued.fetch_add(s.filling->entries.size(),
-                             std::memory_order_relaxed);
-          s.q.push_back(std::move(s.filling));
-          if (!s.spare.empty()) {
-            s.filling = std::move(s.spare.back());
-            s.spare.pop_back();
-          }
+        wake = s.q.empty();
+        s.queued.fetch_add(s.filling->entries.size(),
+                           std::memory_order_relaxed);
+        s.q.push_back(std::move(s.filling));
+        if (!s.spare.empty()) {
+          s.filling = std::move(s.spare.back());
+          s.spare.pop_back();
         }
-      }
-      if (quarantined) {
-        for (const Parcel::Entry& e : s.filling->entries)
-          complete(*e.conn, e.seq, quarantined_reply(s, kRecovering));
-        s.filling->clear();
-        continue;
       }
       if (!s.filling) s.filling = std::make_unique<Parcel>();
       if (wake) s.cv.notify_one();
@@ -732,40 +712,72 @@ struct Server::Impl {
     s.tier_stats = s.tier ? s.tier->stats() : tierkv::TierStats{};
   }
 
+  using Clock = std::chrono::steady_clock;
+  static constexpr Clock::time_point kNever = Clock::time_point::max();
+
   /// Returns the parcels the worker emptied to the spare list, then takes
-  /// every queued parcel into `taken`, waiting while none is queued.
-  /// Returns false once stop() has begun and the queue is drained.
-  bool next_parcels(Shard& s, std::vector<std::unique_ptr<Parcel>>& taken) {
+  /// every queued parcel into `taken`, waiting while none is queued, but
+  /// no longer than until `deadline`.  Returns false once stop() has begun
+  /// and the queue is drained.
+  bool next_parcels(Shard& s, std::vector<std::unique_ptr<Parcel>>& taken,
+                    Clock::time_point deadline) {
     std::unique_lock<std::mutex> lock(s.mu);
     for (std::unique_ptr<Parcel>& p : taken)
       if (p && s.spare.size() < kSpareParcels) s.spare.push_back(std::move(p));
     taken.clear();
-    s.cv.wait(lock, [&] {
+    const auto ready = [&] {
       return !s.q.empty() || stopping.load(std::memory_order_acquire);
-    });
+    };
+    if (deadline == kNever)
+      s.cv.wait(lock, ready);
+    else
+      s.cv.wait_until(lock, deadline, ready);
     taken.swap(s.q);
-    return !taken.empty();
+    return !taken.empty() || !stopping.load(std::memory_order_acquire);
   }
 
   /// The shard worker, the only thread that touches the shard's pool, map
-  /// and tier while it runs.  It takes the queued parcels and runs their
-  /// requests, in order, as batches of up to max_batch (a batch may span
-  /// parcels) until stop() has drained the queue.  A media failure
-  /// quarantines the shard and runs recovery; every request the failed
-  /// batch left untouched is answered Unavailable first, and so is every
-  /// request while the shard has no pool (recovery gave up, or stop() cut
-  /// it short).  The LaneSession pins one undo lane whenever the pool is
-  /// open, from before the first batch on, so batch commits skip lane
-  /// checkout; it goes before recovery closes the pool it is pinned in.
-  /// (Pinning it only at the first batch raised perfbench kv_write's peak
-  /// RSS by ~1 MiB on a 4-vCPU VM.)
+  /// and tier while it runs, and the only one that answers the requests
+  /// handed to it.  It takes the queued parcels and runs their requests,
+  /// in order, as batches of up to max_batch (a batch may span parcels)
+  /// until stop() has drained the queue.  A media failure quarantines the
+  /// shard: the worker closes it, then answers Unavailable what the failed
+  /// batch left untouched and every request it takes while the shard has
+  /// no pool.  It waits for parcels only until the next reopen try is due,
+  /// so no request waits out a backoff; after the last try, or once stop()
+  /// has begun, the shard stays down.  The LaneSession pins one undo lane
+  /// whenever the pool is open, from before the first batch on, so batch
+  /// commits skip lane checkout; it goes before the quarantine closes the
+  /// pool it is pinned in.  (Pinning it only at the first batch raised
+  /// perfbench kv_write's peak RSS by ~1 MiB on a 4-vCPU VM.)
   void worker_loop(Shard& s) {
     std::optional<pmemkit::ObjectPool::LaneSession> lane;
     std::vector<std::unique_ptr<Parcel>> taken;
     std::vector<Op> ops;
+    // Quarantine state: the reopen tries made since the media failure, and
+    // when the next is due (never while serving or once the tries are spent).
+    int attempt = 0;
+    Clock::time_point retry_at = kNever;
     for (;;) {
-      if (s.pool && !lane) lane.emplace(s.pool->pmem());
-      if (!next_parcels(s, taken)) return;
+      if (retry_at != kNever && Clock::now() >= retry_at &&
+          !stopping.load(std::memory_order_acquire)) {
+        retry_at = kNever;
+        if (open_shard(s).ok()) {
+          publish(s, [](ShardInfo& i) { ++i.rejoins; });
+        } else {
+          publish(s, [](ShardInfo& i) { ++i.reopen_failures; });
+          ++attempt;
+        }
+      }
+      if (s.pool) {
+        if (!lane) lane.emplace(s.pool->pmem());
+      } else if (retry_at == kNever && attempt < opts.reopen_attempts) {
+        retry_at = Clock::now() +
+                   std::chrono::milliseconds(
+                       static_cast<std::uint64_t>(opts.reopen_backoff_ms)
+                       << attempt);
+      }
+      if (!next_parcels(s, taken, retry_at)) return;
       ops.clear();
       for (const auto& p : taken)
         for (const Parcel::Entry& e : p->entries)
@@ -780,10 +792,18 @@ struct Server::Impl {
         done += n;
         if (!media) maybe_compact(s);
       }
+      if (media) {
+        lane.reset();
+        close_shard(s);
+        publish(s, [](ShardInfo& i) { ++i.quarantines; });
+        attempt = 0;
+      }
       s.queued.fetch_sub(ops.size() - done, std::memory_order_relaxed);
       for (; done < ops.size(); ++done)
         complete(*ops[done].conn, ops[done].seq,
-                 quarantined_reply(s, kRecovering));
+                 quarantined_reply(s, attempt < opts.reopen_attempts
+                                          ? kRecovering
+                                          : kGaveUp));
       // Emptied, the parcels drop their connection references; the next
       // next_parcels returns them to the spare list.
       for (std::unique_ptr<Parcel>& p : taken) {
@@ -792,20 +812,7 @@ struct Server::Impl {
         else
           p->clear();
       }
-      if (media) {
-        lane.reset();
-        recover_shard(s);
-      }
     }
-  }
-
-  /// Interruptible backoff: sleeps `ms` on the shard's cv, waking early on
-  /// stop().  Returns false when stopping.
-  bool backoff_wait(Shard& s, std::uint64_t ms) {
-    std::unique_lock<std::mutex> lock(s.mu);
-    return !s.cv.wait_for(lock, std::chrono::milliseconds(ms), [&] {
-      return stopping.load(std::memory_order_acquire);
-    });
   }
 
   /// Opens (or creates) the shard's pool and builds its map and tier:
@@ -841,41 +848,6 @@ struct Server::Impl {
     s.tier.reset();
     s.map.reset();
     s.pool.reset();
-  }
-
-  /// The self-healing pass: tear the shard's pool down, then try bounded
-  /// reopen-with-recovery attempts with doubling backoff.  The shard is
-  /// left without a pool when the attempts are exhausted (or stop()
-  /// arrived).
-  void recover_shard(Shard& s) {
-    close_shard(s);
-    publish(s, [](ShardInfo& i) { ++i.quarantines; });
-    // From here on hand_off answers the shard's parcels itself; the ones
-    // already handed over are answered now, not held through the backoff.
-    std::vector<std::unique_ptr<Parcel>> queued;
-    {
-      const std::lock_guard<std::mutex> lock(s.mu);
-      s.quarantined = true;
-      queued.swap(s.q);
-    }
-    for (const auto& p : queued) {
-      s.queued.fetch_sub(p->entries.size(), std::memory_order_relaxed);
-      for (const Parcel::Entry& e : p->entries)
-        complete(*e.conn, e.seq, quarantined_reply(s, kRecovering));
-    }
-    queued.clear();
-    for (int attempt = 0; attempt < opts.reopen_attempts; ++attempt) {
-      if (!backoff_wait(s, static_cast<std::uint64_t>(opts.reopen_backoff_ms)
-                               << attempt))
-        return;  // stopping — leave the shard down, stop() drains
-      if (open_shard(s).ok()) {
-        publish(s, [](ShardInfo& i) { ++i.rejoins; });
-        const std::lock_guard<std::mutex> lock(s.mu);
-        s.quarantined = false;
-        return;
-      }
-      publish(s, [](ShardInfo& i) { ++i.reopen_failures; });
-    }
   }
 
   void stop() {

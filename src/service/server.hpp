@@ -71,10 +71,13 @@
 // that surfaces a media failure (PoolCorrupt/IoFailure) quarantines its
 // keyspace (typed Unavailable replies, visible in INFO "# Health"), runs
 // bounded reopen-with-recovery attempts with doubling backoff, and rejoins
-// on success.  Requests the failed batch left untouched, and those queued
-// when the shard quarantined, are answered Unavailable before the backoff;
-// while it lasts, the event thread answers the shard's parcels itself.  A
-// full shard queue answers typed Busy (overload shedding).
+// on success.  The worker answers every request handed to its shard, during
+// the backoff too: it waits for parcels only until the next attempt is due
+// and answers each one it takes Unavailable at once, so none waits out a
+// backoff.  A request that arrives while an attempt runs waits for its
+// outcome: served if the shard rejoins, Unavailable if not.  Once the
+// attempts are spent, the replies say so.  A full shard queue answers typed
+// Busy (overload shedding).
 // Both codes are retryable — service::RetryingClient rides through them.
 #pragma once
 

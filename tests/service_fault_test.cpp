@@ -201,16 +201,23 @@ TEST_F(ServiceFaultTest, ExhaustedReopensLeaveAPermanentQuarantine) {
   EXPECT_NE(info.find("reopen_failures_total:2"), std::string::npos) << info;
   EXPECT_NE(info.find("quarantined_shards:1"), std::string::npos);
   EXPECT_NE(info.find("healthy_shards:0"), std::string::npos);
-  EXPECT_EQ(c.set("doomed", "x").error().code, api::Errc::Unavailable);
+  const api::Error parked = c.set("doomed", "x").error();
+  EXPECT_EQ(parked.code, api::Errc::Unavailable);
+  // ...and says that it gave up, not that recovery is under way.
+  EXPECT_EQ(parked.message.find("recovery in progress"), std::string::npos)
+      << parked.message;
+  EXPECT_NE(parked.message.find("reopen attempts exhausted"),
+            std::string::npos)
+      << parked.message;
   // Graceful stop still works with a shard parked in terminal quarantine.
   server_->stop();
 }
 
 // A shard in reopen backoff answers at once.  Requests routed to it after
-// the quarantine began are answered Unavailable by the event thread; none
-// may land in the shard's queue behind the sweep that answered what was
-// queued, where it would wait out the backoff (and then be served).  The
-// first reopen fails, so the shard stays down for 500 + 1000 ms.
+// the quarantine began are answered Unavailable by its worker, which waits
+// for parcels only until the next reopen try is due; none may sit in the
+// shard's queue through the backoff (and then be served).  The first
+// reopen fails, so the shard stays down for 500 + 1000 ms.
 TEST_F(ServiceFaultTest, ShardInBackoffAnswersEveryRequestAtOnce) {
   service::ServerOptions opts;
   opts.shards = 1;
@@ -220,7 +227,7 @@ TEST_F(ServiceFaultTest, ShardInBackoffAnswersEveryRequestAtOnce) {
   Client c = connect();
   ASSERT_EQ(c.set("poison", "v").error().code, api::Errc::Unavailable);
   // Park the shard in its backoff: the worker publishes the quarantine
-  // just before it sweeps the queue and starts the first 500 ms wait.
+  // when it closes the pool, then waits 500 ms for the first reopen try.
   while (!server_->info().shards[0].quarantined)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   const auto parked = std::chrono::steady_clock::now();
@@ -256,6 +263,26 @@ TEST_F(ServiceFaultTest, ShardInBackoffAnswersEveryRequestAtOnce) {
   const std::string info = c.info().value();
   EXPECT_NE(info.find("state=quarantined"), std::string::npos) << info;
   EXPECT_NE(info.find(",queued=0\r\n"), std::string::npos) << info;
+}
+
+// stop() does not wait out a reopen backoff: the worker's wait for the next
+// try wakes on stop() as on a request.  The shard stays down, and info()
+// still reads it quarantined once the server has stopped.
+TEST_F(ServiceFaultTest, StopDuringALongReopenBackoffReturnsPromptly) {
+  service::ServerOptions opts;
+  opts.shards = 1;
+  opts.reopen_backoff_ms = 20000;
+  start(opts);
+  pk::arm_faults(pk::FaultPlan::parse("serve:corrupt@1"));
+  Client c = connect();
+  ASSERT_EQ(c.set("poison", "v").error().code, api::Errc::Unavailable);
+  while (!server_->info().shards[0].quarantined)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  const auto asked = std::chrono::steady_clock::now();
+  server_->stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - asked, std::chrono::seconds(2));
+  EXPECT_TRUE(server_->info().shards[0].quarantined);
 }
 
 // INFO reads the snapshot each worker publishes, never the pool, so it is
